@@ -11,8 +11,14 @@ Retransmissions are recognized as data arrivals whose byte range overlaps
 an earlier arrival carrying a lower ip_id (the server's ip_id increases by
 one per emitted segment). A retransmission is ``timeout`` when the silence
 before it exceeds timeout_factor * estimated rtt, ``fast`` otherwise.
+
+Earlier arrivals are not compared one by one. A coverage index keeps the
+bytes seen so far as sorted disjoint spans, each with the lowest ip_id
+that covered it, so an arrival costs a bisect plus the few spans it
+overlaps, and a trace classifies in time about linear in its length.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 
 from .prober import ProbeOutcome, ProbeScript
@@ -75,6 +81,49 @@ class RetxEvent:
     event_index: int  # position in the trace
 
 
+class _Coverage:
+    """Data bytes seen so far: sorted disjoint spans [start, end), each
+    holding the lowest ip_id of the arrivals that covered it.
+
+    Data arrivals have len > 0, so two arrivals overlap exactly when they
+    share a byte; spans that only touch do not overlap.
+    """
+
+    def __init__(self):
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.ip_ids: list[int] = []
+
+    def add(self, start: int, end: int, ip_id: int) -> int | None:
+        """Cover [start, end) with ip_id; the lowest ip_id it overlapped, or None."""
+        starts, ends, ip_ids = self.starts, self.ends, self.ip_ids
+        lo = bisect_right(ends, start)
+        hi = bisect_left(starts, end, lo)
+        if lo == hi:
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+            ip_ids.insert(lo, ip_id)
+            return None
+        lowest = min(ip_ids[lo:hi])
+        # Rebuild the overlapped stretch: parts outside [start, end) keep
+        # their ip_id, parts inside take the lower one, gaps take ip_id.
+        pieces = []
+        cursor = start
+        for s, e, i in zip(starts[lo:hi], ends[lo:hi], ip_ids[lo:hi]):
+            if cursor < s:
+                pieces.append((cursor, s, ip_id))
+            if s < start:
+                pieces.append((s, start, i))
+            pieces.append((max(s, start), min(e, end), min(i, ip_id)))
+            if end < e:
+                pieces.append((end, e, i))
+            cursor = e
+        if cursor < end:
+            pieces.append((cursor, end, ip_id))
+        starts[lo:hi], ends[lo:hi], ip_ids[lo:hi] = zip(*pieces)
+        return lowest
+
+
 def estimate_rtt(trace: list[TraceEvent]) -> int | None:
     """Round trip from SYN -> SYN+ACK, else request -> first data arrival."""
     syn_t = next((ev.t_us for ev in trace if ev.dir == "tx" and ev.kind == "syn"), None)
@@ -98,18 +147,13 @@ def detect_retransmissions(
     timeout_factor: float = 3.0,
 ) -> list[RetxEvent]:
     out = []
-    seen: list[TraceEvent] = []
+    seen = _Coverage()
     last_data_t = None
     for position, ev in enumerate(trace):
         if ev.dir != "rx" or ev.kind != "data":
             continue
-        is_retx = any(
-            prior.seq < ev.seq + ev.len
-            and ev.seq < prior.seq + prior.len
-            and prior.ip_id < ev.ip_id
-            for prior in seen
-        )
-        if is_retx:
+        lowest = seen.add(ev.seq, ev.seq + ev.len, ev.ip_id)
+        if lowest is not None and lowest < ev.ip_id:
             gap = ev.t_us - last_data_t if last_data_t is not None else 0
             kind = RETX_TIMEOUT if gap > timeout_factor * rtt_est else RETX_FAST
             out.append(
@@ -120,7 +164,6 @@ def detect_retransmissions(
                     event_index=position,
                 )
             )
-        seen.append(ev)
         last_data_t = ev.t_us
     return out
 
@@ -128,19 +171,14 @@ def detect_retransmissions(
 def detect_reordering(trace: list[TraceEvent]) -> int | None:
     """Trace index of the first fresh arrival whose ip_id runs backwards."""
     max_ip_id = None
-    seen: list[TraceEvent] = []
+    seen = _Coverage()
     for position, ev in enumerate(trace):
         if ev.dir != "rx" or ev.kind != "data":
             continue
-        is_duplicate = any(
-            prior.seq < ev.seq + ev.len and ev.seq < prior.seq + prior.len
-            for prior in seen
-        )
-        if not is_duplicate:
+        if seen.add(ev.seq, ev.seq + ev.len, ev.ip_id) is None:
             if max_ip_id is not None and ev.ip_id < max_ip_id:
                 return position
             max_ip_id = ev.ip_id if max_ip_id is None else max(max_ip_id, ev.ip_id)
-        seen.append(ev)
     return None
 
 
@@ -214,23 +252,23 @@ def extract_features(
                 and r13.event_index < r.event_index < r16.event_index
                 for r in retxs
             )
-    if follower is not None:
+    repeats = [r for r in retxs if r.index == follower]
+    if repeats:
         follower_end = follower * script.mss
-        for r in retxs:
-            if r.index != follower:
-                continue
-            covered = any(
-                ev.dir == "tx"
-                and ev.kind == "ack"
-                and ev.ack >= follower_end
-                for ev in trace[: r.event_index]
+        acked_at = next(
+            (
+                position
+                for position, ev in enumerate(trace)
+                if ev.dir == "tx" and ev.kind == "ack" and ev.ack >= follower_end
+            ),
+            len(trace),
+        )
+        r = next((r for r in repeats if acked_at < r.event_index), None)
+        if r is not None:
+            features.unnecessary_retx17 = True
+            evidence.append(
+                (r.event_index, f"packet {follower} arrived again after being ack-covered")
             )
-            if covered:
-                features.unnecessary_retx17 = True
-                evidence.append(
-                    (r.event_index, f"packet {follower} arrived again after being ack-covered")
-                )
-                break
     return features, evidence
 
 

@@ -80,9 +80,6 @@ class RangeSet:
         spans.sort()
         self._spans = spans
 
-    def contains(self, start: int, end: int) -> bool:
-        return any(s <= start and end <= e for s, e in self._spans)
-
     def overlaps(self, start: int, end: int) -> bool:
         return any(s < end and start < e for s, e in self._spans)
 
@@ -91,12 +88,6 @@ class RangeSet:
             if s <= origin < e:
                 return e
         return origin
-
-    def total(self) -> int:
-        return sum(e - s for s, e in self._spans)
-
-    def spans(self) -> list[tuple[int, int]]:
-        return list(self._spans)
 
 
 def _segment_kind(seg: Segment) -> str:

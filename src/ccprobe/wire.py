@@ -45,11 +45,6 @@ class Segment:
         return self.seq + self.len
 
 
-def packet_range(index: int, mss: int) -> tuple[int, int]:
-    """Byte range [start, end) of the 1-based packet number ``index``."""
-    return (index - 1) * mss, index * mss
-
-
 def first_index(seq: int, mss: int) -> int:
     """1-based packet number of the byte at offset ``seq``."""
     return seq // mss + 1

@@ -16,7 +16,7 @@ retx13=timeout and the extra-retransmission flag take precedence.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import ProbeOutcome, ProbeScript, Variant, classify_trace
@@ -29,8 +29,11 @@ from ccprobe.classifier import (
     RETX_FAST,
     RETX_NONE,
     RETX_TIMEOUT,
+    ClassificationReport,
     ClassifierConfig,
     FeatureVector,
+    IncompleteTrace,
+    RetxEvent,
     classify,
     detect_reordering,
     detect_retransmissions,
@@ -38,6 +41,7 @@ from ccprobe.classifier import (
     extract_features,
 )
 from ccprobe.traceio import TraceEvent
+from ccprobe.wire import first_index
 
 from conftest import run_scenario
 
@@ -320,3 +324,208 @@ def test_report_dict_serializes_evidence_as_pairs(default_runs):
     for item in payload["evidence"]:
         assert isinstance(item, list) and len(item) == 2
         assert isinstance(item[0], int) and isinstance(item[1], str)
+
+
+# -- equivalence with the quadratic reference ----------------------------------
+# The reference scans below compare every data arrival with every earlier
+# one, as the classifier did before its coverage index. The index must
+# reproduce them exactly: same retransmissions, same reordering index,
+# same features and evidence.
+
+
+def overlap(a: TraceEvent, b: TraceEvent) -> bool:
+    return a.seq < b.seq + b.len and b.seq < a.seq + a.len
+
+
+def reference_retransmissions(trace, rtt_est, *, mss, timeout_factor=3.0):
+    out, seen, last_data_t = [], [], None
+    for position, ev in enumerate(trace):
+        if ev.dir != "rx" or ev.kind != "data":
+            continue
+        if any(overlap(prior, ev) and prior.ip_id < ev.ip_id for prior in seen):
+            gap = ev.t_us - last_data_t if last_data_t is not None else 0
+            kind = RETX_TIMEOUT if gap > timeout_factor * rtt_est else RETX_FAST
+            out.append(RetxEvent(first_index(ev.seq, mss), ev.t_us, kind, position))
+        seen.append(ev)
+        last_data_t = ev.t_us
+    return out
+
+
+def reference_reordering(trace):
+    max_ip_id, seen = None, []
+    for position, ev in enumerate(trace):
+        if ev.dir != "rx" or ev.kind != "data":
+            continue
+        if not any(overlap(prior, ev) for prior in seen):
+            if max_ip_id is not None and ev.ip_id < max_ip_id:
+                return position
+            max_ip_id = ev.ip_id if max_ip_id is None else max(max_ip_id, ev.ip_id)
+        seen.append(ev)
+    return None
+
+
+def reference_report(trace, script, timeout_factor=3.0) -> ClassificationReport | None:
+    """The classifier's report built from the reference scans; None without an rtt."""
+    rtt = estimate_rtt(trace)
+    if rtt is None:
+        return None
+    drops = sorted(script.drop_packets)
+    first_drop = drops[0] if drops else None
+    last_drop = drops[-1] if drops else None
+    follower = last_drop + 1 if last_drop is not None else None
+    retxs = reference_retransmissions(
+        trace, rtt, mss=script.mss, timeout_factor=timeout_factor
+    )
+    reorder_at = reference_reordering(trace)
+    evidence = [
+        (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
+    ]
+    if reorder_at is not None:
+        evidence.append((reorder_at, "ip_id order inconsistent with arrival order"))
+
+    def first_retx(index):
+        return next((r for r in retxs if r.index == index), None)
+
+    feats = FeatureVector(
+        rtt_est=rtt,
+        reordering_detected=reorder_at is not None,
+        retransmission_count=len(retxs),
+    )
+    r13 = first_retx(first_drop) if first_drop is not None else None
+    r16 = first_retx(last_drop) if last_drop is not None else None
+    if r13 is not None:
+        feats.retx13 = r13.kind
+        if r16 is not None:
+            feats.retx16 = r16.kind
+            feats.extra_retx_between_13_and_16 = any(
+                r.index not in (first_drop, last_drop)
+                and r13.event_index < r.event_index < r16.event_index
+                for r in retxs
+            )
+    if follower is not None:
+        follower_end = follower * script.mss
+        for r in retxs:
+            if r.index == follower and any(
+                ev.dir == "tx" and ev.kind == "ack" and ev.ack >= follower_end
+                for ev in trace[: r.event_index]
+            ):
+                feats.unnecessary_retx17 = True
+                evidence.append(
+                    (r.event_index, f"packet {follower} arrived again after being ack-covered")
+                )
+                break
+    report = classify(feats)
+    report.evidence = evidence
+    return report
+
+
+def test_touching_arrivals_do_not_overlap():
+    # [0, 100) then [100, 200): no shared byte, so neither a repair nor a
+    # duplicate; the second one's lower ip_id therefore reads as reordering.
+    assert detect_retransmissions([rx(200, 0, 1), rx(300, 100, 2)], 100 * MS, mss=100) == []
+    assert detect_reordering([rx(200, 0, 5), rx(300, 100, 4)]) == 1
+    assert detect_reordering([rx(200, 0, 5), rx(300, 99, 4)]) is None
+
+
+_seqs = st.one_of(
+    st.sampled_from([1200, 1500, 1600]),  # packets 13, 16 and 17
+    st.integers(min_value=0, max_value=29).map(lambda k: 100 * k),  # whole packets
+    st.integers(min_value=0, max_value=2999),  # unaligned
+    st.integers(min_value=0, max_value=300).map(lambda k: 10 * k),  # touching runts
+)
+_lens = st.one_of(
+    st.just(100),
+    st.integers(min_value=1, max_value=30),  # runts
+    st.integers(min_value=1, max_value=300),
+)
+# Mostly rising ip_ids, as the server stamps them, with repeats and
+# backward steps mixed in.
+_ip_id_steps = st.sampled_from([1, 1, 1, 2, 0, -1, -4])
+_data = st.tuples(st.just("data"), _seqs, _lens, _ip_id_steps)
+_acks = st.tuples(
+    st.just("ack"),
+    st.one_of(
+        st.integers(min_value=0, max_value=30).map(lambda k: 100 * k),
+        st.integers(min_value=0, max_value=3000),
+    ),
+)
+
+
+@st.composite
+def probe_traces(draw) -> list[TraceEvent]:
+    trace = []
+    t = 0
+    opening = draw(st.sampled_from(["handshake", "handshake", "request", "none"]))
+    if opening == "handshake":
+        t = draw(st.integers(min_value=1, max_value=300)) * MS
+        trace += [
+            TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1),
+            TraceEvent(t_us=t, dir="rx", kind="synack", seq=0, len=0, ack=1, ip_id=1),
+        ]
+    elif opening == "request":
+        trace.append(TraceEvent(t_us=0, dir="tx", kind="data", seq=0, len=50, ack=0, ip_id=1))
+    ip_id = 1
+    for item in draw(st.lists(st.one_of(_data, _data, _acks), min_size=10, max_size=80)):
+        t += draw(st.sampled_from([0, 1, 50, 250, 900])) * MS
+        if item[0] == "data":
+            _, seq, length, step = item
+            trace.append(rx(t // MS, seq, max(1, ip_id + step), length))
+            ip_id = max(ip_id, ip_id + step)
+        else:
+            trace.append(
+                TraceEvent(t_us=t, dir="tx", kind="ack", seq=50, len=0, ack=item[1], ip_id=1)
+            )
+    return trace
+
+
+_scripts = st.sampled_from(
+    [
+        SCRIPT,
+        ProbeScript(drop_packets=frozenset({5})),
+        ProbeScript(drop_packets=frozenset({3, 8})),
+        ProbeScript(drop_packets=frozenset()),
+    ]
+)
+
+
+HANDSHAKE = [
+    TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1),
+    TraceEvent(t_us=100 * MS, dir="rx", kind="synack", seq=0, len=0, ack=1, ip_id=1),
+]
+
+
+def tx_ack(t_ms, ack) -> TraceEvent:
+    return TraceEvent(t_us=t_ms * MS, dir="tx", kind="ack", seq=50, len=0, ack=ack, ip_id=1)
+
+
+@settings(max_examples=250, deadline=None)
+@given(probe_traces(), _scripts, st.sampled_from([0.5, 3.0]))
+# A split span keeps its own lowest ip_id on both sides of the arrival.
+@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 0, 5, 50), rx(400, 60, 3, 10)], SCRIPT, 3.0)
+# Packet 17 repaired, then ack-covered: the covering ack comes too late.
+@example(HANDSHAKE + [rx(200, 1600, 2), rx(300, 1600, 3), tx_ack(300, 1700)], SCRIPT, 3.0)
+def test_coverage_index_matches_quadratic_reference(trace, script, factor):
+    rtt = estimate_rtt(trace) or 100 * MS
+    assert detect_retransmissions(
+        trace, rtt, mss=script.mss, timeout_factor=factor
+    ) == reference_retransmissions(trace, rtt, mss=script.mss, timeout_factor=factor)
+    assert detect_reordering(trace) == reference_reordering(trace)
+    expected = reference_report(trace, script, factor)
+    if expected is None:
+        with pytest.raises(IncompleteTrace):
+            extract_features(trace, script, ClassifierConfig(timeout_factor=factor))
+        return
+    feats, evidence = extract_features(trace, script, ClassifierConfig(timeout_factor=factor))
+    assert (feats, evidence) == (expected.features, expected.evidence)
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_long_runt_trace_matches_quadratic_reference(variant):
+    # A 300-packet page acked to packet 250: congestion avoidance emits
+    # many runt segments, giving ~1.3k events of partial overlaps.
+    run = run_scenario(
+        variant, page_bytes=300 * 100, probe_script=ProbeScript(ack_limit_packet=250)
+    )
+    assert len(run.trace) > 1000
+    script = run.scenario.probe_script
+    assert classify_trace(run.trace, script) == reference_report(run.trace, script)

@@ -90,13 +90,12 @@ def test_rangeset_merges_and_reports():
     ranges.add(0, 100)
     ranges.add(200, 300)
     assert ranges.contiguous_from(0) == 100
-    ranges.add(100, 200)  # fills the gap, all three merge
-    assert ranges.spans() == [(0, 300)]
+    ranges.add(100, 200)  # fills the gap, all three merge into [0, 300)
     assert ranges.contiguous_from(0) == 300
-    assert ranges.total() == 300
-    assert ranges.contains(50, 250)
-    assert not ranges.contains(250, 350)
+    assert ranges.contiguous_from(50) == 300  # [50, 250) is covered
+    assert ranges.contiguous_from(250) == 300  # [250, 350) is not
     assert ranges.overlaps(250, 350)
+    assert not ranges.overlaps(300, 400)  # touching is not overlapping
 
 
 # -- handshake ---------------------------------------------------------------
