@@ -5,6 +5,7 @@ page=3000, drop 13 and 16, close after 25). Those runs are deterministic,
 so they are executed once per session and handed out read-only.
 """
 
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ from ccprobe import (
     Variant,
     run_to_completion,
     sim_init,
+    write_trace,
 )
 from ccprobe.traceio import TraceEvent
 
@@ -42,6 +44,13 @@ def run_scenario(variant: Variant, **overrides) -> Run:
 @pytest.fixture(scope="session")
 def default_runs() -> dict:
     return {variant: run_scenario(variant) for variant in Variant}
+
+
+def trace_text(trace: list[TraceEvent]) -> str:
+    """The JSONL that ``write_trace`` produces for ``trace``."""
+    sink = io.StringIO()
+    write_trace(trace, sink)
+    return sink.getvalue()
 
 
 def rx_data(trace: list[TraceEvent]) -> list[TraceEvent]:
