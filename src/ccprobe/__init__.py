@@ -27,26 +27,17 @@ from .errors import (
 from .netsim import (
     HttpServerEndpoint,
     Scenario,
-    SimPort,
     SimWorld,
     TerminationReason,
-    http_server_step,
     run_to_completion,
     sim_init,
 )
-from .prober import (
-    ProbeOutcome,
-    ProbeScript,
-    ProbeSession,
-    probe_handshake,
-    run_probe,
-)
+from .prober import ProbeOutcome, ProbeScript, ProbeSession
 from .sender import Sender, SenderConfig, Variant
 from .traceio import (
     TraceEvent,
     emit_plot_points,
     read_trace,
-    read_trace_file,
     write_plot_points,
     write_trace,
 )
@@ -71,7 +62,6 @@ __all__ = [
     "Segment",
     "Sender",
     "SenderConfig",
-    "SimPort",
     "SimWorld",
     "TerminationReason",
     "TraceEvent",
@@ -85,11 +75,7 @@ __all__ = [
     "detect_retransmissions",
     "emit_plot_points",
     "estimate_rtt",
-    "http_server_step",
-    "probe_handshake",
     "read_trace",
-    "read_trace_file",
-    "run_probe",
     "run_to_completion",
     "sim_init",
     "write_plot_points",

@@ -14,13 +14,14 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from .classifier import ClassifierConfig, classify_trace
 from .errors import CcprobeError, ConfigurationError, TraceIOError
 from .netsim import Scenario, TerminationReason, run_to_completion, sim_init
 from .prober import ProbeScript
 from .sender import Variant
-from .traceio import read_trace_file, write_plot_points, write_trace
+from .traceio import read_trace, write_plot_points, write_trace
 
 VARIANT_CHOICES = tuple(v.value.lower() for v in Variant)
 # 500ms is excluded: timeout detection needs a gap > 3*rtt, and the 1s
@@ -107,7 +108,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    trace = read_trace_file(args.input)
+    trace = read_trace(Path(args.input))
     report = classify_trace(
         trace,
         _build_script(args),
@@ -133,8 +134,11 @@ def cmd_matrix(args) -> int:
     runs = 0
     for rtt_ms, variant in _matrix_runs(args):
         scenario = _build_scenario(args, variant, rtt_ms=rtt_ms)
-        trace, _ = run_to_completion(sim_init(scenario))
-        report = classify_trace(trace, scenario.probe_script, config)
+        world = sim_init(scenario)
+        trace, _ = run_to_completion(world)
+        report = classify_trace(
+            trace, scenario.probe_script, config, outcome=world.prober.outcome
+        )
         predicted = report.label if report.label in labels else "other"
         counts[variant.value][predicted] += 1
         runs += 1
@@ -155,7 +159,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    trace = read_trace_file(args.input)
+    trace = read_trace(Path(args.input))
     write_plot_points(trace, args.out)
     return 0
 

@@ -17,9 +17,12 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigurationError, InternalError
 from .prober import ProbeSession, ProbeScript
 from .sender import Sender, SenderConfig, Variant
-from .wire import PROBER, SERVER, US_PER_MS, Flag, Segment
+from .wire import US_PER_MS, Flag, Segment
 
 DEFAULT_RUN_DEADLINE_MS = 30_000
+
+SERVER = "server"
+PROBER = "prober"
 
 
 class TerminationReason(enum.Enum):
@@ -66,7 +69,6 @@ class HttpServerEndpoint:
         self.page_bytes = page_bytes
         self.phase = "listen"  # listen -> syn_rcvd -> established
         self.sender = None
-        self.rcv_nxt = 0
         self.halted = False
         self.ignored_payloads = 0
         self.request_seen = False
@@ -80,15 +82,15 @@ class HttpServerEndpoint:
     def on_timer(self, now: int) -> list[Segment]:
         if self.halted or self.sender is None:
             return []
-        return self._stamp(self.sender.on_rto(now))
+        return self.sender.on_rto(now)
 
     def handle_segment(self, seg: Segment, now: int) -> list[Segment]:
         if self.halted:
             return []
-        if Flag.RST in seg.flags or Flag.FIN in seg.flags:
+        if seg.flags & (Flag.RST | Flag.FIN):
             self.halted = True
             return []
-        if Flag.SYN in seg.flags:
+        if seg.flags & Flag.SYN:
             offered = seg.mss_option or self.base_config.mss
             negotiated = replace(
                 self.base_config, mss=min(self.base_config.mss, offered)
@@ -97,13 +99,11 @@ class HttpServerEndpoint:
             self.phase = "syn_rcvd"
             return [
                 Segment(
-                    src_role=SERVER,
                     seq=0,
                     len=0,
-                    ack=self.rcv_nxt,
+                    ack=0,
                     flags=Flag.SYN | Flag.ACK,
                     ip_id=self.sender.next_ip_id(),
-                    sent_at=now,
                     mss_option=negotiated.mss,
                 )
             ]
@@ -114,24 +114,16 @@ class HttpServerEndpoint:
                 self.ignored_payloads += 1
                 return []
             self.request_seen = True
-            self.rcv_nxt = seg.end
+            self.sender.rcv_nxt = seg.end
             self.sender.enqueue_app_data(self.page_bytes)
-            return self._stamp(self.sender.pump_transmissions(now))
-        if Flag.ACK in seg.flags:
+            return self.sender.pump_transmissions(now)
+        if seg.flags & Flag.ACK:
             if self.phase == "syn_rcvd":
                 self.phase = "established"
                 return []
             if self.phase == "established":
-                return self._stamp(self.sender.on_ack(seg.ack, now))
+                return self.sender.on_ack(seg.ack, now)
         return []
-
-    def _stamp(self, segments: list[Segment]) -> list[Segment]:
-        return [replace(seg, ack=self.rcv_nxt) for seg in segments]
-
-
-def http_server_step(endpoint: HttpServerEndpoint, seg: Segment, now: int):
-    """Feed one segment to the server; returns (endpoint, emitted segments)."""
-    return endpoint, endpoint.handle_segment(seg, now)
 
 
 class SimWorld:
@@ -155,10 +147,10 @@ class SimWorld:
         heapq.heappush(self._queue, (when, self._seq, kind, seg))
         self._seq += 1
 
-    def dispatch(self, segments: list[Segment], now: int, src_role: str) -> None:
-        dest = PROBER if src_role == SERVER else SERVER
+    def dispatch(self, segments: list[Segment], now: int, origin: str) -> None:
+        dest = PROBER if origin == SERVER else SERVER
         for seg in segments:
-            if src_role == SERVER and seg.ip_id in self.scenario.ambient_drops:
+            if origin == SERVER and seg.ip_id in self.scenario.ambient_drops:
                 continue
             self._push(now + self.one_way_us, dest, seg)
 
@@ -205,17 +197,3 @@ def run_to_completion(world: SimWorld):
         else:
             world.dispatch(world.prober.handle_segment(seg, when), when, PROBER)
     return list(world.prober.trace), reason
-
-
-class SimPort:
-    """The simulator's binding of the prober's packet-port contract."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.last_reason = None
-
-    def run(self, session: ProbeSession) -> TerminationReason:
-        world = sim_init(self.scenario, session=session)
-        _, reason = run_to_completion(world)
-        self.last_reason = reason
-        return reason

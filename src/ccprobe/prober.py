@@ -7,13 +7,6 @@ from the cumulative ACK until they arrive again). Every out-of-order
 arrival is answered with an immediate duplicate ACK, so a fast-retransmit
 sender sees the classic triple-dupACK burst. Once the cumulative ACK
 covers the scripted packet limit the prober emits a final ACK and closes.
-
-A probe runs over an abstract packet port. The port contract is one
-method, ``run(session) -> TerminationReason``: the binding must feed every
-arriving segment to ``session.handle_segment(segment, now)``, transmit the
-segments that calls return, start the exchange with ``session.start(0)``,
-and keep virtual time monotone. The deterministic simulator provides the
-only in-tree binding (netsim.SimPort); tests substitute degenerate ports.
 """
 
 import enum
@@ -21,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .traceio import TraceEvent
-from .wire import PROBER, Flag, Segment, covered_indices
+from .wire import Flag, Segment, covered_indices
 
 DEFAULT_EVENT_CAP = 10_000
 DEFAULT_REQUEST_BYTES = 100
@@ -91,13 +84,12 @@ class RangeSet:
 
 
 def _segment_kind(seg: Segment) -> str:
-    if Flag.SYN in seg.flags and Flag.ACK in seg.flags:
-        return "synack"
-    if Flag.SYN in seg.flags:
-        return "syn"
-    if Flag.RST in seg.flags:
+    flags = seg.flags
+    if flags & Flag.SYN:
+        return "synack" if flags & Flag.ACK else "syn"
+    if flags & Flag.RST:
         return "rst"
-    if Flag.FIN in seg.flags:
+    if flags & Flag.FIN:
         return "fin"
     if seg.len > 0:
         return "data"
@@ -136,6 +128,17 @@ class ProbeSession:
         self.trace: list[TraceEvent] = []
         self._seen_ip_ids: set[int] = set()
 
+    @property
+    def outcome(self) -> ProbeOutcome:
+        """How the probe ended, judged from the session's own state."""
+        if self.overflowed:
+            return ProbeOutcome.TRACE_OVERFLOW
+        if self.phase == "closed":
+            return ProbeOutcome.COMPLETED
+        if self.phase in ("idle", "syn_sent"):
+            return ProbeOutcome.HANDSHAKE_TIMEOUT
+        return ProbeOutcome.STALLED_SENDER
+
     # -- recording ------------------------------------------------------
 
     def _record(self, direction: str, seg: Segment, now: int) -> None:
@@ -158,15 +161,13 @@ class ProbeSession:
         self.ip_id_counter += 1
         return self.ip_id_counter
 
-    def _make(self, flags: Flag, now: int, *, length: int = 0, mss_option=None) -> Segment:
+    def _make(self, flags: int, *, length: int = 0, mss_option=None) -> Segment:
         return Segment(
-            src_role=PROBER,
             seq=self.snd_off,
             len=length,
             ack=self.rcv_nxt,
             flags=flags,
             ip_id=self._next_ip_id(),
-            sent_at=now,
             mss_option=mss_option,
         )
 
@@ -176,7 +177,7 @@ class ProbeSession:
         """Open the probe: send a SYN advertising the script's MSS."""
         if self.phase != "idle":
             return []
-        syn = self._make(Flag.SYN, now, mss_option=self.script.mss)
+        syn = self._make(Flag.SYN, mss_option=self.script.mss)
         self.phase = "syn_sent"
         self._record("tx", syn, now)
         return [syn]
@@ -188,8 +189,8 @@ class ProbeSession:
 
         if _segment_kind(seg) == "synack" and self.phase == "syn_sent":
             self.phase = "established"
-            handshake_ack = self._make(Flag.ACK, now)
-            request = self._make(Flag.ACK, now, length=self.request_bytes)
+            handshake_ack = self._make(Flag.ACK)
+            request = self._make(Flag.ACK, length=self.request_bytes)
             self.snd_off = self.request_bytes
             self._record("tx", handshake_ack, now)
             self._record("tx", request, now)
@@ -221,13 +222,13 @@ class ProbeSession:
         self.delivered.add(seg.seq, seg.end)
         self.rcv_nxt = self.delivered.contiguous_from(0)
         if self.rcv_nxt > previous:
-            ack = self._make(Flag.ACK, now)
+            ack = self._make(Flag.ACK)
             out.append(ack)
             self._record("tx", ack, now)
             if self.rcv_nxt >= self.script.ack_limit_packet * self.script.mss:
                 out.append(self._close(now))
         elif seg.end > self.rcv_nxt and self.script.dupack_per_arrival:
-            dup = self._make(Flag.ACK, now)
+            dup = self._make(Flag.ACK)
             out.append(dup)
             self.dupacks_sent += 1
             self._record("tx", dup, now)
@@ -236,33 +237,7 @@ class ProbeSession:
 
     def _close(self, now: int) -> Segment:
         flags = Flag.RST if self.script.close_mode == CLOSE_RESET else Flag.FIN
-        closer = self._make(flags, now)
+        closer = self._make(flags)
         self.phase = "closed"
         self._record("tx", closer, now)
         return closer
-
-
-def probe_handshake(session: ProbeSession, now: int = 0) -> list[Segment]:
-    """Kick off a session; returns the SYN for the port to carry."""
-    return session.start(now)
-
-
-def run_probe(
-    port,
-    script: ProbeScript,
-    *,
-    event_cap: int = DEFAULT_EVENT_CAP,
-    request_bytes: int = DEFAULT_REQUEST_BYTES,
-) -> tuple[list[TraceEvent], ProbeOutcome]:
-    """Execute one full probe over a packet port and summarize the result."""
-    session = ProbeSession(script, event_cap=event_cap, request_bytes=request_bytes)
-    port.run(session)
-    if session.overflowed:
-        outcome = ProbeOutcome.TRACE_OVERFLOW
-    elif session.phase == "closed":
-        outcome = ProbeOutcome.COMPLETED
-    elif session.phase in ("idle", "syn_sent"):
-        outcome = ProbeOutcome.HANDSHAKE_TIMEOUT
-    else:
-        outcome = ProbeOutcome.STALLED_SENDER
-    return list(session.trace), outcome

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, InternalError, ProtocolError
-from .wire import SERVER, Flag, Segment
+from .wire import Flag, Segment
 
 
 class Variant(enum.Enum):
@@ -88,6 +88,7 @@ class Sender:
 
         self.snd_una = 0
         self.snd_nxt = 0
+        self.rcv_nxt = 0  # the peer's stream, acked on every segment we emit
         self.app_limit = 0  # end of queued application data
         self.cwnd = config.initial_cwnd * config.mss
         self.ssthresh = config.initial_ssthresh
@@ -104,7 +105,7 @@ class Sender:
         self.diagnostics: list[str] = []
 
         self._max_sent = 0  # high water of seq+len ever emitted
-        self._rtt_probe = None  # (start, end, sent_at); Karn-tracked segment
+        self._rtt_probe = None  # (start, end, emitted_at); Karn-tracked segment
 
     # -- plumbing -------------------------------------------------------
 
@@ -133,13 +134,11 @@ class Sender:
             self._rtt_probe = (seq, seq + length, now)
         self._max_sent = max(self._max_sent, seq + length)
         return Segment(
-            src_role=SERVER,
             seq=seq,
             len=length,
-            ack=0,
+            ack=self.rcv_nxt,
             flags=Flag.ACK,
             ip_id=self.next_ip_id(),
-            sent_at=now,
         )
 
     # -- operations -----------------------------------------------------
@@ -288,7 +287,7 @@ class Sender:
     def _take_rtt_sample(self, ack: int, now: int) -> None:
         if self._rtt_probe is None:
             return
-        _, end, sent_at = self._rtt_probe
+        _, end, emitted_at = self._rtt_probe
         if ack >= end:
             self._rtt_probe = None
-            self.update_rtt(now - sent_at)
+            self.update_rtt(now - emitted_at)

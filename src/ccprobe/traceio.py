@@ -7,7 +7,7 @@ trace gives back equal events; events must be sorted by t_us.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import TraceOrderError, TraceParseError
@@ -33,7 +33,9 @@ class TraceEvent:
 
 
 def _event_line(event: TraceEvent) -> str:
-    return json.dumps(asdict(event), separators=(",", ":"))
+    # Not vars(event): reading an instance's __dict__ makes CPython keep a
+    # real dict on every written event for the rest of its life.
+    return json.dumps({key: getattr(event, key) for key in _FIELDS}, separators=(",", ":"))
 
 
 def write_trace(trace: list[TraceEvent], sink) -> None:
@@ -45,10 +47,6 @@ def write_trace(trace: list[TraceEvent], sink) -> None:
     for event in trace:
         sink.write(_event_line(event))
         sink.write("\n")
-
-
-def trace_to_text(trace: list[TraceEvent]) -> str:
-    return "".join(_event_line(ev) + "\n" for ev in trace)
 
 
 def _parse_line(line_no: int, line: str) -> TraceEvent:
@@ -95,10 +93,6 @@ def read_trace(source) -> list[TraceEvent]:
                 f"events out of order: t_us {cur.t_us} after {prev.t_us}"
             )
     return events
-
-
-def read_trace_file(path) -> list[TraceEvent]:
-    return read_trace(Path(path))
 
 
 def emit_plot_points(trace: list[TraceEvent]) -> list[tuple[int, int, str]]:

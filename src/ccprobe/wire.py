@@ -5,39 +5,35 @@ offsets from the start of each direction's payload stream; the handshake
 consumes no sequence space in this model.
 """
 
-import enum
 from dataclasses import dataclass
-
-SERVER = "server"
-PROBER = "prober"
 
 US_PER_MS = 1000
 
 
-class Flag(enum.Flag):
-    SYN = enum.auto()
-    ACK = enum.auto()
-    FIN = enum.auto()
-    RST = enum.auto()
+class Flag:
+    """TCP control bits; a segment's ``flags`` is an int of these ORed."""
+
+    SYN = 1
+    ACK = 2
+    FIN = 4
+    RST = 8
 
 
 @dataclass(frozen=True)
 class Segment:
-    src_role: str
     seq: int
     len: int
     ack: int
-    flags: Flag
+    flags: int
     ip_id: int
-    sent_at: int
     mss_option: int | None = None
 
     def __post_init__(self):
         if self.len < 0:
             raise ValueError("negative payload length")
-        if Flag.SYN in self.flags and Flag.RST in self.flags:
+        if self.flags & Flag.SYN and self.flags & Flag.RST:
             raise ValueError("SYN and RST are mutually exclusive")
-        if self.mss_option is not None and Flag.SYN not in self.flags:
+        if self.mss_option is not None and not self.flags & Flag.SYN:
             raise ValueError("mss_option is only valid on SYN segments")
 
     @property

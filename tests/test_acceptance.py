@@ -22,13 +22,14 @@ import pytest
 from ccprobe import (
     ProbeOutcome,
     ProbeScript,
+    ProbeSession,
     Scenario,
     Sender,
     SenderConfig,
-    SimPort,
     Variant,
     classify_trace,
-    run_probe,
+    run_to_completion,
+    sim_init,
 )
 from ccprobe.classifier import (
     RETX_FAST,
@@ -38,9 +39,9 @@ from ccprobe.classifier import (
     extract_features,
 )
 from ccprobe.cli import main as cli_main
-from ccprobe.traceio import TraceEvent, emit_plot_points, read_trace, trace_to_text
+from ccprobe.traceio import TraceEvent, emit_plot_points, read_trace
 
-from conftest import MSS, PAGE, delivered_union, run_scenario, rx_data, tx_acks
+from conftest import MSS, PAGE, delivered_union, run_scenario, rx_data, trace_text, tx_acks
 from test_sender import RoundDriver
 
 MS = 1000
@@ -258,7 +259,7 @@ def test_conservation_and_monotonicity(acceptance, all_runs):
 def test_trace_round_trip_and_plot_counts(acceptance, all_runs):
     with acceptance("serialization: read(write(trace)) == trace; plot rows match"):
         for run in all_runs:
-            assert read_trace(trace_to_text(run.trace)) == run.trace
+            assert read_trace(trace_text(run.trace)) == run.trace
             points = emit_plot_points(run.trace)
             assert len(points) == len(rx_data(run.trace)) + len(tx_acks(run.trace))
 
@@ -286,9 +287,11 @@ def test_error_taxonomy(acceptance, default_runs):
         assert classify_trace(truncated, script).error == "Incomplete"
 
         scenario = Scenario(variant=Variant.NEWRENO)
-        trace, outcome = run_probe(
-            SimPort(scenario), scenario.probe_script, event_cap=10
+        world = sim_init(
+            scenario, session=ProbeSession(scenario.probe_script, event_cap=10)
         )
+        trace, _ = run_to_completion(world)
+        outcome = world.prober.outcome
         assert outcome is ProbeOutcome.TRACE_OVERFLOW
         assert len(trace) == 10
         report = classify_trace(trace, scenario.probe_script, outcome=outcome)

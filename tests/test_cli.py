@@ -149,6 +149,21 @@ def test_matrix_rtt_sweep_holds_identity(capsys):
     assert "identity=yes" in stdout
 
 
+def test_matrix_counts_overflowed_runs_as_other(capsys):
+    # A 2,000-packet page acked up to 1,900 overflows the 10,000-event
+    # cap in every variant: no run finishes, so none may be labelled.
+    code, stdout, _ = run_cli(
+        capsys, "matrix", "--rtt-ms", "10", "--page-bytes", "200000", "--ack-limit", "1900"
+    )
+    assert code == 1
+    assert "identity=no" in stdout
+    header, *rows = stdout.splitlines()
+    assert header.split()[-1] == "other"
+    for row in rows[:5]:
+        cells = [int(c) for c in row.split()[1:]]
+        assert cells == [0, 0, 0, 0, 0, 1]
+
+
 # -- plot ------------------------------------------------------------------------
 
 

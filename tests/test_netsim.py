@@ -14,31 +14,25 @@ from ccprobe import (
     ProbeScript,
     Scenario,
     SenderConfig,
-    SimPort,
     TerminationReason,
     Variant,
-    http_server_step,
-    run_probe,
     run_to_completion,
     sim_init,
 )
-from ccprobe.traceio import trace_to_text
-from ccprobe.wire import PROBER, SERVER, Flag, Segment
+from ccprobe.wire import Flag, Segment
 
-from conftest import delivered_union, run_scenario, rx_data, tx_acks
+from conftest import delivered_union, run_scenario, rx_data, trace_text, tx_acks
 
 MS = 1000
 
 
 def prober_segment(flags=Flag.ACK, length=0, ip_id=1, mss_option=None) -> Segment:
     return Segment(
-        src_role=PROBER,
         seq=0,
         len=length,
         ack=0,
         flags=flags,
         ip_id=ip_id,
-        sent_at=0,
         mss_option=mss_option,
     )
 
@@ -81,37 +75,39 @@ def fresh_server(page=3000) -> HttpServerEndpoint:
 
 def test_syn_answered_with_synack_echoing_smaller_mss():
     server = fresh_server()
-    _, out = http_server_step(server, prober_segment(Flag.SYN, mss_option=100), 0)
+    out = server.handle_segment(prober_segment(Flag.SYN, mss_option=100), 0)
     assert len(out) == 1
-    assert Flag.SYN in out[0].flags and Flag.ACK in out[0].flags
+    assert out[0].flags == Flag.SYN | Flag.ACK
+    assert out[0].ack == 0  # the handshake consumes no sequence space
     assert out[0].mss_option == 100  # min(own 1460, offered 100)
     assert server.sender.mss == 100
 
 
 def test_request_triggers_initial_window_of_two():
     server = fresh_server()
-    http_server_step(server, prober_segment(Flag.SYN, mss_option=100), 0)
-    http_server_step(server, prober_segment(Flag.ACK, ip_id=2), 50)
-    _, out = http_server_step(server, prober_segment(Flag.ACK, length=100, ip_id=3), 50)
+    server.handle_segment(prober_segment(Flag.SYN, mss_option=100), 0)
+    server.handle_segment(prober_segment(Flag.ACK, ip_id=2), 50)
+    out = server.handle_segment(prober_segment(Flag.ACK, length=100, ip_id=3), 50)
     assert [(seg.seq, seg.len) for seg in out] == [(0, 100), (100, 100)]
+    assert [seg.ack for seg in out] == [100, 100]  # the request is acked
 
 
 def test_payload_before_handshake_is_ignored_and_counted():
     server = fresh_server()
-    _, out = http_server_step(server, prober_segment(Flag.ACK, length=100), 0)
+    out = server.handle_segment(prober_segment(Flag.ACK, length=100), 0)
     assert out == []
     assert server.ignored_payloads == 1
 
 
 def test_reset_halts_server_forever():
     server = fresh_server()
-    http_server_step(server, prober_segment(Flag.SYN, mss_option=100), 0)
-    http_server_step(server, prober_segment(Flag.ACK, ip_id=2), 50)
-    http_server_step(server, prober_segment(Flag.ACK, length=100, ip_id=3), 50)
-    _, out = http_server_step(server, prober_segment(Flag.RST, ip_id=4), 60)
+    server.handle_segment(prober_segment(Flag.SYN, mss_option=100), 0)
+    server.handle_segment(prober_segment(Flag.ACK, ip_id=2), 50)
+    server.handle_segment(prober_segment(Flag.ACK, length=100, ip_id=3), 50)
+    out = server.handle_segment(prober_segment(Flag.RST, ip_id=4), 60)
     assert out == []
     assert server.halted
-    _, out = http_server_step(server, prober_segment(Flag.ACK, ip_id=5), 70)
+    out = server.handle_segment(prober_segment(Flag.ACK, ip_id=5), 70)
     assert out == []
     assert server.rto_deadline is None  # timer silenced with the endpoint
 
@@ -151,8 +147,8 @@ def test_clock_monotonic_across_trace(default_runs):
 
 
 def test_deterministic_bit_identical_traces():
-    first = trace_to_text(run_scenario(Variant.TAHOE).trace)
-    second = trace_to_text(run_scenario(Variant.TAHOE).trace)
+    first = trace_text(run_scenario(Variant.TAHOE).trace)
+    second = trace_text(run_scenario(Variant.TAHOE).trace)
     assert first == second
 
 
@@ -206,19 +202,18 @@ def test_ambient_data_drop_is_repaired_and_run_completes():
     assert delivered_union(trace) == [(0, emitted_high)]
 
 
-# -- port binding --------------------------------------------------------------
+# -- probe outcome -------------------------------------------------------------
 
 
-def test_sim_port_binds_probe_to_simulator():
-    scenario = Scenario(variant=Variant.NEWRENO)
-    port = SimPort(scenario)
-    trace, outcome = run_probe(port, scenario.probe_script)
-    assert outcome is ProbeOutcome.COMPLETED
-    assert port.last_reason is TerminationReason.PROBER_CLOSED
+def test_simulated_probe_completes():
+    world = sim_init(Scenario(variant=Variant.NEWRENO))
+    trace, reason = run_to_completion(world)
+    assert world.prober.outcome is ProbeOutcome.COMPLETED
+    assert reason is TerminationReason.PROBER_CLOSED
     assert trace[-1].t_us == 700 * MS
 
 
-def test_sim_port_maps_quiescent_handshake_to_timeout():
-    scenario = Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1}))
-    _, outcome = run_probe(SimPort(scenario), scenario.probe_script)
-    assert outcome is ProbeOutcome.HANDSHAKE_TIMEOUT
+def test_quiescent_handshake_outcome_is_timeout():
+    world = sim_init(Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1})))
+    run_to_completion(world)
+    assert world.prober.outcome is ProbeOutcome.HANDSHAKE_TIMEOUT

@@ -8,34 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccprobe import ConfigurationError, ProbeOutcome, ProbeScript, ProbeSession, probe_handshake, run_probe
+from ccprobe import ConfigurationError, ProbeOutcome, ProbeScript, ProbeSession
 from ccprobe.prober import RangeSet
-from ccprobe.wire import SERVER, Flag, Segment
+from ccprobe.wire import Flag, Segment
 
 MSS = 100
 
 
-def data_segment(index: int, ip_id: int, now: int = 0, mss: int = MSS, length: int = None) -> Segment:
+def data_segment(index: int, ip_id: int, mss: int = MSS, length: int = None) -> Segment:
     return Segment(
-        src_role=SERVER,
         seq=(index - 1) * mss,
         len=length if length is not None else mss,
         ack=0,
         flags=Flag.ACK,
         ip_id=ip_id,
-        sent_at=now,
     )
 
 
-def synack(now: int = 0, mss_option: int = MSS) -> Segment:
+def synack(mss_option: int = MSS) -> Segment:
     return Segment(
-        src_role=SERVER,
         seq=0,
         len=0,
         ack=0,
         flags=Flag.SYN | Flag.ACK,
         ip_id=1,
-        sent_at=now,
         mss_option=mss_option,
     )
 
@@ -47,18 +43,13 @@ def established_session(script: ProbeScript = None, **kw) -> ProbeSession:
     return session
 
 
-class FakePort:
-    """Port stub: replays a canned arrival schedule, or nothing at all."""
-
-    def __init__(self, arrivals=()):
-        self.arrivals = list(arrivals)
-
-    def run(self, session):
-        session.start(0)
-        now = 0
-        for seg in self.arrivals:
-            now += 1
-            session.handle_segment(seg, now)
+def replay(script: ProbeScript, arrivals=(), **kw) -> ProbeSession:
+    """Start a session and feed it a canned arrival schedule, 1 us apart."""
+    session = ProbeSession(script, **kw)
+    session.start(0)
+    for now, seg in enumerate(arrivals, start=1):
+        session.handle_segment(seg, now)
+    return session
 
 
 # -- script validation -----------------------------------------------------
@@ -103,9 +94,9 @@ def test_rangeset_merges_and_reports():
 
 def test_handshake_sends_syn_with_script_mss():
     session = ProbeSession(ProbeScript())
-    out = probe_handshake(session)
+    out = session.start(0)
     assert len(out) == 1
-    assert Flag.SYN in out[0].flags
+    assert out[0].flags & Flag.SYN
     assert out[0].mss_option == 100
     first = session.trace[0]
     assert (first.t_us, first.dir, first.kind) == (0, "tx", "syn")
@@ -261,37 +252,35 @@ def test_event_cap_marks_overflow():
 # -- outcome mapping ----------------------------------------------------------
 
 
-def test_run_probe_dead_server_is_handshake_timeout():
-    trace, outcome = run_probe(FakePort(), ProbeScript())
-    assert outcome is ProbeOutcome.HANDSHAKE_TIMEOUT
-    assert [ev.kind for ev in trace] == ["syn"]
+def test_outcome_dead_server_is_handshake_timeout():
+    session = replay(ProbeScript())
+    assert session.outcome is ProbeOutcome.HANDSHAKE_TIMEOUT
+    assert [ev.kind for ev in session.trace] == ["syn"]
 
 
-def test_run_probe_stalled_sender():
+def test_outcome_stalled_sender():
     # Handshake completes, one packet arrives, then the hole at 13 never
-    # fills because the fake sender goes quiet.
+    # fills because the replayed sender goes quiet.
     arrivals = [synack()] + [data_segment(i, ip_id=i + 1) for i in range(1, 13)]
     arrivals.append(data_segment(14, ip_id=15))
-    trace, outcome = run_probe(FakePort(arrivals), ProbeScript())
-    assert outcome is ProbeOutcome.STALLED_SENDER
+    session = replay(ProbeScript(), arrivals)
+    assert session.outcome is ProbeOutcome.STALLED_SENDER
 
 
-def test_run_probe_completed():
+def test_outcome_completed():
     arrivals = [synack()] + [
         data_segment(i, ip_id=i + 1) for i in range(1, 26)
     ]
-    trace, outcome = run_probe(FakePort(arrivals), ProbeScript(drop_packets=frozenset()))
-    assert outcome is ProbeOutcome.COMPLETED
-    assert trace[-1].kind == "rst"
+    session = replay(ProbeScript(drop_packets=frozenset()), arrivals)
+    assert session.outcome is ProbeOutcome.COMPLETED
+    assert session.trace[-1].kind == "rst"
 
 
-def test_run_probe_overflow():
+def test_outcome_overflow():
     arrivals = [synack()] + [data_segment(i, ip_id=i + 1) for i in range(1, 26)]
-    trace, outcome = run_probe(
-        FakePort(arrivals), ProbeScript(drop_packets=frozenset()), event_cap=10
-    )
-    assert outcome is ProbeOutcome.TRACE_OVERFLOW
-    assert len(trace) == 10
+    session = replay(ProbeScript(drop_packets=frozenset()), arrivals, event_cap=10)
+    assert session.outcome is ProbeOutcome.TRACE_OVERFLOW
+    assert len(session.trace) == 10
 
 
 # -- receiver properties -------------------------------------------------------
@@ -309,7 +298,7 @@ def test_acks_monotone_and_never_cover_unseen_bytes(indices):
         seg = data_segment(index, ip_id=ip_id)
         observed.add(seg.seq, seg.end)
         for out in session.handle_segment(seg, now):
-            if Flag.ACK in out.flags and out.len == 0:
+            if out.flags & Flag.ACK and out.len == 0:
                 assert out.ack >= last_ack  # cumulative ACK monotonicity
                 last_ack = out.ack
                 # never acknowledge a byte that has not arrived

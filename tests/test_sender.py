@@ -501,6 +501,6 @@ def test_deterministic_replay():
         out = list(sender.pump_transmissions(0))
         for ack, now in [(100, 1), (200, 2), (200, 3), (200, 4), (200, 5), (400, 6)]:
             out += sender.on_ack(ack, now)
-        return [(s.seq, s.len, s.ip_id, s.sent_at) for s in out]
+        return [(s.seq, s.len, s.ip_id, s.ack) for s in out]
 
     assert run() == run()

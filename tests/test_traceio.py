@@ -6,37 +6,36 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccprobe import Variant, read_trace, read_trace_file, write_trace
+from ccprobe import Variant, read_trace, write_trace
 from ccprobe.errors import TraceOrderError, TraceParseError
 from ccprobe.traceio import (
     PLOT_HEADER,
     TraceEvent,
     emit_plot_points,
-    trace_to_text,
     write_plot_points,
 )
 
-from conftest import rx_data, tx_acks
+from conftest import rx_data, trace_text, tx_acks
 
 SYN_LINE = '{"t_us":0,"dir":"tx","kind":"syn","seq":0,"len":0,"ack":0,"ip_id":1}'
 
 
 def test_single_syn_serializes_to_exact_line():
     ev = TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1)
-    assert trace_to_text([ev]) == SYN_LINE + "\n"
+    assert trace_text([ev]) == SYN_LINE + "\n"
     assert read_trace(SYN_LINE) == [ev]
 
 
 def test_default_runs_round_trip_through_text(default_runs):
     for run in default_runs.values():
-        assert read_trace(trace_to_text(run.trace)) == run.trace
+        assert read_trace(trace_text(run.trace)) == run.trace
 
 
 def test_default_runs_round_trip_through_files(default_runs, tmp_path):
     for variant, run in default_runs.items():
         path = tmp_path / f"{variant.value}.jsonl"
         write_trace(run.trace, path)
-        assert read_trace_file(path) == run.trace
+        assert read_trace(path) == run.trace
 
 
 def test_write_accepts_file_objects(default_runs):
@@ -70,7 +69,7 @@ valid_traces = st.lists(
 
 @given(valid_traces)
 def test_any_valid_trace_round_trips(trace):
-    assert read_trace(trace_to_text(trace)) == trace
+    assert read_trace(trace_text(trace)) == trace
 
 
 # -- rejection cases -----------------------------------------------------------
