@@ -7,11 +7,13 @@ Subcommands:
   plot      convert a trace to time/sequence plot points (CSV)
 
 Exit codes: 0 success (and matrix identity), 1 matrix mismatch or
-non-closing run, 2 usage/config/IO errors, 3 classification error row.
+non-closing run, 2 usage/config/IO errors, 3 classification error row,
+141 stdout closed by its reader (as a shell reports death by SIGPIPE).
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -19,7 +21,7 @@ from pathlib import Path
 from .classifier import ClassifierConfig, classify_trace
 from .errors import CcprobeError, ConfigurationError, TraceIOError
 from .netsim import Scenario, TerminationReason, run_to_completion, sim_init
-from .prober import ProbeScript
+from .prober import DEFAULT_EVENT_CAP, ProbeOutcome, ProbeScript
 from .sender import Variant
 from .traceio import read_trace, write_plot_points, write_trace
 
@@ -107,12 +109,26 @@ def cmd_sim(args) -> int:
     return 0 if reason is TerminationReason.PROBER_CLOSED else 1
 
 
+def _trace_outcome(trace) -> ProbeOutcome:
+    """How the run behind a trace file ended, in ProbeSession.outcome's order.
+
+    A file carries no outcome, but a capped run left a full trace and every
+    finished run ends with the prober's rst or fin.
+    """
+    if len(trace) >= DEFAULT_EVENT_CAP:
+        return ProbeOutcome.TRACE_OVERFLOW
+    if any(ev.dir == "tx" and ev.kind in ("rst", "fin") for ev in trace):
+        return ProbeOutcome.COMPLETED
+    return ProbeOutcome.STALLED_SENDER
+
+
 def cmd_classify(args) -> int:
     trace = read_trace(Path(args.input))
     report = classify_trace(
         trace,
         _build_script(args),
         ClassifierConfig(timeout_factor=args.timeout_factor),
+        outcome=_trace_outcome(trace),
     )
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.error is None else 3
@@ -176,7 +192,15 @@ def main(argv=None) -> int:
         "plot": cmd_plot,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # See "Note on SIGPIPE" in the signal module docs: point stdout at
+        # devnull so the flush at interpreter exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (ConfigurationError, TraceIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

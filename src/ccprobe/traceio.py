@@ -3,11 +3,15 @@
 A trace is the prober's time-ordered record of every segment it saw or
 emitted. On disk it is line-delimited JSON, one event per line, with
 exactly the keys t_us, dir, kind, seq, len, ack, ip_id. Reading a written
-trace gives back equal events; events must be sorted by t_us.
+trace gives back equal events; events must be sorted by t_us. The writer
+emits one canonical form (that key order, no spaces); the reader accepts
+any JSON object with those keys and takes a fast path for canonical lines.
 """
 
 import json
+import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .errors import TraceOrderError, TraceParseError
@@ -17,6 +21,15 @@ KINDS = frozenset({"syn", "synack", "data", "ack", "rst", "fin"})
 
 _FIELDS = ("t_us", "dir", "kind", "seq", "len", "ack", "ip_id")
 _INT_FIELDS = ("t_us", "seq", "len", "ack", "ip_id")
+
+# The exact line write_trace emits for a valid event: ASCII digits without
+# leading zeros, no spaces, the keys in _FIELDS order. Any other line, valid
+# JSON or not, is left to _parse_line.
+_NAT = "(0|[1-9][0-9]*)"
+_CANONICAL_LINE = re.compile(
+    f'{{"t_us":{_NAT},"dir":"(tx|rx)","kind":"(syn|synack|data|ack|rst|fin)",'
+    f'"seq":{_NAT},"len":{_NAT},"ack":{_NAT},"ip_id":{_NAT}}}'
+).fullmatch
 
 PLOT_HEADER = "t_us,y,marker"
 
@@ -32,21 +45,22 @@ class TraceEvent:
     ip_id: int
 
 
-def _event_line(event: TraceEvent) -> str:
-    # Not vars(event): reading an instance's __dict__ makes CPython keep a
-    # real dict on every written event for the rest of its life.
-    return json.dumps({key: getattr(event, key) for key in _FIELDS}, separators=(",", ":"))
-
-
 def write_trace(trace: list[TraceEvent], sink) -> None:
-    """Write one JSON object per event to a file object or path."""
+    """Write one JSON object per event to a file object or path.
+
+    With int and str fields, each line is what json.dumps(...,
+    separators=(",", ":")) makes of the fields in _FIELDS order, built
+    without going through json.
+    """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fp:
             write_trace(trace, fp)
         return
-    for event in trace:
-        sink.write(_event_line(event))
-        sink.write("\n")
+    sink.write("".join([
+        f'{{"t_us":{e.t_us},"dir":{_json_string(e.dir)},"kind":{_json_string(e.kind)},'
+        f'"seq":{e.seq},"len":{e.len},"ack":{e.ack},"ip_id":{e.ip_id}}}\n'
+        for e in trace
+    ]))
 
 
 def _parse_line(line_no: int, line: str) -> TraceEvent:
@@ -84,6 +98,14 @@ def read_trace(source) -> list[TraceEvent]:
         text = source.read()
     events = []
     for line_no, line in enumerate(text.splitlines(), start=1):
+        match = _CANONICAL_LINE(line)
+        if match is not None:
+            t_us, dir_, kind, seq, length, ack, ip_id = match.groups()
+            if (kind == "data") == (length != "0"):
+                events.append(TraceEvent(
+                    int(t_us), dir_, kind, int(seq), int(length), int(ack), int(ip_id)
+                ))
+                continue
         if not line.strip():
             raise TraceParseError(line_no, "blank line")
         events.append(_parse_line(line_no, line))

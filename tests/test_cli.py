@@ -2,13 +2,18 @@
 
 Exit code contract: 0 success, 1 matrix mismatch or a run that ended some
 way other than the prober closing, 2 usage/config/IO errors, 3 a
-classification that produced an error row.
+classification that produced an error row, 141 stdout closed by its reader.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ccprobe
 from ccprobe.cli import main
 from ccprobe.traceio import PLOT_HEADER
 
@@ -118,6 +123,29 @@ def test_classify_timeout_factor_changes_label(newreno_trace, capsys):
     assert json.loads(stdout)["label"] == "NoFastRetransmit"
 
 
+def test_classify_capped_trace_is_overflow_row(tmp_path, capsys):
+    # A 2,000-packet page acked up to 1,900 fills the 10,000-event cap
+    # before the prober closes, so the trace may not be labelled.
+    path = tmp_path / "capped.jsonl"
+    flags = ("--rtt-ms", "10", "--page-bytes", "200000", "--ack-limit", "1900")
+    code, stdout, _ = run_cli(capsys, "sim", "--variant", "newreno", *flags, "--out", str(path))
+    assert code == 1
+    assert stdout.strip() == "DeadlineExceeded"
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), "--ack-limit", "1900")
+    assert code == 3
+    assert json.loads(stdout)["error"] == "TraceOverflow"
+
+
+def test_classify_trace_without_close_is_incomplete(newreno_trace, tmp_path, capsys):
+    lines = newreno_trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert json.loads(lines[-1])["kind"] == "rst"
+    path = tmp_path / "unclosed.jsonl"
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 3
+    assert json.loads(stdout)["error"] == "Incomplete"
+
+
 # -- matrix ----------------------------------------------------------------------
 
 
@@ -184,3 +212,29 @@ def test_plot_empty_trace_is_header_only(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "plot", "--in", str(src), "--out", str(out))
     assert code == 0
     assert out.read_text(encoding="utf-8") == PLOT_HEADER + "\n"
+
+
+# -- closed stdout ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_quietly_with_141(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(ccprobe.__file__).parents[1]),
+        "PYTHONUNBUFFERED": unbuffered,  # print fails at once, or at the final flush
+    }
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccprobe", "matrix"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -1,14 +1,17 @@
 """Trace file format tests: JSONL round trips, validation, plot points."""
 
 import io
+import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import Variant, read_trace, write_trace
 from ccprobe.errors import TraceOrderError, TraceParseError
 from ccprobe.traceio import (
+    DIRS,
+    KINDS,
     PLOT_HEADER,
     TraceEvent,
     emit_plot_points,
@@ -76,8 +79,6 @@ def test_any_valid_trace_round_trips(trace):
 
 
 def bad_line(**overrides) -> str:
-    import json
-
     raw = {"t_us": 0, "dir": "tx", "kind": "syn", "seq": 0, "len": 0, "ack": 0, "ip_id": 1}
     raw.update(overrides)
     return json.dumps(raw, separators=(",", ":"))
@@ -116,6 +117,169 @@ def test_unsorted_timestamps_rejected():
 
 def test_empty_text_is_empty_trace():
     assert read_trace("") == []
+
+
+# -- equivalence with the json-based writer and reader ---------------------------
+# write_trace formats lines itself and read_trace takes a regex fast path for
+# canonical lines; the json-based versions they replaced are kept here as
+# oracles.
+
+FIELDS = ("t_us", "dir", "kind", "seq", "len", "ack", "ip_id")
+
+
+def reference_event_line(event: TraceEvent) -> str:
+    return json.dumps({key: getattr(event, key) for key in FIELDS}, separators=(",", ":"))
+
+
+def reference_parse_line(line_no: int, line: str) -> TraceEvent:
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(raw, dict):
+        raise TraceParseError(line_no, "event is not an object")
+    if set(raw) != set(FIELDS):
+        raise TraceParseError(line_no, f"expected exactly the keys {FIELDS}")
+    for key in ("t_us", "seq", "len", "ack", "ip_id"):
+        if type(raw[key]) is not int:
+            raise TraceParseError(line_no, f"{key} must be an integer")
+        if raw[key] < 0:
+            raise TraceParseError(line_no, f"{key} must be nonnegative")
+    if raw["dir"] not in DIRS:
+        raise TraceParseError(line_no, f"dir must be one of {sorted(DIRS)}")
+    if raw["kind"] not in KINDS:
+        raise TraceParseError(line_no, f"kind must be one of {sorted(KINDS)}")
+    if raw["kind"] == "data" and raw["len"] <= 0:
+        raise TraceParseError(line_no, "data events need len > 0")
+    if raw["kind"] != "data" and raw["len"] != 0:
+        raise TraceParseError(line_no, "non-data events need len == 0")
+    return TraceEvent(**raw)
+
+
+def reference_read_trace(text: str) -> list[TraceEvent]:
+    events = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            raise TraceParseError(line_no, "blank line")
+        events.append(reference_parse_line(line_no, line))
+    for prev, cur in zip(events, events[1:]):
+        if cur.t_us < prev.t_us:
+            raise TraceOrderError(f"events out of order: t_us {cur.t_us} after {prev.t_us}")
+    return events
+
+
+def read_outcome(read, text):
+    """What a reader makes of ``text``: its events, or how it failed."""
+    try:
+        return read(text)
+    except Exception as exc:  # the comparison covers every exception type
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def assert_reads_like_reference(text):
+    assert read_outcome(read_trace, text) == read_outcome(reference_read_trace, text)
+
+
+any_event = st.builds(
+    TraceEvent,
+    t_us=st.integers(),
+    dir=st.text(),
+    kind=st.text(),
+    seq=st.integers(),
+    len=st.integers(),
+    ack=st.integers(),
+    ip_id=st.integers(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_event, max_size=10))
+@example([TraceEvent(-1, 'q"\\', "\x00\x1f\x7f", 2**64, -(2**70), 0, 1)])
+@example([TraceEvent(0, "\u00e9\u2028", "\U0001f600\ud800", 1, 2, 3, 4)])
+def test_writer_matches_json_dumps(trace):
+    expected = "".join(reference_event_line(ev) + "\n" for ev in trace)
+    assert trace_text(trace) == expected
+
+
+# Mutations of one field of a canonical line: not canonical, not valid, or
+# past a limit of int().
+NUMBER_MUTATIONS = [
+    "007", "-0", "-1", "1.0", "1e3", "true", "null", '"1"',
+    "\u0661\u0662", "1\u0662", "\uff11",  # digits json rejects and int() takes
+    "9" * 5000,  # past int()'s digit limit: both readers raise its ValueError
+]
+
+
+def mutate_number(line, key, value):
+    head, rest = line.split(f'"{key}":', 1)
+    tail = rest[rest.index(",") if "," in rest else rest.index("}"):]
+    return f'{head}"{key}":{value}{tail}'
+
+
+def line_mutations(line):
+    raw = json.loads(line)
+    mutants = [mutate_number(line, key, value) for key in ("t_us", "seq", "len", "ack", "ip_id")
+               for value in NUMBER_MUTATIONS]
+    mutants += [
+        "",
+        "   ",
+        line + " ",
+        " " + line,
+        line.replace(":", ": "),
+        line.replace(",", ", "),
+        line.replace('"tx"', '"\\u0074x"').replace('"rx"', '"\\u0072x"'),
+        line.replace('"dir":"', '"dir":"T'),
+        line.replace('"kind":"', '"kind":"x'),
+        line[:-1] + ',"extra":1}',
+        line[:-1] + ',"t_us":1}',
+        json.dumps({k: v for k, v in raw.items() if k != "ip_id"}, separators=(",", ":")),
+        json.dumps(dict(reversed(raw.items())), separators=(",", ":")),
+        json.dumps(raw),
+        json.dumps({**raw, "kind": "data", "len": 0}, separators=(",", ":")),
+        json.dumps({**raw, "kind": "ack", "len": 5}, separators=(",", ":")),
+        json.dumps({**raw, "kind": "syn", "len": 1}, separators=(",", ":")),
+        line[:-1],
+        "[" + line + "]",
+    ]
+    return mutants
+
+
+@pytest.mark.parametrize("mutant", line_mutations(
+    '{"t_us":10,"dir":"rx","kind":"data","seq":100,"len":100,"ack":0,"ip_id":3}'
+))
+def test_reader_matches_reference_on_mutated_line(mutant):
+    assert_reads_like_reference(SYN_LINE + "\n" + mutant + "\n" + SYN_LINE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_traces, st.data())
+def test_reader_matches_reference_on_mutated_traces(trace, data):
+    lines = trace_text(trace).splitlines()
+    for index in data.draw(st.sets(st.integers(0, max(len(lines) - 1, 0)), max_size=3)):
+        if index < len(lines):
+            lines[index] = data.draw(st.sampled_from(line_mutations(lines[index])))
+    if data.draw(st.booleans()) and len(lines) > 1:
+        lines.reverse()  # out-of-order times, alone or after a parse error
+    assert_reads_like_reference("\n".join(lines))
+
+
+def test_parse_error_outranks_order_error():
+    text = bad_line(t_us=10) + "\n" + bad_line(t_us=5) + "\n" + bad_line(seq="x")
+    with pytest.raises(TraceParseError) as excinfo:
+        read_trace(text)
+    assert excinfo.value.line_no == 3
+    assert_reads_like_reference(text)
+
+
+def test_bool_field_is_written_so_both_readers_reject_it():
+    ev = TraceEvent(t_us=True, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1)
+    text = trace_text([ev])
+    assert text.startswith('{"t_us":True,')
+    with pytest.raises(TraceParseError, match="invalid JSON"):
+        read_trace(text)
+    assert_reads_like_reference(text)
+    with pytest.raises(TraceParseError, match="must be an integer"):
+        read_trace(reference_event_line(ev))
 
 
 # -- plot points ---------------------------------------------------------------
