@@ -11,7 +11,7 @@ exists for robustness testing only; the default link never loses data.
 """
 
 import enum
-import heapq
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError, InternalError
@@ -70,7 +70,6 @@ class HttpServerEndpoint:
         self.phase = "listen"  # listen -> syn_rcvd -> established
         self.sender = None
         self.halted = False
-        self.ignored_payloads = 0
         self.request_seen = False
 
     @property
@@ -110,8 +109,7 @@ class HttpServerEndpoint:
         if seg.len > 0:
             if self.phase != "established" or self.request_seen:
                 # Payload before the handshake completes (or a second
-                # request) is ignored but counted.
-                self.ignored_payloads += 1
+                # request) is ignored.
                 return []
             self.request_seen = True
             self.sender.rcv_nxt = seg.end
@@ -138,21 +136,20 @@ class SimWorld:
             scenario.sender_config, scenario.variant, scenario.page_bytes
         )
         self.prober = session or ProbeSession(scenario.probe_script)
-        self._queue: list[tuple[int, int, str, Segment | None]] = []
-        self._seq = 0
-        # The probe opens the exchange at t=0.
-        self._push(0, "start", None)
-
-    def _push(self, when: int, kind: str, seg: Segment | None) -> None:
-        heapq.heappush(self._queue, (when, self._seq, kind, seg))
-        self._seq += 1
+        # (when, kind, segment), the probe's opening at t=0 first. Every
+        # segment takes one_way_us and the clock never runs back, so segments
+        # are queued in delivery order: a FIFO is the event queue.
+        self._queue: deque[tuple[int, str, Segment | None]] = deque(
+            [(0, "start", None)]
+        )
 
     def dispatch(self, segments: list[Segment], now: int, origin: str) -> None:
         dest = PROBER if origin == SERVER else SERVER
+        when = now + self.one_way_us
         for seg in segments:
             if origin == SERVER and seg.ip_id in self.scenario.ambient_drops:
                 continue
-            self._push(now + self.one_way_us, dest, seg)
+            self._queue.append((when, dest, seg))
 
 
 def sim_init(scenario: Scenario, session: ProbeSession | None = None) -> SimWorld:
@@ -183,7 +180,7 @@ def run_to_completion(world: SimWorld):
             world.clock = deadline
             world.dispatch(world.server.on_timer(deadline), deadline, SERVER)
             continue
-        when, _, kind, seg = heapq.heappop(queue)
+        when, kind, seg = queue.popleft()
         if when > world.deadline_us:
             reason = TerminationReason.DEADLINE_EXCEEDED
             break

@@ -10,6 +10,7 @@ covers the scripted packet limit the prober emits a final ACK and closes.
 """
 
 import enum
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -17,10 +18,7 @@ from .traceio import TraceEvent
 from .wire import Flag, Segment, covered_indices
 
 DEFAULT_EVENT_CAP = 10_000
-DEFAULT_REQUEST_BYTES = 100
-
-CLOSE_RESET = "reset"
-CLOSE_FIN = "fin"
+REQUEST_BYTES = 100  # the opaque request; any nonempty payload fetches the page
 
 
 class ProbeOutcome(enum.Enum):
@@ -35,8 +33,6 @@ class ProbeScript:
     mss: int = 100
     drop_packets: frozenset = frozenset({13, 16})
     ack_limit_packet: int = 25
-    dupack_per_arrival: bool = True
-    close_mode: str = CLOSE_RESET
 
     def validate(self) -> None:
         if self.mss <= 0:
@@ -49,38 +45,6 @@ class ProbeScript:
             )
         if self.ack_limit_packet < 1:
             raise ConfigurationError("ack_limit_packet must be at least 1")
-        if self.close_mode not in (CLOSE_RESET, CLOSE_FIN):
-            raise ConfigurationError(f"unknown close_mode: {self.close_mode!r}")
-
-
-class RangeSet:
-    """Union of disjoint byte ranges [start, end); adjacent ranges merge."""
-
-    def __init__(self):
-        self._spans: list[tuple[int, int]] = []
-
-    def add(self, start: int, end: int) -> None:
-        if end <= start:
-            return
-        spans = []
-        for s, e in self._spans:
-            if e < start or s > end:  # touching counts as mergeable
-                spans.append((s, e))
-            else:
-                start = min(start, s)
-                end = max(end, e)
-        spans.append((start, end))
-        spans.sort()
-        self._spans = spans
-
-    def overlaps(self, start: int, end: int) -> bool:
-        return any(s < end and start < e for s, e in self._spans)
-
-    def contiguous_from(self, origin: int) -> int:
-        for s, e in self._spans:
-            if s <= origin < e:
-                return e
-        return origin
 
 
 def _segment_kind(seg: Segment) -> str:
@@ -99,34 +63,22 @@ def _segment_kind(seg: Segment) -> str:
 class ProbeSession:
     """State of one probe connection, including its observed trace."""
 
-    def __init__(
-        self,
-        script: ProbeScript,
-        *,
-        request_bytes: int = DEFAULT_REQUEST_BYTES,
-        event_cap: int = DEFAULT_EVENT_CAP,
-    ):
+    def __init__(self, script: ProbeScript, *, event_cap: int = DEFAULT_EVENT_CAP):
         script.validate()
-        if request_bytes <= 0:
-            raise ConfigurationError("request must be nonempty")
         if event_cap < 1:
             raise ConfigurationError("event cap must be positive")
         self.script = script
-        self.request_bytes = request_bytes
         self.event_cap = event_cap
 
         self.phase = "idle"  # idle -> syn_sent -> established -> closed
-        self.rcv_nxt = 0
-        self.delivered = RangeSet()
-        self.seen = RangeSet()
+        self.rcv_nxt = 0  # every byte below it has arrived
+        self._above: list[tuple[int, int]] = []  # sorted spans past rcv_nxt
         self.pending_drops = set(script.drop_packets)  # pretend-loss, one-shot
         self.dupacks_sent = 0
         self.snd_off = 0
         self.ip_id_counter = 0
         self.overflowed = False
-        self.anomalies: list[str] = []
         self.trace: list[TraceEvent] = []
-        self._seen_ip_ids: set[int] = set()
 
     @property
     def outcome(self) -> ProbeOutcome:
@@ -157,17 +109,14 @@ class ProbeSession:
             )
         )
 
-    def _next_ip_id(self) -> int:
-        self.ip_id_counter += 1
-        return self.ip_id_counter
-
     def _make(self, flags: int, *, length: int = 0, mss_option=None) -> Segment:
+        self.ip_id_counter += 1
         return Segment(
             seq=self.snd_off,
             len=length,
             ack=self.rcv_nxt,
             flags=flags,
-            ip_id=self._next_ip_id(),
+            ip_id=self.ip_id_counter,
             mss_option=mss_option,
         )
 
@@ -190,8 +139,8 @@ class ProbeSession:
         if _segment_kind(seg) == "synack" and self.phase == "syn_sent":
             self.phase = "established"
             handshake_ack = self._make(Flag.ACK)
-            request = self._make(Flag.ACK, length=self.request_bytes)
-            self.snd_off = self.request_bytes
+            request = self._make(Flag.ACK, length=REQUEST_BYTES)
+            self.snd_off = REQUEST_BYTES
             self._record("tx", handshake_ack, now)
             self._record("tx", request, now)
             return [handshake_ack, request]
@@ -201,43 +150,47 @@ class ProbeSession:
         return []
 
     def _on_data(self, seg: Segment, now: int) -> list[Segment]:
-        if seg.ip_id in self._seen_ip_ids and self.seen.overlaps(seg.seq, seg.end):
-            self.anomalies.append(f"duplicate delivery of ip_id {seg.ip_id}")
-        self._seen_ip_ids.add(seg.ip_id)
-        self.seen.add(seg.seq, seg.end)
-
-        to_drop = [
-            index
-            for index in covered_indices(seg.seq, seg.len, self.script.mss)
-            if index in self.pending_drops
-        ]
+        to_drop = self.pending_drops.intersection(
+            covered_indices(seg.seq, seg.len, self.script.mss)
+        )
         if to_drop:
             # Pretend loss: record the arrival, acknowledge nothing. The
             # drop is one-shot; a retransmitted copy will be honored.
-            self.pending_drops.difference_update(to_drop)
+            self.pending_drops -= to_drop
             return []
 
-        out = []
         previous = self.rcv_nxt
-        self.delivered.add(seg.seq, seg.end)
-        self.rcv_nxt = self.delivered.contiguous_from(0)
-        if self.rcv_nxt > previous:
-            ack = self._make(Flag.ACK)
-            out.append(ack)
-            self._record("tx", ack, now)
-            if self.rcv_nxt >= self.script.ack_limit_packet * self.script.mss:
-                out.append(self._close(now))
-        elif seg.end > self.rcv_nxt and self.script.dupack_per_arrival:
-            dup = self._make(Flag.ACK)
-            out.append(dup)
+        self._reassemble(seg.seq, seg.end)
+        advanced = self.rcv_nxt > previous
+        if not advanced and seg.end <= self.rcv_nxt:
+            return []  # arrivals entirely below rcv_nxt stay silent
+        ack = self._make(Flag.ACK)  # a new cumulative ACK, or a duplicate one
+        self._record("tx", ack, now)
+        if not advanced:
             self.dupacks_sent += 1
-            self._record("tx", dup, now)
-        # Arrivals entirely below rcv_nxt are recorded and stay silent.
-        return out
+        elif self.rcv_nxt >= self.script.ack_limit_packet * self.script.mss:
+            return [ack, self._close(now)]
+        return [ack]
+
+    def _reassemble(self, start: int, end: int) -> None:
+        """Take in the bytes [start, end): store them, or advance rcv_nxt
+        through them and every stored span that overlaps or touches them."""
+        spans = self._above
+        if start > self.rcv_nxt:
+            insort(spans, (start, end))
+            return
+        joined = 0
+        for span_start, span_end in spans:
+            if span_start > end:
+                break
+            end = max(end, span_end)
+            joined += 1
+        del spans[:joined]
+        self.rcv_nxt = max(self.rcv_nxt, end)
 
     def _close(self, now: int) -> Segment:
-        flags = Flag.RST if self.script.close_mode == CLOSE_RESET else Flag.FIN
-        closer = self._make(flags)
+        # Always a reset, as TBIT closes its probe connections.
+        closer = self._make(Flag.RST)
         self.phase = "closed"
         self._record("tx", closer, now)
         return closer

@@ -45,11 +45,7 @@ class Variant(enum.Enum):
         raise ConfigurationError(f"unknown variant: {name!r}")
 
 
-# Variants that keep explicit fast-recovery state (and inflate the usable
-# window by one mss per duplicate ACK while in it).
-_RECOVERY_VARIANTS = frozenset(
-    {Variant.RENO, Variant.NEWRENO, Variant.RENO_PLUS}
-)
+DUPACK_THRESHOLD = 3  # duplicate ACKs that signal a loss (RFC 5681)
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,6 @@ class SenderConfig:
     mss: int = 1460
     initial_cwnd: int = 2  # segments
     initial_ssthresh: int = 65535  # bytes
-    dupack_threshold: int = 3
     rto_initial_us: int = 1_000_000
     rto_min_us: int = 1_000_000
     rto_max_us: int = 64_000_000
@@ -69,8 +64,6 @@ class SenderConfig:
             raise ConfigurationError("initial_cwnd must be at least 1 segment")
         if self.initial_ssthresh <= 0:
             raise ConfigurationError("initial_ssthresh must be positive")
-        if self.dupack_threshold < 1:
-            raise ConfigurationError("dupack_threshold must be at least 1")
         if not (self.rto_min_us <= self.rto_initial_us <= self.rto_max_us):
             raise ConfigurationError(
                 "rto bounds must satisfy rto_min <= rto_initial <= rto_max"
@@ -102,7 +95,6 @@ class Sender:
         self.rttvar = None
 
         self.ip_id_counter = 0
-        self.diagnostics: list[str] = []
 
         self._max_sent = 0  # high water of seq+len ever emitted
         self._rtt_probe = None  # (start, end, emitted_at); Karn-tracked segment
@@ -118,7 +110,9 @@ class Sender:
         return self.snd_nxt - self.snd_una
 
     def effective_window(self) -> int:
-        if self.in_fast_recovery and self.variant in _RECOVERY_VARIANTS:
+        # Only the Reno family enters fast recovery, where each duplicate
+        # ACK inflates the usable window by one mss.
+        if self.in_fast_recovery:
             return self.cwnd + self.dupacks * self.mss
         return self.cwnd
 
@@ -164,8 +158,7 @@ class Sender:
         if ack > self.app_limit:
             raise ProtocolError(f"ack {ack} beyond queued data {self.app_limit}")
         if ack < self.snd_una:
-            self.diagnostics.append(f"ack regression: {ack} < {self.snd_una}")
-            return []
+            return []  # stale: it acknowledges nothing new
 
         out = []
         if ack > self.snd_una:
@@ -199,7 +192,7 @@ class Sender:
         elif self.snd_nxt > self.snd_una:
             self.dupacks += 1
             if (
-                self.dupacks == self.config.dupack_threshold
+                self.dupacks == DUPACK_THRESHOLD
                 and self._may_enter_loss_response()
             ):
                 out += self._loss_response(now)
@@ -279,7 +272,7 @@ class Sender:
             self.snd_nxt = self.snd_una
             return []
         seg = self._retransmit_head(now)
-        self.cwnd = self.ssthresh + self.config.dupack_threshold * self.mss
+        self.cwnd = self.ssthresh + DUPACK_THRESHOLD * self.mss
         self.in_fast_recovery = True
         self.recover = self.snd_nxt
         return [seg]

@@ -97,18 +97,23 @@ def read_trace(source) -> list[TraceEvent]:
     else:
         text = source.read()
     events = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        match = _CANONICAL_LINE(line)
-        if match is not None:
-            t_us, dir_, kind, seq, length, ack, ip_id = match.groups()
-            if (kind == "data") == (length != "0"):
-                events.append(TraceEvent(
-                    int(t_us), dir_, kind, int(seq), int(length), int(ack), int(ip_id)
-                ))
-                continue
-        if not line.strip():
-            raise TraceParseError(line_no, "blank line")
-        events.append(_parse_line(line_no, line))
+    try:
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            match = _CANONICAL_LINE(line)
+            if match is not None:
+                t_us, dir_, kind, seq, length, ack, ip_id = match.groups()
+                if (kind == "data") == (length != "0"):
+                    events.append(TraceEvent(
+                        int(t_us), dir_, kind, int(seq), int(length), int(ack), int(ip_id)
+                    ))
+                    continue
+            if not line.strip():
+                raise TraceParseError(line_no, "blank line")
+            events.append(_parse_line(line_no, line))
+    except ValueError as exc:
+        # Both int() and json.loads raise a plain ValueError for an integer
+        # past Python's int-string digit limit (sys.get_int_max_str_digits).
+        raise TraceParseError(line_no, "integer has too many digits") from exc
     for prev, cur in zip(events, events[1:]):
         if cur.t_us < prev.t_us:
             raise TraceOrderError(

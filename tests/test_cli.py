@@ -115,6 +115,16 @@ def test_classify_malformed_trace_is_io_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_overlong_trace_integer_is_io_error(tmp_path, capsys):
+    path = tmp_path / "overlong.jsonl"
+    line = '{"t_us":%s,"dir":"tx","kind":"syn","seq":0,"len":0,"ack":0,"ip_id":1}\n'
+    path.write_text(line % ("9" * 5000), encoding="utf-8")
+    for argv in (("classify",), ("plot", "--out", str(tmp_path / "points.csv"))):
+        code, _, err = run_cli(capsys, *argv, "--in", str(path))
+        assert code == 2
+        assert err == "error: line 1: integer has too many digits\n"
+
+
 def test_classify_timeout_factor_changes_label(newreno_trace, capsys):
     code, stdout, _ = run_cli(
         capsys, "classify", "--in", str(newreno_trace), "--timeout-factor", "0.1"

@@ -92,11 +92,18 @@ def test_request_triggers_initial_window_of_two():
     assert [seg.ack for seg in out] == [100, 100]  # the request is acked
 
 
-def test_payload_before_handshake_is_ignored_and_counted():
+def test_payload_before_handshake_or_second_request_is_ignored():
     server = fresh_server()
     out = server.handle_segment(prober_segment(Flag.ACK, length=100), 0)
     assert out == []
-    assert server.ignored_payloads == 1
+    assert (server.phase, server.sender) == ("listen", None)
+    server.handle_segment(prober_segment(Flag.SYN, mss_option=100), 0)
+    server.handle_segment(prober_segment(Flag.ACK, ip_id=2), 50)
+    server.handle_segment(prober_segment(Flag.ACK, length=100, ip_id=3), 50)
+    sent = (server.sender.snd_una, server.sender.snd_nxt, server.sender.app_limit)
+    out = server.handle_segment(prober_segment(Flag.ACK, length=100, ip_id=4), 60)
+    assert out == []
+    assert (server.sender.snd_una, server.sender.snd_nxt, server.sender.app_limit) == sent
 
 
 def test_reset_halts_server_forever():

@@ -5,11 +5,10 @@ where packet k covers bytes [(k-1)*mss, k*mss) at mss=100.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import ConfigurationError, ProbeOutcome, ProbeScript, ProbeSession
-from ccprobe.prober import RangeSet
 from ccprobe.wire import Flag, Segment
 
 MSS = 100
@@ -69,24 +68,32 @@ def test_script_rejects_bad_values():
         ProbeScript(drop_packets=frozenset({0})).validate()
     with pytest.raises(ConfigurationError):
         ProbeScript(drop_packets=frozenset({13, 16}), ack_limit_packet=16).validate()
-    with pytest.raises(ConfigurationError):
-        ProbeScript(close_mode="abort").validate()
 
 
-# -- range bookkeeping -------------------------------------------------------
+# -- reassembly ----------------------------------------------------------------
 
 
-def test_rangeset_merges_and_reports():
-    ranges = RangeSet()
-    ranges.add(0, 100)
-    ranges.add(200, 300)
-    assert ranges.contiguous_from(0) == 100
-    ranges.add(100, 200)  # fills the gap, all three merge into [0, 300)
-    assert ranges.contiguous_from(0) == 300
-    assert ranges.contiguous_from(50) == 300  # [50, 250) is covered
-    assert ranges.contiguous_from(250) == 300  # [250, 350) is not
-    assert ranges.overlaps(250, 350)
-    assert not ranges.overlaps(300, 400)  # touching is not overlapping
+def raw_data(seq: int, length: int, ip_id: int = 2) -> Segment:
+    return Segment(seq=seq, len=length, ack=0, flags=Flag.ACK, ip_id=ip_id)
+
+
+def test_reassembly_merges_stored_spans_into_the_ack_point():
+    session = established_session(ProbeScript(drop_packets=frozenset()))
+
+    def acks(seq, length):
+        return [seg.ack for seg in session.handle_segment(raw_data(seq, length), 1)]
+
+    assert acks(0, 100) == [100]
+    assert acks(200, 100) == [100]  # stored above the hole: a dupACK
+    assert acks(400, 50) == [100]
+    assert acks(300, 100) == [100]  # fills the gap between two stored spans
+    assert acks(600, 50) == [100]
+    assert acks(100, 510) == [650]  # jumps over [200, 450) and joins [600, 650)
+    assert acks(700, 50) == [650]
+    assert acks(650, 50) == [750]  # touches rcv_nxt and the stored [700, 750)
+    assert acks(50, 100) == []  # a stale copy below rcv_nxt stays silent
+    assert session.rcv_nxt == 750
+    assert [ev.dir for ev in session.trace].count("rx") == 10  # every arrival recorded
 
 
 # -- handshake ---------------------------------------------------------------
@@ -195,15 +202,6 @@ def test_close_after_ack_limit_emits_single_reset():
     assert [ev.kind for ev in session.trace if ev.dir == "tx"][-1] == "rst"
 
 
-def test_close_mode_fin():
-    script = ProbeScript(drop_packets=frozenset(), close_mode="fin")
-    session = established_session(script)
-    for index in range(1, 26):
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
-    assert [ev.kind for ev in session.trace if ev.dir == "tx"][-1] == "fin"
-    assert not any(ev.kind == "rst" for ev in session.trace)
-
-
 def test_after_close_arrivals_are_recorded_only():
     script = ProbeScript(drop_packets=frozenset())
     session = established_session(script)
@@ -216,15 +214,6 @@ def test_after_close_arrivals_are_recorded_only():
     assert session.trace[-1].dir == "rx"
 
 
-def test_dupack_per_arrival_can_be_disabled():
-    script = ProbeScript(dupack_per_arrival=False)
-    session = established_session(script)
-    session.handle_segment(data_segment(1, ip_id=2), 1)
-    out = session.handle_segment(data_segment(3, ip_id=3), 2)  # hole at 2
-    assert out == []
-    assert session.dupacks_sent == 0
-
-
 def test_stale_arrival_below_ack_point_stays_silent():
     session = established_session()
     for index in range(1, 4):
@@ -234,11 +223,16 @@ def test_stale_arrival_below_ack_point_stays_silent():
     assert session.rcv_nxt == 300
 
 
-def test_duplicate_ip_id_recorded_as_anomaly():
+def test_duplicate_delivery_is_recorded_and_silent():
     session = established_session()
     session.handle_segment(data_segment(1, ip_id=2), 1)
-    session.handle_segment(data_segment(1, ip_id=2), 2)
-    assert any("duplicate delivery" in note for note in session.anomalies)
+    out = session.handle_segment(data_segment(1, ip_id=2), 2)
+    assert out == []
+    assert session.rcv_nxt == 100
+    assert [(ev.t_us, ev.ip_id) for ev in session.trace if ev.dir == "rx"][-2:] == [
+        (1, 2),
+        (2, 2),
+    ]
 
 
 def test_event_cap_marks_overflow():
@@ -286,22 +280,58 @@ def test_outcome_overflow():
 # -- receiver properties -------------------------------------------------------
 
 
+def contiguous_prefix(received: set[int]) -> int:
+    """Brute force: the first byte offset not in ``received``."""
+    end = 0
+    while end in received:
+        end += 1
+    return end
+
+
 @settings(max_examples=150, deadline=None)
 @given(indices=st.lists(st.integers(min_value=1, max_value=30), max_size=60))
 def test_acks_monotone_and_never_cover_unseen_bytes(indices):
     session = established_session()
-    observed = RangeSet()
+    observed = set()
     last_ack = 0
     now = 0
     for ip_id, index in enumerate(indices, start=2):
         now += 1
         seg = data_segment(index, ip_id=ip_id)
-        observed.add(seg.seq, seg.end)
+        observed.update(range(seg.seq, seg.end))
         for out in session.handle_segment(seg, now):
             if out.flags & Flag.ACK and out.len == 0:
                 assert out.ack >= last_ack  # cumulative ACK monotonicity
                 last_ack = out.ack
                 # never acknowledge a byte that has not arrived
-                assert out.ack <= observed.contiguous_from(0)
+                assert out.ack <= contiguous_prefix(observed)
         if session.phase == "closed":
             break
+
+
+# Runt segments put arrivals off the mss grid: any offset, any length. A
+# small byte range makes overlapping and exactly touching spans common.
+unaligned_arrivals = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, 12)), max_size=40
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unaligned_arrivals)
+@example([(5, 5), (0, 5)])  # the gap fill ends exactly where a stored span starts
+def test_ack_point_is_the_contiguous_prefix_of_unaligned_arrivals(arrivals):
+    # No scripted drops, and an ack limit past every byte, so each arrival
+    # is taken in and answered.
+    session = established_session(
+        ProbeScript(drop_packets=frozenset(), ack_limit_packet=100)
+    )
+    received = set()
+    for now, (seq, length) in enumerate(arrivals, start=1):
+        previous = session.rcv_nxt
+        out = session.handle_segment(raw_data(seq, length, ip_id=now + 1), now)
+        received.update(range(seq, seq + length))
+        assert session.rcv_nxt == contiguous_prefix(received)
+        if session.rcv_nxt > previous or seq + length > session.rcv_nxt:
+            assert [seg.ack for seg in out] == [session.rcv_nxt]  # new ACK or dupACK
+        else:
+            assert out == []  # nothing new above the ack point

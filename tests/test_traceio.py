@@ -201,12 +201,10 @@ def test_writer_matches_json_dumps(trace):
     assert trace_text(trace) == expected
 
 
-# Mutations of one field of a canonical line: not canonical, not valid, or
-# past a limit of int().
+# Mutations of one field of a canonical line: not canonical or not valid.
 NUMBER_MUTATIONS = [
     "007", "-0", "-1", "1.0", "1e3", "true", "null", '"1"',
     "\u0661\u0662", "1\u0662", "\uff11",  # digits json rejects and int() takes
-    "9" * 5000,  # past int()'s digit limit: both readers raise its ValueError
 ]
 
 
@@ -261,6 +259,17 @@ def test_reader_matches_reference_on_mutated_traces(trace, data):
     if data.draw(st.booleans()) and len(lines) > 1:
         lines.reverse()  # out-of-order times, alone or after a parse error
     assert_reads_like_reference("\n".join(lines))
+
+
+@pytest.mark.parametrize("key", ["t_us", "seq", "len", "ack", "ip_id"])
+@pytest.mark.parametrize("spacing", ["", " "], ids=["canonical", "json"])
+def test_integer_past_digit_limit_is_a_parse_error(key, spacing):
+    # int() and json.loads both refuse more than 4,300 digits with a plain
+    # ValueError; the reader reports it against the line, on either path.
+    line = mutate_number(SYN_LINE, key, spacing + "9" * 5000)
+    with pytest.raises(TraceParseError, match="integer has too many digits") as excinfo:
+        read_trace(SYN_LINE + "\n" + line + "\n" + SYN_LINE)
+    assert excinfo.value.line_no == 2
 
 
 def test_parse_error_outranks_order_error():
