@@ -42,11 +42,13 @@ def _parse_drops(text: str) -> frozenset:
 
 
 def _build_script(args) -> ProbeScript:
-    return ProbeScript(
+    script = ProbeScript(
         mss=args.mss,
         drop_packets=_parse_drops(args.drop),
         ack_limit_packet=args.ack_limit,
     )
+    script.validate()
+    return script
 
 
 def _build_scenario(args, variant: Variant, rtt_ms=None) -> Scenario:

@@ -97,14 +97,7 @@ class HttpServerEndpoint:
             self.sender = Sender(negotiated, self.variant)
             self.phase = "syn_rcvd"
             return [
-                Segment(
-                    seq=0,
-                    len=0,
-                    ack=0,
-                    flags=Flag.SYN | Flag.ACK,
-                    ip_id=self.sender.next_ip_id(),
-                    mss_option=negotiated.mss,
-                )
+                Segment(0, 0, 0, Flag.SYN | Flag.ACK, self.sender.next_ip_id(), negotiated.mss)
             ]
         if seg.len > 0:
             if self.phase != "established" or self.request_seen:

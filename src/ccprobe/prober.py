@@ -93,32 +93,20 @@ class ProbeSession:
 
     # -- recording ------------------------------------------------------
 
-    def _record(self, direction: str, seg: Segment, now: int) -> None:
+    def _record(self, now: int, direction: str, kind: str, seg: Segment) -> None:
         if len(self.trace) >= self.event_cap:
             self.overflowed = True
             return
         self.trace.append(
-            TraceEvent(
-                t_us=now,
-                dir=direction,
-                kind=_segment_kind(seg),
-                seq=seg.seq,
-                len=seg.len,
-                ack=seg.ack,
-                ip_id=seg.ip_id,
-            )
+            TraceEvent(now, direction, kind, seg.seq, seg.len, seg.ack, seg.ip_id)
         )
 
-    def _make(self, flags: int, *, length: int = 0, mss_option=None) -> Segment:
+    def _send(self, now: int, kind: str, flags: int, length: int = 0, mss_option=None) -> Segment:
+        """Build the next outgoing segment and record it as a ``kind`` event."""
         self.ip_id_counter += 1
-        return Segment(
-            seq=self.snd_off,
-            len=length,
-            ack=self.rcv_nxt,
-            flags=flags,
-            ip_id=self.ip_id_counter,
-            mss_option=mss_option,
-        )
+        seg = Segment(self.snd_off, length, self.rcv_nxt, flags, self.ip_id_counter, mss_option)
+        self._record(now, "tx", kind, seg)
+        return seg
 
     # -- protocol -------------------------------------------------------
 
@@ -126,23 +114,20 @@ class ProbeSession:
         """Open the probe: send a SYN advertising the script's MSS."""
         if self.phase != "idle":
             return []
-        syn = self._make(Flag.SYN, mss_option=self.script.mss)
         self.phase = "syn_sent"
-        self._record("tx", syn, now)
-        return [syn]
+        return [self._send(now, "syn", Flag.SYN, mss_option=self.script.mss)]
 
     def handle_segment(self, seg: Segment, now: int) -> list[Segment]:
-        self._record("rx", seg, now)
+        kind = _segment_kind(seg)
+        self._record(now, "rx", kind, seg)
         if self.overflowed or self.phase == "closed":
             return []  # record-only; the probe no longer answers
 
-        if _segment_kind(seg) == "synack" and self.phase == "syn_sent":
+        if kind == "synack" and self.phase == "syn_sent":
             self.phase = "established"
-            handshake_ack = self._make(Flag.ACK)
-            request = self._make(Flag.ACK, length=REQUEST_BYTES)
+            handshake_ack = self._send(now, "ack", Flag.ACK)
+            request = self._send(now, "data", Flag.ACK, REQUEST_BYTES)
             self.snd_off = REQUEST_BYTES
-            self._record("tx", handshake_ack, now)
-            self._record("tx", request, now)
             return [handshake_ack, request]
 
         if seg.len > 0 and self.phase == "established":
@@ -164,8 +149,7 @@ class ProbeSession:
         advanced = self.rcv_nxt > previous
         if not advanced and seg.end <= self.rcv_nxt:
             return []  # arrivals entirely below rcv_nxt stay silent
-        ack = self._make(Flag.ACK)  # a new cumulative ACK, or a duplicate one
-        self._record("tx", ack, now)
+        ack = self._send(now, "ack", Flag.ACK)  # a new cumulative ACK, or a duplicate
         if not advanced:
             self.dupacks_sent += 1
         elif self.rcv_nxt >= self.script.ack_limit_packet * self.script.mss:
@@ -190,7 +174,5 @@ class ProbeSession:
 
     def _close(self, now: int) -> Segment:
         # Always a reset, as TBIT closes its probe connections.
-        closer = self._make(Flag.RST)
         self.phase = "closed"
-        self._record("tx", closer, now)
-        return closer
+        return self._send(now, "rst", Flag.RST)

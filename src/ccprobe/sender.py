@@ -127,13 +127,7 @@ class Sender:
         elif self._rtt_probe is None:
             self._rtt_probe = (seq, seq + length, now)
         self._max_sent = max(self._max_sent, seq + length)
-        return Segment(
-            seq=seq,
-            len=length,
-            ack=self.rcv_nxt,
-            flags=Flag.ACK,
-            ip_id=self.next_ip_id(),
-        )
+        return Segment(seq, length, self.rcv_nxt, Flag.ACK, self.next_ip_id())
 
     # -- operations -----------------------------------------------------
 

@@ -6,6 +6,9 @@ exactly the keys t_us, dir, kind, seq, len, ack, ip_id. Reading a written
 trace gives back equal events; events must be sorted by t_us. The writer
 emits one canonical form (that key order, no spaces); the reader accepts
 any JSON object with those keys and takes a fast path for canonical lines.
+
+A ``TraceEvent`` is a slotted dataclass: cheap to build, compared by
+value, not hashable, and read-only by convention.
 """
 
 import json
@@ -34,7 +37,7 @@ _CANONICAL_LINE = re.compile(
 PLOT_HEADER = "t_us,y,marker"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     t_us: int
     dir: str

@@ -3,6 +3,10 @@
 All times are integer virtual microseconds. Sequence numbers are byte
 offsets from the start of each direction's payload stream; the handshake
 consumes no sequence space in this model.
+
+A ``Segment`` is a slotted dataclass: cheap to build, compared by value,
+not hashable. Nothing in the package alters a segment after building it,
+and callers should treat it as read-only too.
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ class Flag:
     RST = 8
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Segment:
     seq: int
     len: int

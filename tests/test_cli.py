@@ -125,6 +125,23 @@ def test_overlong_trace_integer_is_io_error(tmp_path, capsys):
         assert err == "error: line 1: integer has too many digits\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--mss", "0"), "script mss must be positive"),
+        (("--ack-limit", "5"), "ack_limit_packet must lie beyond every dropped packet"),
+    ],
+    ids=["mss-0", "ack-limit-below-drops"],
+)
+def test_classify_rejects_invalid_script(newreno_trace, capsys, flags, message):
+    # sim and matrix reject these scripts too; classify must not crash on
+    # them or label a trace with a script no probe could have run.
+    code, stdout, err = run_cli(capsys, "classify", "--in", str(newreno_trace), *flags)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+
+
 def test_classify_timeout_factor_changes_label(newreno_trace, capsys):
     code, stdout, _ = run_cli(
         capsys, "classify", "--in", str(newreno_trace), "--timeout-factor", "0.1"
