@@ -5,16 +5,7 @@ classifies the sender's congestion-control variant from the observed
 trace alone.
 """
 
-from .classifier import (
-    ClassificationReport,
-    ClassifierConfig,
-    FeatureVector,
-    classify,
-    classify_trace,
-    detect_reordering,
-    detect_retransmissions,
-    estimate_rtt,
-)
+from .classifier import ClassificationReport, ClassifierConfig, classify_trace
 from .errors import (
     CcprobeError,
     ConfigurationError,
@@ -24,16 +15,9 @@ from .errors import (
     TraceOrderError,
     TraceParseError,
 )
-from .netsim import (
-    HttpServerEndpoint,
-    Scenario,
-    SimWorld,
-    TerminationReason,
-    run_to_completion,
-    sim_init,
-)
-from .prober import ProbeOutcome, ProbeScript, ProbeSession
-from .sender import Sender, SenderConfig, Variant
+from .netsim import Scenario, TerminationReason, run_to_completion, sim_init
+from .prober import ProbeScript
+from .sender import SenderConfig, Variant
 from .traceio import (
     TraceEvent,
     emit_plot_points,
@@ -41,7 +25,6 @@ from .traceio import (
     write_plot_points,
     write_trace,
 )
-from .wire import Flag, Segment
 
 __version__ = "0.1.0"
 
@@ -50,31 +33,19 @@ __all__ = [
     "ClassificationReport",
     "ClassifierConfig",
     "ConfigurationError",
-    "FeatureVector",
-    "Flag",
-    "HttpServerEndpoint",
     "InternalError",
-    "ProbeOutcome",
     "ProbeScript",
-    "ProbeSession",
     "ProtocolError",
     "Scenario",
-    "Segment",
-    "Sender",
     "SenderConfig",
-    "SimWorld",
     "TerminationReason",
     "TraceEvent",
     "TraceIOError",
     "TraceOrderError",
     "TraceParseError",
     "Variant",
-    "classify",
     "classify_trace",
-    "detect_reordering",
-    "detect_retransmissions",
     "emit_plot_points",
-    "estimate_rtt",
     "read_trace",
     "run_to_completion",
     "sim_init",

@@ -1,10 +1,11 @@
 """Trace classifier: name the congestion-control variant behind a trace.
 
 Everything here works from the prober's observed trace alone (plus the
-probe script that produced it); no sender state is consulted. The trace
-yields a small feature vector -- how the two scripted losses were
-repaired, whether anything else was retransmitted between or after them,
-and whether the path reordered -- and an ordered decision table maps the
+probe script that produced it); no sender or session state is consulted,
+and only the trace of a finished probe gets a label. The trace yields a
+small feature vector -- how the two scripted losses were repaired,
+whether anything else was retransmitted between or after them, and
+whether the path reordered -- and an ordered decision table maps the
 features to a label or an error.
 
 Retransmissions are recognized as data arrivals whose byte range overlaps
@@ -18,10 +19,12 @@ that covered it, so an arrival costs a bisect plus the few spans it
 overlaps, and a trace classifies in time about linear in its length.
 """
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 
-from .prober import ProbeOutcome, ProbeScript
+from .errors import ConfigurationError
+from .prober import EVENT_CAP, ProbeScript
 from .traceio import TraceEvent
 from .wire import first_index
 
@@ -44,6 +47,11 @@ class IncompleteTrace(Exception):
 @dataclass(frozen=True)
 class ClassifierConfig:
     timeout_factor: float = 3.0
+
+    def __post_init__(self):
+        # Zero or less reads nearly every repair as a timeout; nan and inf read all as fast.
+        if not (math.isfinite(self.timeout_factor) and self.timeout_factor > 0):
+            raise ConfigurationError("timeout factor must be a positive finite number")
 
 
 @dataclass
@@ -272,27 +280,30 @@ def extract_features(
     return features, evidence
 
 
+def _error_row(error: str) -> ClassificationReport:
+    return ClassificationReport(label=None, error=error, features=FeatureVector())
+
+
 def classify_trace(
     trace: list[TraceEvent],
     script: ProbeScript,
     config: ClassifierConfig | None = None,
-    outcome: ProbeOutcome | None = None,
 ) -> ClassificationReport:
-    """Full pipeline from observed trace to report."""
-    if outcome is ProbeOutcome.TRACE_OVERFLOW:
-        return ClassificationReport(
-            label=None, error=ERROR_TRACE_OVERFLOW, features=FeatureVector()
-        )
-    if outcome in (ProbeOutcome.HANDSHAKE_TIMEOUT, ProbeOutcome.STALLED_SENDER):
-        return ClassificationReport(
-            label=None, error=ERROR_INCOMPLETE, features=FeatureVector()
-        )
+    """Full pipeline from observed trace to report.
+
+    Only a finished probe gets a label. A trace of EVENT_CAP events or more
+    is a TraceOverflow error row, and a trace in which the prober never
+    sent ``rst`` or ``fin`` is an Incomplete one.
+    """
+    if len(trace) >= EVENT_CAP:
+        return _error_row(ERROR_TRACE_OVERFLOW)
+    # The prober's close sits within a few hundred events of the end.
+    if not any(ev.dir == "tx" and ev.kind in ("rst", "fin") for ev in reversed(trace)):
+        return _error_row(ERROR_INCOMPLETE)
     try:
         features, evidence = extract_features(trace, script, config)
     except IncompleteTrace:
-        return ClassificationReport(
-            label=None, error=ERROR_INCOMPLETE, features=FeatureVector()
-        )
+        return _error_row(ERROR_INCOMPLETE)
     report = classify(features)
     report.evidence = evidence
     return report

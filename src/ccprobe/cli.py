@@ -9,6 +9,10 @@ Subcommands:
 Exit codes: 0 success (and matrix identity), 1 matrix mismatch or
 non-closing run, 2 usage/config/IO errors, 3 classification error row,
 141 stdout closed by its reader (as a shell reports death by SIGPIPE).
+
+classify and matrix judge a run only by its trace, through
+``classify_trace``: a capped or unclosed run gets an error row, which
+classify exits 3 on and matrix counts as "other".
 """
 
 import argparse
@@ -21,7 +25,7 @@ from pathlib import Path
 from .classifier import ClassifierConfig, classify_trace
 from .errors import CcprobeError, ConfigurationError, TraceIOError
 from .netsim import Scenario, TerminationReason, run_to_completion, sim_init
-from .prober import DEFAULT_EVENT_CAP, ProbeOutcome, ProbeScript
+from .prober import ProbeScript
 from .sender import Variant
 from .traceio import read_trace, write_plot_points, write_trace
 
@@ -111,27 +115,10 @@ def cmd_sim(args) -> int:
     return 0 if reason is TerminationReason.PROBER_CLOSED else 1
 
 
-def _trace_outcome(trace) -> ProbeOutcome:
-    """How the run behind a trace file ended, in ProbeSession.outcome's order.
-
-    A file carries no outcome, but a capped run left a full trace and every
-    finished run ends with the prober's rst or fin.
-    """
-    if len(trace) >= DEFAULT_EVENT_CAP:
-        return ProbeOutcome.TRACE_OVERFLOW
-    if any(ev.dir == "tx" and ev.kind in ("rst", "fin") for ev in trace):
-        return ProbeOutcome.COMPLETED
-    return ProbeOutcome.STALLED_SENDER
-
-
 def cmd_classify(args) -> int:
     trace = read_trace(Path(args.input))
-    report = classify_trace(
-        trace,
-        _build_script(args),
-        ClassifierConfig(timeout_factor=args.timeout_factor),
-        outcome=_trace_outcome(trace),
-    )
+    script = _build_script(args)
+    report = classify_trace(trace, script, ClassifierConfig(timeout_factor=args.timeout_factor))
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.error is None else 3
 
@@ -152,11 +139,8 @@ def cmd_matrix(args) -> int:
     runs = 0
     for rtt_ms, variant in _matrix_runs(args):
         scenario = _build_scenario(args, variant, rtt_ms=rtt_ms)
-        world = sim_init(scenario)
-        trace, _ = run_to_completion(world)
-        report = classify_trace(
-            trace, scenario.probe_script, config, outcome=world.prober.outcome
-        )
+        trace, _ = run_to_completion(sim_init(scenario))
+        report = classify_trace(trace, scenario.probe_script, config)
         predicted = report.label if report.label in labels else "other"
         counts[variant.value][predicted] += 1
         runs += 1

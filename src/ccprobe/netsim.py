@@ -120,7 +120,7 @@ class HttpServerEndpoint:
 class SimWorld:
     """Event queue, virtual clock, and the two endpoints of one scenario."""
 
-    def __init__(self, scenario: Scenario, session: ProbeSession | None = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.clock = 0
         self.one_way_us = scenario.rtt_ms * US_PER_MS // 2
@@ -128,7 +128,7 @@ class SimWorld:
         self.server = HttpServerEndpoint(
             scenario.sender_config, scenario.variant, scenario.page_bytes
         )
-        self.prober = session or ProbeSession(scenario.probe_script)
+        self.prober = ProbeSession(scenario.probe_script)
         # (when, kind, segment), the probe's opening at t=0 first. Every
         # segment takes one_way_us and the clock never runs back, so segments
         # are queued in delivery order: a FIFO is the event queue.
@@ -145,10 +145,10 @@ class SimWorld:
             self._queue.append((when, dest, seg))
 
 
-def sim_init(scenario: Scenario, session: ProbeSession | None = None) -> SimWorld:
+def sim_init(scenario: Scenario) -> SimWorld:
     """Validate a scenario and build its world (one pending event at t=0)."""
     scenario.validate()
-    return SimWorld(scenario, session=session)
+    return SimWorld(scenario)
 
 
 def run_to_completion(world: SimWorld):

@@ -7,9 +7,12 @@ from the cumulative ACK until they arrive again). Every out-of-order
 arrival is answered with an immediate duplicate ACK, so a fast-retransmit
 sender sees the classic triple-dupACK burst. Once the cumulative ACK
 covers the scripted packet limit the prober emits a final ACK and closes.
+
+The session records at most EVENT_CAP events; past that it sets
+``overflowed`` and answers nothing more. How a probe ended is not kept
+here: ``classifier.classify_trace`` reads it off the trace alone.
 """
 
-import enum
 from bisect import insort
 from dataclasses import dataclass
 
@@ -17,15 +20,8 @@ from .errors import ConfigurationError
 from .traceio import TraceEvent
 from .wire import Flag, Segment, covered_indices
 
-DEFAULT_EVENT_CAP = 10_000
+EVENT_CAP = 10_000
 REQUEST_BYTES = 100  # the opaque request; any nonempty payload fetches the page
-
-
-class ProbeOutcome(enum.Enum):
-    COMPLETED = "Completed"
-    HANDSHAKE_TIMEOUT = "HandshakeTimeout"
-    STALLED_SENDER = "StalledSender"
-    TRACE_OVERFLOW = "TraceOverflow"
 
 
 @dataclass(frozen=True)
@@ -63,12 +59,9 @@ def _segment_kind(seg: Segment) -> str:
 class ProbeSession:
     """State of one probe connection, including its observed trace."""
 
-    def __init__(self, script: ProbeScript, *, event_cap: int = DEFAULT_EVENT_CAP):
+    def __init__(self, script: ProbeScript):
         script.validate()
-        if event_cap < 1:
-            raise ConfigurationError("event cap must be positive")
         self.script = script
-        self.event_cap = event_cap
 
         self.phase = "idle"  # idle -> syn_sent -> established -> closed
         self.rcv_nxt = 0  # every byte below it has arrived
@@ -80,21 +73,10 @@ class ProbeSession:
         self.overflowed = False
         self.trace: list[TraceEvent] = []
 
-    @property
-    def outcome(self) -> ProbeOutcome:
-        """How the probe ended, judged from the session's own state."""
-        if self.overflowed:
-            return ProbeOutcome.TRACE_OVERFLOW
-        if self.phase == "closed":
-            return ProbeOutcome.COMPLETED
-        if self.phase in ("idle", "syn_sent"):
-            return ProbeOutcome.HANDSHAKE_TIMEOUT
-        return ProbeOutcome.STALLED_SENDER
-
     # -- recording ------------------------------------------------------
 
     def _record(self, now: int, direction: str, kind: str, seg: Segment) -> None:
-        if len(self.trace) >= self.event_cap:
+        if len(self.trace) >= EVENT_CAP:
             self.overflowed = True
             return
         self.trace.append(

@@ -20,11 +20,8 @@ import time
 import pytest
 
 from ccprobe import (
-    ProbeOutcome,
     ProbeScript,
-    ProbeSession,
     Scenario,
-    Sender,
     SenderConfig,
     Variant,
     classify_trace,
@@ -39,6 +36,8 @@ from ccprobe.classifier import (
     extract_features,
 )
 from ccprobe.cli import main as cli_main
+from ccprobe.prober import EVENT_CAP
+from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent, emit_plot_points, read_trace
 
 from conftest import MSS, PAGE, delivered_union, run_scenario, rx_data, trace_text, tx_acks
@@ -280,19 +279,26 @@ def test_error_taxonomy(acceptance, default_runs):
             TraceEvent(
                 t_us=200 * MS, dir="rx", kind="data", seq=0, len=100, ack=0, ip_id=2
             ),
+            TraceEvent(
+                t_us=200 * MS, dir="tx", kind="rst", seq=100, len=0, ack=0, ip_id=4
+            ),
         ]
         assert classify_trace(reordered, script).error == "Reordering"
+        assert classify_trace(reordered[:-1], script).error == "Incomplete"
 
         truncated = default_runs[Variant.NEWRENO].trace[:1]
         assert classify_trace(truncated, script).error == "Incomplete"
 
-        scenario = Scenario(variant=Variant.NEWRENO)
-        world = sim_init(
-            scenario, session=ProbeSession(scenario.probe_script, event_cap=10)
+        # A 2,000-packet page acked up to packet 1,900 fills the event cap.
+        scenario = Scenario(
+            variant=Variant.NEWRENO,
+            rtt_ms=10,
+            page_bytes=200_000,
+            probe_script=ProbeScript(ack_limit_packet=1900),
         )
+        world = sim_init(scenario)
         trace, _ = run_to_completion(world)
-        outcome = world.prober.outcome
-        assert outcome is ProbeOutcome.TRACE_OVERFLOW
-        assert len(trace) == 10
-        report = classify_trace(trace, scenario.probe_script, outcome=outcome)
+        assert world.prober.overflowed
+        assert len(trace) == EVENT_CAP
+        report = classify_trace(trace, scenario.probe_script)
         assert report.error == "TraceOverflow"

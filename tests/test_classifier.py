@@ -15,11 +15,13 @@ The two "yes" unnec17 rows never reach that branch of the decision table;
 retx13=timeout and the extra-retransmission flag take precedence.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccprobe import ProbeOutcome, ProbeScript, Variant, classify_trace
+from ccprobe import ProbeScript, Variant, classify_trace
 from ccprobe.classifier import (
     ERROR_INCOMPLETE,
     ERROR_REORDERING,
@@ -40,6 +42,7 @@ from ccprobe.classifier import (
     estimate_rtt,
     extract_features,
 )
+from ccprobe.prober import EVENT_CAP
 from ccprobe.traceio import TraceEvent
 from ccprobe.wire import first_index
 
@@ -245,32 +248,86 @@ def test_truncated_trace_is_incomplete(default_runs):
 
 
 @pytest.mark.parametrize(
-    "outcome", [ProbeOutcome.HANDSHAKE_TIMEOUT, ProbeOutcome.STALLED_SENDER]
+    "unfinished",
+    [
+        lambda trace: trace[:1],  # the server never answered the SYN
+        lambda trace: trace[:-1],  # all but the prober's closing rst
+        lambda trace: trace[:-1] + [dataclasses.replace(trace[-1], dir="rx")],
+    ],
+    ids=["handshake-timeout", "stalled-sender", "peer-reset"],
 )
-def test_failed_probe_outcomes_short_circuit(default_runs, outcome):
+def test_failed_probe_outcomes_short_circuit(default_runs, unfinished):
+    # Only the prober's own rst or fin closes a trace; without it even
+    # the NewReno exchange gets no label.
     trace = default_runs[Variant.NEWRENO].trace
-    report = classify_trace(trace, SCRIPT, outcome=outcome)
+    assert trace[-1].kind == "rst"
+    report = classify_trace(unfinished(trace), SCRIPT)
     assert report.error == ERROR_INCOMPLETE
+    assert report.features == FeatureVector()
 
 
 def test_overflow_outcome_short_circuits(default_runs):
+    # The closed NewReno trace, padded with ignored arrivals up to the cap:
+    # one event short it keeps its label, at the cap it may not have one.
     trace = default_runs[Variant.NEWRENO].trace
-    report = classify_trace(trace, SCRIPT, outcome=ProbeOutcome.TRACE_OVERFLOW)
+    end = trace[-1].t_us
+    padded = trace + [
+        TraceEvent(end + i, "rx", "ack", 0, 0, 0, 0) for i in range(EVENT_CAP - len(trace))
+    ]
+    assert classify_trace(padded[:-1], SCRIPT).label == "NewReno"
+    report = classify_trace(padded, SCRIPT)
     assert report.error == ERROR_TRACE_OVERFLOW
+    assert report.features == FeatureVector()
+
+
+REORDERED = [
+    TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1),
+    TraceEvent(t_us=100 * MS, dir="rx", kind="synack", seq=0, len=0, ack=1, ip_id=1),
+    rx(200, 100, 3),
+    rx(200, 0, 2),
+    TraceEvent(t_us=200 * MS, dir="tx", kind="rst", seq=100, len=0, ack=0, ip_id=4),
+]
 
 
 def test_synthetic_reordering_yields_error():
-    base = [
-        TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1),
-        TraceEvent(
-            t_us=100 * MS, dir="rx", kind="synack", seq=0, len=0, ack=1, ip_id=1
-        ),
-        rx(200, 100, 3),
-        rx(200, 0, 2),
-    ]
-    report = classify_trace(base, SCRIPT)
+    report = classify_trace(REORDERED, SCRIPT)
     assert report.error == ERROR_REORDERING
     assert report.features.reordering_detected
+
+
+def test_synthetic_reordering_without_close_is_incomplete():
+    report = classify_trace(REORDERED[:-1], SCRIPT)
+    assert report.error == ERROR_INCOMPLETE
+    assert not report.features.reordering_detected
+
+
+# A 2,000-packet page acked up to packet 1,900 fills the event cap first.
+OVERFLOWING = dict(
+    rtt_ms=10, page_bytes=200_000, probe_script=ProbeScript(ack_limit_packet=1900)
+)
+
+
+@pytest.mark.parametrize(
+    "variant, overrides",
+    [
+        pytest.param(variant, {"rtt_ms": rtt}, id=f"{variant.value}-{rtt}ms")
+        for variant in Variant
+        for rtt in (10, 200, 800)
+    ]
+    + [
+        pytest.param(Variant.NEWRENO, OVERFLOWING, id="overflow"),
+        pytest.param(Variant.NEWRENO, {"ambient_drops": frozenset({1})}, id="no-handshake"),
+    ],
+)
+def test_trace_rule_agrees_with_session_state(variant, overrides):
+    # The session's own state says how the run ended; the report, built
+    # from the trace alone, must say the same.
+    run = run_scenario(variant, **overrides)
+    prober = run.world.prober
+    report = classify_trace(run.trace, run.scenario.probe_script)
+    assert (report.error == ERROR_TRACE_OVERFLOW) == prober.overflowed
+    if not prober.overflowed:
+        assert (report.error == ERROR_INCOMPLETE) == (prober.phase != "closed")
 
 
 def test_aggressive_timeout_factor_mislabels_newreno(default_runs):

@@ -130,8 +130,19 @@ def test_overlong_trace_integer_is_io_error(tmp_path, capsys):
     [
         (("--mss", "0"), "script mss must be positive"),
         (("--ack-limit", "5"), "ack_limit_packet must lie beyond every dropped packet"),
+        *(
+            (("--timeout-factor", factor), "timeout factor must be a positive finite number")
+            for factor in ("-1", "0", "nan", "inf")
+        ),
     ],
-    ids=["mss-0", "ack-limit-below-drops"],
+    ids=[
+        "mss-0",
+        "ack-limit-below-drops",
+        "timeout-factor--1",
+        "timeout-factor-0",
+        "timeout-factor-nan",
+        "timeout-factor-inf",
+    ],
 )
 def test_classify_rejects_invalid_script(newreno_trace, capsys, flags, message):
     # sim and matrix reject these scripts too; classify must not crash on
@@ -195,6 +206,13 @@ def test_matrix_mismatch_exits_one(capsys):
     code, stdout, _ = run_cli(capsys, "matrix", "--timeout-factor", "0.1")
     assert code == 1
     assert "identity=no" in stdout
+
+
+def test_matrix_rejects_non_finite_timeout_factor(capsys):
+    code, stdout, err = run_cli(capsys, "matrix", "--timeout-factor", "nan")
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: timeout factor must be a positive finite number\n"
 
 
 def test_matrix_rtt_sweep_holds_identity(capsys):

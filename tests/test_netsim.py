@@ -9,16 +9,16 @@ import pytest
 
 from ccprobe import (
     ConfigurationError,
-    HttpServerEndpoint,
-    ProbeOutcome,
     ProbeScript,
     Scenario,
     SenderConfig,
     TerminationReason,
     Variant,
+    classify_trace,
     run_to_completion,
     sim_init,
 )
+from ccprobe.netsim import HttpServerEndpoint
 from ccprobe.wire import Flag, Segment
 
 from conftest import delivered_union, run_scenario, rx_data, trace_text, tx_acks
@@ -209,18 +209,22 @@ def test_ambient_data_drop_is_repaired_and_run_completes():
     assert delivered_union(trace) == [(0, emitted_high)]
 
 
-# -- probe outcome -------------------------------------------------------------
+# -- probe outcome, as classify_trace reads it off the trace -------------------
 
 
 def test_simulated_probe_completes():
-    world = sim_init(Scenario(variant=Variant.NEWRENO))
+    scenario = Scenario(variant=Variant.NEWRENO)
+    world = sim_init(scenario)
     trace, reason = run_to_completion(world)
-    assert world.prober.outcome is ProbeOutcome.COMPLETED
+    assert world.prober.phase == "closed"
     assert reason is TerminationReason.PROBER_CLOSED
     assert trace[-1].t_us == 700 * MS
+    assert classify_trace(trace, scenario.probe_script).label == "NewReno"
 
 
 def test_quiescent_handshake_outcome_is_timeout():
-    world = sim_init(Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1})))
-    run_to_completion(world)
-    assert world.prober.outcome is ProbeOutcome.HANDSHAKE_TIMEOUT
+    scenario = Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1}))
+    world = sim_init(scenario)
+    trace, _ = run_to_completion(world)
+    assert world.prober.phase == "syn_sent"
+    assert classify_trace(trace, scenario.probe_script).error == "Incomplete"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccprobe import ConfigurationError, ProbeOutcome, ProbeScript, ProbeSession
+from ccprobe import ConfigurationError, ProbeScript, classify_trace
+from ccprobe.prober import EVENT_CAP, ProbeSession
 from ccprobe.wire import Flag, Segment
 
 MSS = 100
@@ -35,16 +36,16 @@ def synack(mss_option: int = MSS) -> Segment:
     )
 
 
-def established_session(script: ProbeScript = None, **kw) -> ProbeSession:
-    session = ProbeSession(script or ProbeScript(), **kw)
+def established_session(script: ProbeScript = None) -> ProbeSession:
+    session = ProbeSession(script or ProbeScript())
     session.start(0)
     session.handle_segment(synack(), 0)
     return session
 
 
-def replay(script: ProbeScript, arrivals=(), **kw) -> ProbeSession:
+def replay(script: ProbeScript, arrivals=()) -> ProbeSession:
     """Start a session and feed it a canned arrival schedule, 1 us apart."""
-    session = ProbeSession(script, **kw)
+    session = ProbeSession(script)
     session.start(0)
     for now, seg in enumerate(arrivals, start=1):
         session.handle_segment(seg, now)
@@ -236,20 +237,28 @@ def test_duplicate_delivery_is_recorded_and_silent():
 
 
 def test_event_cap_marks_overflow():
-    session = established_session(event_cap=10)
-    for index in range(1, 20):
+    # Each in-order arrival records itself and its ACK; the ack limit lies
+    # past every arrival, so only the cap can end the recording.
+    session = established_session(
+        ProbeScript(drop_packets=frozenset(), ack_limit_packet=EVENT_CAP + 1)
+    )
+    answers = [
         session.handle_segment(data_segment(index, ip_id=index + 1), index)
+        for index in range(1, EVENT_CAP + 1)
+    ]
     assert session.overflowed
-    assert len(session.trace) == 10
+    assert len(session.trace) == EVENT_CAP
+    assert answers[-1] == []  # past the cap the probe answers nothing
+    assert session.phase == "established"
 
 
-# -- outcome mapping ----------------------------------------------------------
+# -- how the probe ended, as classify_trace reads it off the trace -------------
 
 
 def test_outcome_dead_server_is_handshake_timeout():
     session = replay(ProbeScript())
-    assert session.outcome is ProbeOutcome.HANDSHAKE_TIMEOUT
     assert [ev.kind for ev in session.trace] == ["syn"]
+    assert classify_trace(session.trace, session.script).error == "Incomplete"
 
 
 def test_outcome_stalled_sender():
@@ -258,7 +267,8 @@ def test_outcome_stalled_sender():
     arrivals = [synack()] + [data_segment(i, ip_id=i + 1) for i in range(1, 13)]
     arrivals.append(data_segment(14, ip_id=15))
     session = replay(ProbeScript(), arrivals)
-    assert session.outcome is ProbeOutcome.STALLED_SENDER
+    assert session.phase == "established"
+    assert classify_trace(session.trace, session.script).error == "Incomplete"
 
 
 def test_outcome_completed():
@@ -266,15 +276,21 @@ def test_outcome_completed():
         data_segment(i, ip_id=i + 1) for i in range(1, 26)
     ]
     session = replay(ProbeScript(drop_packets=frozenset()), arrivals)
-    assert session.outcome is ProbeOutcome.COMPLETED
     assert session.trace[-1].kind == "rst"
+    report = classify_trace(session.trace, session.script)
+    assert report.error is None
+    assert report.label == "Unclassifiable"  # a closed run, but nothing was dropped
 
 
 def test_outcome_overflow():
-    arrivals = [synack()] + [data_segment(i, ip_id=i + 1) for i in range(1, 26)]
-    session = replay(ProbeScript(drop_packets=frozenset()), arrivals, event_cap=10)
-    assert session.outcome is ProbeOutcome.TRACE_OVERFLOW
-    assert len(session.trace) == 10
+    # The prober closes at packet 25 and then only records; more than
+    # EVENT_CAP arrivals fill the trace, and the cap outranks the close.
+    arrivals = [synack()] + [data_segment(i, ip_id=i + 1) for i in range(1, EVENT_CAP + 1)]
+    session = replay(ProbeScript(drop_packets=frozenset()), arrivals)
+    assert session.phase == "closed"
+    assert session.overflowed
+    assert len(session.trace) == EVENT_CAP
+    assert classify_trace(session.trace, session.script).error == "TraceOverflow"
 
 
 # -- receiver properties -------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccprobe import ConfigurationError, InternalError, ProtocolError, Sender, SenderConfig, Variant
+from ccprobe import ConfigurationError, InternalError, ProtocolError, SenderConfig, Variant
+from ccprobe.sender import Sender
 
 MSS = 100
 CFG = SenderConfig(mss=MSS)
