@@ -16,7 +16,9 @@ before it exceeds timeout_factor * estimated rtt, ``fast`` otherwise.
 Earlier arrivals are not compared one by one. A coverage index keeps the
 bytes seen so far as sorted disjoint spans, each with the lowest ip_id
 that covered it, so an arrival costs a bisect plus the few spans it
-overlaps, and a trace classifies in time about linear in its length.
+overlaps. ``extract_features`` makes one coverage pass that yields both
+the retransmissions and the first reordered arrival, so a trace
+classifies in time about linear in its length.
 """
 
 import math
@@ -147,6 +149,34 @@ def estimate_rtt(trace: list[TraceEvent]) -> int | None:
     return None
 
 
+def _coverage_pass(
+    trace: list[TraceEvent], rtt_est: int, mss: int, timeout_factor: float
+) -> tuple[list[RetxEvent], int | None]:
+    """One scan of the data arrivals: the retransmissions, and the trace
+    index of the first fresh arrival whose ip_id runs backwards (or None)."""
+    retxs = []
+    reorder_at = None
+    max_fresh_ip_id = -math.inf
+    add = _Coverage().add
+    last_data_t = None
+    for position, ev in enumerate(trace):
+        if ev.dir != "rx" or ev.kind != "data":
+            continue
+        ip_id = ev.ip_id
+        lowest = add(ev.seq, ev.seq + ev.len, ip_id)
+        if lowest is None:
+            if ip_id >= max_fresh_ip_id:
+                max_fresh_ip_id = ip_id
+            elif reorder_at is None:
+                reorder_at = position
+        elif lowest < ip_id:
+            gap = ev.t_us - last_data_t if last_data_t is not None else 0
+            kind = RETX_TIMEOUT if gap > timeout_factor * rtt_est else RETX_FAST
+            retxs.append(RetxEvent(first_index(ev.seq, mss), ev.t_us, kind, position))
+        last_data_t = ev.t_us
+    return retxs, reorder_at
+
+
 def detect_retransmissions(
     trace: list[TraceEvent],
     rtt_est: int,
@@ -154,40 +184,12 @@ def detect_retransmissions(
     mss: int,
     timeout_factor: float = 3.0,
 ) -> list[RetxEvent]:
-    out = []
-    seen = _Coverage()
-    last_data_t = None
-    for position, ev in enumerate(trace):
-        if ev.dir != "rx" or ev.kind != "data":
-            continue
-        lowest = seen.add(ev.seq, ev.seq + ev.len, ev.ip_id)
-        if lowest is not None and lowest < ev.ip_id:
-            gap = ev.t_us - last_data_t if last_data_t is not None else 0
-            kind = RETX_TIMEOUT if gap > timeout_factor * rtt_est else RETX_FAST
-            out.append(
-                RetxEvent(
-                    index=first_index(ev.seq, mss),
-                    t_us=ev.t_us,
-                    kind=kind,
-                    event_index=position,
-                )
-            )
-        last_data_t = ev.t_us
-    return out
+    return _coverage_pass(trace, rtt_est, mss, timeout_factor)[0]
 
 
 def detect_reordering(trace: list[TraceEvent]) -> int | None:
     """Trace index of the first fresh arrival whose ip_id runs backwards."""
-    max_ip_id = None
-    seen = _Coverage()
-    for position, ev in enumerate(trace):
-        if ev.dir != "rx" or ev.kind != "data":
-            continue
-        if seen.add(ev.seq, ev.seq + ev.len, ev.ip_id) is None:
-            if max_ip_id is not None and ev.ip_id < max_ip_id:
-                return position
-            max_ip_id = ev.ip_id if max_ip_id is None else max(max_ip_id, ev.ip_id)
-    return None
+    return _coverage_pass(trace, 0, 1, 1.0)[1]
 
 
 def classify(features: FeatureVector) -> ClassificationReport:
@@ -230,10 +232,7 @@ def extract_features(
     last_drop = drops[-1] if drops else None
     follower = last_drop + 1 if last_drop is not None else None
 
-    retxs = detect_retransmissions(
-        trace, rtt, mss=script.mss, timeout_factor=config.timeout_factor
-    )
-    reorder_at = detect_reordering(trace)
+    retxs, reorder_at = _coverage_pass(trace, rtt, script.mss, config.timeout_factor)
     evidence = []
     for retx in retxs:
         evidence.append(

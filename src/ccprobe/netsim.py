@@ -6,6 +6,12 @@ arrives exactly rtt/2 after it was sent, in FIFO order. Time is a virtual
 integer-microsecond clock advanced only by the event queue, so a given
 scenario always produces a bit-identical trace.
 
+The queue holds one ``(when, dest, segments)`` batch per handler call that
+sent anything. No timer fires inside a batch: a deadline set while one is
+handled is at least ``now + rto_min``, and a timer fires only when it is
+strictly earlier than the next arrival, so delivery order is exactly that
+of one entry per segment.
+
 An optional ambient-drop list (server ip_ids swallowed by the link)
 exists for robustness testing only; the default link never loses data.
 """
@@ -29,6 +35,7 @@ class TerminationReason(enum.Enum):
     PROBER_CLOSED = "ProberClosed"
     QUIESCENT = "Quiescent"
     DEADLINE_EXCEEDED = "DeadlineExceeded"
+    TRACE_OVERFLOW = "TraceOverflow"
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,9 @@ class HttpServerEndpoint:
         return self.sender.on_rto(now)
 
     def handle_segment(self, seg: Segment, now: int) -> list[Segment]:
+        # The common arrival first: a pure ACK while the page is being sent.
+        if seg.flags == Flag.ACK and not seg.len and self.phase == "established":
+            return [] if self.halted else self.sender.on_ack(seg.ack, now)
         if self.halted:
             return []
         if seg.flags & (Flag.RST | Flag.FIN):
@@ -94,11 +104,10 @@ class HttpServerEndpoint:
             negotiated = replace(
                 self.base_config, mss=min(self.base_config.mss, offered)
             )
-            self.sender = Sender(negotiated, self.variant)
+            sender = self.sender = Sender(negotiated, self.variant)
+            sender.ip_id_counter += 1  # the SYN+ACK takes the first ip_id
             self.phase = "syn_rcvd"
-            return [
-                Segment(0, 0, 0, Flag.SYN | Flag.ACK, self.sender.next_ip_id(), negotiated.mss)
-            ]
+            return [Segment(0, 0, 0, Flag.SYN | Flag.ACK, sender.ip_id_counter, negotiated.mss)]
         if seg.len > 0:
             if self.phase != "established" or self.request_seen:
                 # Payload before the handshake completes (or a second
@@ -129,20 +138,13 @@ class SimWorld:
             scenario.sender_config, scenario.variant, scenario.page_bytes
         )
         self.prober = ProbeSession(scenario.probe_script)
-        # (when, kind, segment), the probe's opening at t=0 first. Every
-        # segment takes one_way_us and the clock never runs back, so segments
-        # are queued in delivery order: a FIFO is the event queue.
-        self._queue: deque[tuple[int, str, Segment | None]] = deque(
+        # (when, dest, segments) batches, the probe's opening at t=0 first.
+        # Every segment takes one_way_us and the clock never runs back, so
+        # batches are queued in delivery order: a FIFO is the event queue.
+        # No timer fires inside a batch (see the module docstring).
+        self._queue: deque[tuple[int, str, list[Segment] | None]] = deque(
             [(0, "start", None)]
         )
-
-    def dispatch(self, segments: list[Segment], now: int, origin: str) -> None:
-        dest = PROBER if origin == SERVER else SERVER
-        when = now + self.one_way_us
-        for seg in segments:
-            if origin == SERVER and seg.ip_id in self.scenario.ambient_drops:
-                continue
-            self._queue.append((when, dest, seg))
 
 
 def sim_init(scenario: Scenario) -> SimWorld:
@@ -152,38 +154,60 @@ def sim_init(scenario: Scenario) -> SimWorld:
 
 
 def run_to_completion(world: SimWorld):
-    """Drain the world; returns (observed trace, TerminationReason)."""
-    queue = world._queue
+    """Drain the world; returns (observed trace, TerminationReason).
+
+    The run ends as soon as the prober overflows its event cap, and the cap
+    outranks the close, as in ``classify_trace``.
+    """
+    queue, server, prober = world._queue, world.server, world.prober
+    one_way, run_deadline = world.one_way_us, world.deadline_us
+    drops = world.scenario.ambient_drops
     while True:
-        deadline = world.server.rto_deadline
-        next_time = queue[0][0] if queue else None
-        if next_time is None and deadline is None:
+        deadline = server.rto_deadline
+        if queue and (deadline is None or queue[0][0] <= deadline):
+            when, dest, segments = queue.popleft()
+            if when > run_deadline:
+                reason = TerminationReason.DEADLINE_EXCEEDED
+                break
+            if when < world.clock:
+                raise InternalError("event queue regressed in time")
+            world.clock = when
+            due = when + one_way
+            if dest == PROBER:
+                for seg in segments:
+                    out = prober.handle_segment(seg, when)
+                    if out:
+                        queue.append((due, SERVER, out))
+                if prober.overflowed:  # it answers nothing past the cap
+                    reason = TerminationReason.TRACE_OVERFLOW
+                    break
+                continue
+            if dest == SERVER:
+                for seg in segments:
+                    out = server.handle_segment(seg, when)
+                    if drops:
+                        out = [s for s in out if s.ip_id not in drops]
+                    if out:
+                        queue.append((due, PROBER, out))
+            else:
+                queue.append((due, SERVER, prober.start(when)))
+            continue
+        if deadline is None:
             reason = (
                 TerminationReason.PROBER_CLOSED
-                if world.prober.phase == "closed"
+                if prober.phase == "closed"
                 else TerminationReason.QUIESCENT
             )
             break
-        if deadline is not None and (next_time is None or deadline < next_time):
-            if deadline > world.deadline_us:
-                reason = TerminationReason.DEADLINE_EXCEEDED
-                break
-            if deadline < world.clock:
-                raise InternalError("timer deadline in the past")
-            world.clock = deadline
-            world.dispatch(world.server.on_timer(deadline), deadline, SERVER)
-            continue
-        when, kind, seg = queue.popleft()
-        if when > world.deadline_us:
+        if deadline > run_deadline:
             reason = TerminationReason.DEADLINE_EXCEEDED
             break
-        if when < world.clock:
-            raise InternalError("event queue regressed in time")
-        world.clock = when
-        if kind == "start":
-            world.dispatch(world.prober.start(when), when, PROBER)
-        elif kind == SERVER:
-            world.dispatch(world.server.handle_segment(seg, when), when, SERVER)
-        else:
-            world.dispatch(world.prober.handle_segment(seg, when), when, PROBER)
-    return list(world.prober.trace), reason
+        if deadline < world.clock:
+            raise InternalError("timer deadline in the past")
+        world.clock = deadline
+        out = server.on_timer(deadline)
+        if drops:
+            out = [s for s in out if s.ip_id not in drops]
+        if out:
+            queue.append((deadline + one_way, PROBER, out))
+    return list(prober.trace), reason

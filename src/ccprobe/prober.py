@@ -100,36 +100,45 @@ class ProbeSession:
         return [self._send(now, "syn", Flag.SYN, mss_option=self.script.mss)]
 
     def handle_segment(self, seg: Segment, now: int) -> list[Segment]:
-        kind = _segment_kind(seg)
-        self._record(now, "rx", kind, seg)
-        if self.overflowed or self.phase == "closed":
-            return []  # record-only; the probe no longer answers
+        trace = self.trace
+        if seg.flags == Flag.ACK and seg.len and self.phase == "established":
+            # The common arrival first: data while the probe runs.
+            if len(trace) >= EVENT_CAP:
+                self.overflowed = True
+                return []
+            trace.append(TraceEvent(now, "rx", "data", seg.seq, seg.len, seg.ack, seg.ip_id))
+        else:
+            kind = _segment_kind(seg)
+            self._record(now, "rx", kind, seg)
+            if self.overflowed or self.phase == "closed":
+                return []  # record-only; the probe no longer answers
+            if kind == "synack" and self.phase == "syn_sent":
+                self.phase = "established"
+                handshake_ack = self._send(now, "ack", Flag.ACK)
+                request = self._send(now, "data", Flag.ACK, REQUEST_BYTES)
+                self.snd_off = REQUEST_BYTES
+                return [handshake_ack, request]
+            if not seg.len or self.phase != "established":
+                return []
 
-        if kind == "synack" and self.phase == "syn_sent":
-            self.phase = "established"
-            handshake_ack = self._send(now, "ack", Flag.ACK)
-            request = self._send(now, "data", Flag.ACK, REQUEST_BYTES)
-            self.snd_off = REQUEST_BYTES
-            return [handshake_ack, request]
-
-        if seg.len > 0 and self.phase == "established":
-            return self._on_data(seg, now)
-        return []
-
-    def _on_data(self, seg: Segment, now: int) -> list[Segment]:
-        to_drop = self.pending_drops.intersection(
-            covered_indices(seg.seq, seg.len, self.script.mss)
-        )
-        if to_drop:
-            # Pretend loss: record the arrival, acknowledge nothing. The
-            # drop is one-shot; a retransmitted copy will be honored.
-            self.pending_drops -= to_drop
-            return []
+        start, end = seg.seq, seg.seq + seg.len
+        if self.pending_drops:
+            to_drop = self.pending_drops.intersection(
+                covered_indices(start, seg.len, self.script.mss)
+            )
+            if to_drop:
+                # Pretend loss: record the arrival, acknowledge nothing. The
+                # drop is one-shot; a retransmitted copy will be honored.
+                self.pending_drops -= to_drop
+                return []
 
         previous = self.rcv_nxt
-        self._reassemble(seg.seq, seg.end)
+        if start <= previous < end and not self._above:
+            self.rcv_nxt = end  # in order, nothing stored past it
+        else:
+            self._reassemble(start, end)
         advanced = self.rcv_nxt > previous
-        if not advanced and seg.end <= self.rcv_nxt:
+        if not advanced and end <= self.rcv_nxt:
             return []  # arrivals entirely below rcv_nxt stay silent
         ack = self._send(now, "ack", Flag.ACK)  # a new cumulative ACK, or a duplicate
         if not advanced:

@@ -64,9 +64,10 @@ class SenderConfig:
             raise ConfigurationError("initial_cwnd must be at least 1 segment")
         if self.initial_ssthresh <= 0:
             raise ConfigurationError("initial_ssthresh must be positive")
-        if not (self.rto_min_us <= self.rto_initial_us <= self.rto_max_us):
+        # A zero timer would fire forever at one instant of the virtual clock.
+        if not (0 < self.rto_min_us <= self.rto_initial_us <= self.rto_max_us):
             raise ConfigurationError(
-                "rto bounds must satisfy rto_min <= rto_initial <= rto_max"
+                "rto bounds must satisfy 0 < rto_min <= rto_initial <= rto_max"
             )
 
 
@@ -101,10 +102,6 @@ class Sender:
 
     # -- plumbing -------------------------------------------------------
 
-    def next_ip_id(self) -> int:
-        self.ip_id_counter += 1
-        return self.ip_id_counter
-
     @property
     def flight(self) -> int:
         return self.snd_nxt - self.snd_una
@@ -126,8 +123,10 @@ class Sender:
                     self._rtt_probe = None
         elif self._rtt_probe is None:
             self._rtt_probe = (seq, seq + length, now)
-        self._max_sent = max(self._max_sent, seq + length)
-        return Segment(seq, length, self.rcv_nxt, Flag.ACK, self.next_ip_id())
+        if seq + length > self._max_sent:
+            self._max_sent = seq + length
+        self.ip_id_counter += 1
+        return Segment(seq, length, self.rcv_nxt, Flag.ACK, self.ip_id_counter)
 
     # -- operations -----------------------------------------------------
 
@@ -139,12 +138,16 @@ class Sender:
     def pump_transmissions(self, now: int) -> list[Segment]:
         """Send whatever the window and the application queue allow."""
         out = []
-        limit = min(self.app_limit, self.snd_una + self.effective_window())
-        while self.snd_nxt < limit:
-            length = min(self.mss, limit - self.snd_nxt)
-            out.append(self._emit(self.snd_nxt, length, now))
-            self.snd_nxt += length
-        if self.rto_deadline is None and self.snd_nxt > self.snd_una:
+        mss, snd_nxt = self.mss, self.snd_nxt
+        # effective_window(), inline: this runs on every ACK.
+        window = self.cwnd + self.dupacks * mss if self.in_fast_recovery else self.cwnd
+        limit = min(self.app_limit, self.snd_una + window)
+        while snd_nxt < limit:
+            end = snd_nxt + mss if snd_nxt + mss < limit else limit
+            out.append(self._emit(snd_nxt, end - snd_nxt, now))
+            snd_nxt = end
+        self.snd_nxt = snd_nxt
+        if self.rto_deadline is None and snd_nxt > self.snd_una:
             self.rto_deadline = now + self.rto_current
         return out
 
@@ -156,7 +159,10 @@ class Sender:
 
         out = []
         if ack > self.snd_una:
-            self._take_rtt_sample(ack, now)
+            if self._rtt_probe is not None and ack >= self._rtt_probe[1]:
+                emitted_at = self._rtt_probe[2]
+                self._rtt_probe = None
+                self.update_rtt(now - emitted_at)
             bytes_acked = ack - self.snd_una
             self.snd_una = ack
             if self.snd_nxt < self.snd_una:
@@ -176,8 +182,10 @@ class Sender:
             elif self.in_fast_recovery:
                 self.in_fast_recovery = False
                 self.cwnd = self.ssthresh
+            elif self.cwnd < self.ssthresh:
+                self.cwnd += self.mss  # slow start: one segment per new ACK
             else:
-                self._grow_cwnd()
+                self.cwnd += (self.mss * self.mss) // self.cwnd
 
             self.rto_deadline = (
                 now + self.rto_current if self.snd_nxt > self.snd_una else None
@@ -229,12 +237,6 @@ class Sender:
 
     # -- internals ------------------------------------------------------
 
-    def _grow_cwnd(self) -> None:
-        if self.cwnd < self.ssthresh:
-            self.cwnd += self.mss  # slow start: one segment per new ACK
-        else:
-            self.cwnd += (self.mss * self.mss) // self.cwnd
-
     def _retransmit_head(self, now: int) -> Segment:
         length = min(self.mss, self.app_limit - self.snd_una)
         return self._emit(self.snd_una, length, now)
@@ -270,11 +272,3 @@ class Sender:
         self.in_fast_recovery = True
         self.recover = self.snd_nxt
         return [seg]
-
-    def _take_rtt_sample(self, ack: int, now: int) -> None:
-        if self._rtt_probe is None:
-            return
-        _, end, emitted_at = self._rtt_probe
-        if ack >= end:
-            self._rtt_probe = None
-            self.update_rtt(now - emitted_at)

@@ -16,12 +16,13 @@ retx13=timeout and the extra-retransmission flag take precedence.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccprobe import ProbeScript, Variant, classify_trace
+from ccprobe import ProbeScript, Variant, classifier, classify_trace
 from ccprobe.classifier import (
     ERROR_INCOMPLETE,
     ERROR_REORDERING,
@@ -574,6 +575,36 @@ def test_coverage_index_matches_quadratic_reference(trace, script, factor):
         return
     feats, evidence = extract_features(trace, script, ClassifierConfig(timeout_factor=factor))
     assert (feats, evidence) == (expected.features, expected.evidence)
+
+
+def test_features_come_from_one_coverage_pass(default_runs, monkeypatch):
+    # Retransmissions and reordering are read off the same pass over the
+    # arrivals, and classify_trace adds no second one. Standalone, each scan
+    # still matches the quadratic reference (see the property above).
+    built = []
+
+    class Counted(classifier._Coverage):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(classifier, "_Coverage", Counted)
+    for variant, run in default_runs.items():
+        script = run.scenario.probe_script
+        built.clear()
+        features, _ = extract_features(run.trace, script)
+        assert len(built) == 1, variant
+        built.clear()
+        assert classify_trace(run.trace, script).features == features
+        assert len(built) == 1, variant
+
+
+@pytest.mark.parametrize(
+    "name", ["classify_trace", "extract_features", "detect_retransmissions", "detect_reordering"]
+)
+def test_scans_stay_module_functions(name):
+    # Benchmark tracing wraps each of these through the module's namespace.
+    assert inspect.isfunction(vars(classifier)[name])
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)

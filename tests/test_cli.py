@@ -163,12 +163,13 @@ def test_classify_timeout_factor_changes_label(newreno_trace, capsys):
 
 def test_classify_capped_trace_is_overflow_row(tmp_path, capsys):
     # A 2,000-packet page acked up to 1,900 fills the 10,000-event cap
-    # before the prober closes, so the trace may not be labelled.
+    # before the prober closes, so the trace may not be labelled. The run
+    # stops at the cap and says so.
     path = tmp_path / "capped.jsonl"
     flags = ("--rtt-ms", "10", "--page-bytes", "200000", "--ack-limit", "1900")
     code, stdout, _ = run_cli(capsys, "sim", "--variant", "newreno", *flags, "--out", str(path))
     assert code == 1
-    assert stdout.strip() == "DeadlineExceeded"
+    assert stdout.strip() == "TraceOverflow"
     code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), "--ack-limit", "1900")
     assert code == 3
     assert json.loads(stdout)["error"] == "TraceOverflow"

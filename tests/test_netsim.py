@@ -6,9 +6,12 @@ rtt/2 link before implementation, then frozen here.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccprobe import (
     ConfigurationError,
+    InternalError,
     ProbeScript,
     Scenario,
     SenderConfig,
@@ -18,7 +21,8 @@ from ccprobe import (
     run_to_completion,
     sim_init,
 )
-from ccprobe.netsim import HttpServerEndpoint
+from ccprobe.netsim import PROBER, SERVER, HttpServerEndpoint
+from ccprobe.prober import EVENT_CAP, ProbeSession
 from ccprobe.wire import Flag, Segment
 
 from conftest import delivered_union, run_scenario, rx_data, trace_text, tx_acks
@@ -228,3 +232,126 @@ def test_quiescent_handshake_outcome_is_timeout():
     trace, _ = run_to_completion(world)
     assert world.prober.phase == "syn_sent"
     assert classify_trace(trace, scenario.probe_script).error == "Incomplete"
+
+
+# -- a capped run stops at the cap --------------------------------------------
+
+CAPPED = dict(
+    rtt_ms=10,
+    page_bytes=200_000,
+    probe_script=ProbeScript(ack_limit_packet=1900),
+)
+
+
+def test_capped_run_stops_at_the_overflowing_arrival(monkeypatch):
+    # The 2,000-packet page acked up to 1,900 fills the 10,000-event cap
+    # long before the prober could close. The run must end right there,
+    # not keep simulating arrivals the prober no longer answers.
+    arrivals = []
+    handle = ProbeSession.handle_segment
+
+    def counted(session, seg, now):
+        arrivals.append((now, session.overflowed))
+        return handle(session, seg, now)
+
+    monkeypatch.setattr(ProbeSession, "handle_segment", counted)
+    world = sim_init(Scenario(variant=Variant.NEWRENO, **CAPPED))
+    trace, reason = run_to_completion(world)
+    assert reason is TerminationReason.TRACE_OVERFLOW
+    assert world.prober.overflowed
+    assert len(trace) == EVENT_CAP
+    # No arrival reached the prober after the one that overflowed it, and
+    # the clock stopped at that arrival.
+    assert not any(was_over for _, was_over in arrivals)
+    assert world.clock == arrivals[-1][0]
+    assert world.clock - trace[-1].t_us <= 10 * MS
+
+
+# -- the batched event loop against the per-segment one -------------------------
+# The queue holds one batch per handler call. The oracle below is the loop
+# with one queue entry per segment, where the timer is checked before every
+# single delivery; both must give the same trace, end reason and clock.
+
+
+def _dispatch_each(world, segments, now, origin):
+    dest = PROBER if origin == SERVER else SERVER
+    when = now + world.one_way_us
+    for seg in segments:
+        if origin == SERVER and seg.ip_id in world.scenario.ambient_drops:
+            continue
+        world._queue.append((when, dest, seg))
+
+
+def run_per_segment(world):
+    queue = world._queue
+    while True:
+        deadline = world.server.rto_deadline
+        next_time = queue[0][0] if queue else None
+        if next_time is None and deadline is None:
+            reason = (
+                TerminationReason.PROBER_CLOSED
+                if world.prober.phase == "closed"
+                else TerminationReason.QUIESCENT
+            )
+            break
+        if deadline is not None and (next_time is None or deadline < next_time):
+            if deadline > world.deadline_us:
+                reason = TerminationReason.DEADLINE_EXCEEDED
+                break
+            if deadline < world.clock:
+                raise InternalError("timer deadline in the past")
+            world.clock = deadline
+            _dispatch_each(world, world.server.on_timer(deadline), deadline, SERVER)
+            continue
+        when, kind, seg = queue.popleft()
+        if when > world.deadline_us:
+            reason = TerminationReason.DEADLINE_EXCEEDED
+            break
+        if when < world.clock:
+            raise InternalError("event queue regressed in time")
+        world.clock = when
+        if kind == "start":
+            _dispatch_each(world, world.prober.start(when), when, PROBER)
+        elif kind == SERVER:
+            _dispatch_each(world, world.server.handle_segment(seg, when), when, SERVER)
+        else:
+            _dispatch_each(world, world.prober.handle_segment(seg, when), when, PROBER)
+    return list(world.prober.trace), reason
+
+
+@st.composite
+def loop_scenarios(draw) -> Scenario:
+    rtt_ms = draw(st.integers(min_value=1, max_value=800))
+    ack_limit = draw(st.integers(min_value=1, max_value=45))
+    drops = draw(st.frozensets(st.integers(min_value=1, max_value=ack_limit), max_size=3))
+    drops = frozenset(index for index in drops if index < ack_limit)
+    extra_bytes = draw(st.integers(min_value=100, max_value=1500))  # runts too
+    deadline_ms = draw(
+        st.one_of(
+            st.just(30_000),
+            st.integers(min_value=10 * rtt_ms + 1, max_value=10 * rtt_ms + 4000),
+        )
+    )
+    return Scenario(
+        variant=draw(st.sampled_from(list(Variant))),
+        rtt_ms=rtt_ms,
+        page_bytes=ack_limit * 100 + extra_bytes,
+        sender_config=SenderConfig(initial_cwnd=draw(st.integers(min_value=1, max_value=4))),
+        probe_script=ProbeScript(mss=100, drop_packets=drops, ack_limit_packet=ack_limit),
+        run_deadline_ms=deadline_ms,
+        ambient_drops=draw(st.frozensets(st.integers(min_value=1, max_value=60), max_size=3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop_scenarios())
+@example(Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1})))  # the SYN+ACK
+@example(Scenario(variant=Variant.RENO, ambient_drops=frozenset({5, 20})))
+@example(Scenario(variant=Variant.NO_FAST_RETRANSMIT, rtt_ms=1, run_deadline_ms=12))
+def test_batched_loop_matches_per_segment_loop(scenario):
+    batched = sim_init(scenario)
+    trace, reason = run_to_completion(batched)
+    oracle = sim_init(scenario)
+    expected_trace, expected_reason = run_per_segment(oracle)
+    assert len(expected_trace) < EVENT_CAP
+    assert (trace, reason, batched.clock) == (expected_trace, expected_reason, oracle.clock)

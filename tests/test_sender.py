@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccprobe import ConfigurationError, InternalError, ProtocolError, SenderConfig, Variant
+from ccprobe import (
+    ConfigurationError,
+    InternalError,
+    ProtocolError,
+    Scenario,
+    SenderConfig,
+    Variant,
+    sim_init,
+)
 from ccprobe.sender import Sender
 
 MSS = 100
@@ -106,6 +114,17 @@ def test_init_rejects_bad_config():
         Sender(SenderConfig(initial_cwnd=0), Variant.RENO)
     with pytest.raises(ConfigurationError):
         Sender(SenderConfig(rto_min_us=2_000_000, rto_initial_us=1_000_000), Variant.RENO)
+
+
+@pytest.mark.parametrize("rto_us", [0, -1])
+def test_init_rejects_timer_that_cannot_advance_the_clock(rto_us):
+    # A zero retransmit timer fires again and again at one virtual instant,
+    # so a run never ends; a negative one lies in the past.
+    config = SenderConfig(rto_min_us=rto_us, rto_initial_us=rto_us)
+    with pytest.raises(ConfigurationError, match="0 < rto_min"):
+        Sender(config, Variant.RENO)
+    with pytest.raises(ConfigurationError):
+        sim_init(Scenario(variant=Variant.TAHOE, rtt_ms=1, sender_config=config))
 
 
 def test_variant_parse():
