@@ -1,4 +1,4 @@
-"""Golden traces: the JSONL of 25 fixed scenarios is pinned byte for byte.
+"""Golden traces: the JSONL of 30 fixed scenarios is pinned byte for byte.
 
 A refactor or speed-up of the simulator, the sender, the prober or the
 trace writer must leave every digest here unchanged. A change that is
@@ -7,7 +7,7 @@ meant to alter behaviour updates the table and says why.
 
 import hashlib
 
-from ccprobe import Variant
+from ccprobe import ProbeScript, Variant
 
 from conftest import run_scenario, trace_text
 
@@ -57,3 +57,28 @@ def test_golden_trace_digests():
             digests[(rtt_ms, variant.name)] = hashlib.sha256(text).hexdigest()
     assert digests == GOLDEN
     assert combined.hexdigest() == GOLDEN_ALL
+
+
+# A 300-packet page acked to packet 250 at RTT 50 ms: 1,230-1,439 events,
+# each run closed by the prober. Congestion avoidance makes most data
+# arrivals runts, so this fences the long-window paths of the sender, the
+# event loop and the prober that the 3,000-byte pages above never reach.
+LONG_PAGE = dict(rtt_ms=50, page_bytes=30_000, probe_script=ProbeScript(ack_limit_packet=250))
+
+GOLDEN_LONG = {
+    "TAHOE": "3c0f4d093bc57f3ec3679fbd05b458354c71b1fa00d93c132c427b07da5aca67",
+    "RENO": "e50f4f25286e6be46ab44f2b3a1169e1891448deedefcdf9f0b6d474a8ab7e7f",
+    "NEWRENO": "5039525a84f018450503a9b4dad578fb3cad0657bb5ae8779b1d7b6ff659f1e1",
+    "NO_FAST_RETRANSMIT": "628e627ceb4cc959be84682279635f62b10ab836e33a1fa413d9e9c55f72ab87",
+    "RENO_PLUS": "fbad06b1b9cc0d94e8aec1925b638a22d16771e2bf77b415804cf70a9319fa66",
+}
+
+
+def test_long_page_trace_digests():
+    digests = {
+        variant.name: hashlib.sha256(
+            trace_text(run_scenario(variant, **LONG_PAGE).trace).encode()
+        ).hexdigest()
+        for variant in Variant
+    }
+    assert digests == GOLDEN_LONG
