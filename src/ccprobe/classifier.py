@@ -15,10 +15,11 @@ before it exceeds timeout_factor * estimated rtt, ``fast`` otherwise.
 
 Earlier arrivals are not compared one by one. A coverage index keeps the
 bytes seen so far as sorted disjoint spans, each with the lowest ip_id
-that covered it, so an arrival costs a bisect plus the few spans it
-overlaps. ``extract_features`` makes one coverage pass that yields both
-the retransmissions and the first reordered arrival, so a trace
-classifies in time about linear in its length.
+that covered it. An in-order arrival, one starting at or past the end of
+the last span, is appended without a search; any other costs a bisect
+plus the few spans it overlaps. ``extract_features`` makes one coverage
+pass that yields both the retransmissions and the first reordered
+arrival, so a trace classifies in time about linear in its length.
 """
 
 import math
@@ -157,13 +158,22 @@ def _coverage_pass(
     retxs = []
     reorder_at = None
     max_fresh_ip_id = -math.inf
-    add = _Coverage().add
+    coverage = _Coverage()
+    add, starts, ends, ip_ids = coverage.add, coverage.starts, coverage.ends, coverage.ip_ids
+    limit = timeout_factor * rtt_est
     last_data_t = None
     for position, ev in enumerate(trace):
-        if ev.dir != "rx" or ev.kind != "data":
+        if ev.kind != "data" or ev.dir != "rx":
             continue
-        ip_id = ev.ip_id
-        lowest = add(ev.seq, ev.seq + ev.len, ip_id)
+        start, ip_id = ev.seq, ev.ip_id
+        if not ends or start >= ends[-1]:
+            # In order: past every span, so it overlaps nothing (add's lo == hi == len).
+            starts.append(start)
+            ends.append(start + ev.len)
+            ip_ids.append(ip_id)
+            lowest = None
+        else:
+            lowest = add(start, start + ev.len, ip_id)
         if lowest is None:
             if ip_id >= max_fresh_ip_id:
                 max_fresh_ip_id = ip_id
@@ -171,7 +181,7 @@ def _coverage_pass(
                 reorder_at = position
         elif lowest < ip_id:
             gap = ev.t_us - last_data_t if last_data_t is not None else 0
-            kind = RETX_TIMEOUT if gap > timeout_factor * rtt_est else RETX_FAST
+            kind = RETX_TIMEOUT if gap > limit else RETX_FAST
             retxs.append(RetxEvent(first_index(ev.seq, mss), ev.t_us, kind, position))
         last_data_t = ev.t_us
     return retxs, reorder_at

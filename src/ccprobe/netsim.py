@@ -6,11 +6,14 @@ arrives exactly rtt/2 after it was sent, in FIFO order. Time is a virtual
 integer-microsecond clock advanced only by the event queue, so a given
 scenario always produces a bit-identical trace.
 
-The queue holds one ``(when, dest, segments)`` batch per handler call that
-sent anything. No timer fires inside a batch: a deadline set while one is
-handled is at least ``now + rto_min``, and a timer fires only when it is
-strictly earlier than the next arrival, so delivery order is exactly that
-of one entry per segment.
+The queue holds one ``(when, dest, segments)`` entry per delivered batch
+that drew any answer: everything the handlers send while one batch is
+delivered shares one due time and goes out together as the next entry.
+No timer fires between its parts: a timer fires only when it is strictly
+earlier than the next arrival, the deadline that let the batch run was
+already at or past its time, and a deadline set while it is handled is at
+least ``now + rto_min``. So delivery order is exactly that of one entry
+per segment.
 
 An optional ambient-drop list (server ip_ids swallowed by the link)
 exists for robustness testing only; the default link never loses data.
@@ -58,7 +61,10 @@ class Scenario:
                 "page too small: the probe script could never be satisfied"
             )
         if self.run_deadline_ms <= 10 * self.rtt_ms:
-            raise ConfigurationError("run deadline must exceed 10 round trips")
+            raise ConfigurationError(
+                f"run deadline {self.run_deadline_ms} ms must exceed 10 round trips "
+                f"({10 * self.rtt_ms} ms at rtt {self.rtt_ms} ms)"
+            )
 
 
 class HttpServerEndpoint:
@@ -138,10 +144,11 @@ class SimWorld:
             scenario.sender_config, scenario.variant, scenario.page_bytes
         )
         self.prober = ProbeSession(scenario.probe_script)
-        # (when, dest, segments) batches, the probe's opening at t=0 first.
-        # Every segment takes one_way_us and the clock never runs back, so
-        # batches are queued in delivery order: a FIFO is the event queue.
-        # No timer fires inside a batch (see the module docstring).
+        # (when, dest, segments) entries, the probe's opening at t=0 first;
+        # each holds all the answers to one delivered batch. Every segment
+        # takes one_way_us and the clock never runs back, so entries are
+        # queued in delivery order: a FIFO is the event queue. No timer
+        # fires between the parts of an entry (see the module docstring).
         self._queue: deque[tuple[int, str, list[Segment] | None]] = deque(
             [(0, "start", None)]
         )
@@ -160,6 +167,7 @@ def run_to_completion(world: SimWorld):
     outranks the close, as in ``classify_trace``.
     """
     queue, server, prober = world._queue, world.server, world.prober
+    to_prober, to_server = prober.handle_segment, server.handle_segment
     one_way, run_deadline = world.one_way_us, world.deadline_us
     drops = world.scenario.ambient_drops
     while True:
@@ -174,21 +182,25 @@ def run_to_completion(world: SimWorld):
             world.clock = when
             due = when + one_way
             if dest == PROBER:
+                out = []
                 for seg in segments:
-                    out = prober.handle_segment(seg, when)
-                    if out:
-                        queue.append((due, SERVER, out))
-                if prober.overflowed:  # it answers nothing past the cap
+                    out += to_prober(seg, when)
+                    if prober.overflowed:  # it answers nothing past the cap
+                        break
+                if prober.overflowed:
                     reason = TerminationReason.TRACE_OVERFLOW
                     break
+                if out:
+                    queue.append((due, SERVER, out))
                 continue
             if dest == SERVER:
+                out = []
                 for seg in segments:
-                    out = server.handle_segment(seg, when)
-                    if drops:
-                        out = [s for s in out if s.ip_id not in drops]
-                    if out:
-                        queue.append((due, PROBER, out))
+                    out += to_server(seg, when)
+                if drops:
+                    out = [s for s in out if s.ip_id not in drops]
+                if out:
+                    queue.append((due, PROBER, out))
             else:
                 queue.append((due, SERVER, prober.start(when)))
             continue

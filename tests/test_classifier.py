@@ -562,6 +562,12 @@ def tx_ack(t_ms, ack) -> TraceEvent:
 @example(HANDSHAKE + [rx(200, 0, 1), rx(300, 0, 5, 50), rx(400, 60, 3, 10)], SCRIPT, 3.0)
 # Packet 17 repaired, then ack-covered: the covering ack comes too late.
 @example(HANDSHAKE + [rx(200, 1600, 2), rx(300, 1600, 3), tx_ack(300, 1700)], SCRIPT, 3.0)
+# In-order appends: one starting exactly at the last span's end touches it
+# (fresh, no repair); one a byte below overlaps it (a repair); one past a
+# gap is fresh, and a later fill of the gap with a lower ip_id is reordering.
+@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 100, 2)], SCRIPT, 3.0)
+@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 99, 2)], SCRIPT, 3.0)
+@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 200, 3), rx(400, 100, 2)], SCRIPT, 3.0)
 def test_coverage_index_matches_quadratic_reference(trace, script, factor):
     rtt = estimate_rtt(trace) or 100 * MS
     assert detect_retransmissions(

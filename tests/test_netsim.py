@@ -268,9 +268,12 @@ def test_capped_run_stops_at_the_overflowing_arrival(monkeypatch):
 
 
 # -- the batched event loop against the per-segment one -------------------------
-# The queue holds one batch per handler call. The oracle below is the loop
-# with one queue entry per segment, where the timer is checked before every
-# single delivery; both must give the same trace, end reason and clock.
+# The queue holds one entry per delivered batch: everything the handlers
+# send while one batch is delivered. The oracle below is the loop with one
+# queue entry per segment, where the timer is checked before every single
+# delivery; both must give the same trace, end reason and clock. The drawn
+# pages stay small, so the explicit long-page examples are what merge
+# batches of well over a hundred segments.
 
 
 def _dispatch_each(world, segments, now, origin):
@@ -343,11 +346,25 @@ def loop_scenarios(draw) -> Scenario:
     )
 
 
+def long_page(variant, packets, ack_limit, **overrides) -> Scenario:
+    """A page of ``packets`` full segments, sent from an initial window of 4."""
+    return Scenario(
+        variant=variant,
+        page_bytes=packets * 100,
+        sender_config=SenderConfig(initial_cwnd=4),
+        probe_script=ProbeScript(ack_limit_packet=ack_limit),
+        **overrides,
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(loop_scenarios())
 @example(Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1})))  # the SYN+ACK
 @example(Scenario(variant=Variant.RENO, ambient_drops=frozenset({5, 20})))
 @example(Scenario(variant=Variant.NO_FAST_RETRANSMIT, rtt_ms=1, run_deadline_ms=12))
+@example(long_page(Variant.NEWRENO, 300, 250))
+@example(long_page(Variant.RENO, 500, 450))
+@example(long_page(Variant.TAHOE, 500, 450, ambient_drops=frozenset({40, 41, 300})))
 def test_batched_loop_matches_per_segment_loop(scenario):
     batched = sim_init(scenario)
     trace, reason = run_to_completion(batched)
