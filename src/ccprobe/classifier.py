@@ -57,6 +57,9 @@ class ClassifierConfig:
             raise ConfigurationError("timeout factor must be a positive finite number")
 
 
+_DEFAULT_CONFIG = ClassifierConfig()
+
+
 @dataclass
 class FeatureVector:
     rtt_est: int = 0  # virtual microseconds
@@ -84,7 +87,7 @@ class ClassificationReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RetxEvent:
     index: int  # 1-based packet number
     t_us: int
@@ -232,7 +235,7 @@ def extract_features(
     config: ClassifierConfig | None = None,
 ) -> tuple[FeatureVector, list]:
     """Build the feature vector plus the trace-index evidence behind it."""
-    config = config or ClassifierConfig()
+    config = config or _DEFAULT_CONFIG
     rtt = estimate_rtt(trace)
     if rtt is None:
         raise IncompleteTrace()

@@ -5,7 +5,10 @@ emitted. On disk it is line-delimited JSON, one event per line, with
 exactly the keys t_us, dir, kind, seq, len, ack, ip_id. Reading a written
 trace gives back equal events; events must be sorted by t_us. The writer
 emits one canonical form (that key order, no spaces); the reader accepts
-any JSON object with those keys and takes a fast path for canonical lines.
+any JSON object with those keys. A text made only of canonical lines is
+read in one regex scan, its integers converted a column at a time; any
+other text is read line by line through json, with the same events and
+the same errors.
 
 A ``TraceEvent`` is a slotted dataclass: cheap to build, compared by
 value, not hashable, and read-only by convention.
@@ -25,14 +28,16 @@ KINDS = frozenset({"syn", "synack", "data", "ack", "rst", "fin"})
 _FIELDS = ("t_us", "dir", "kind", "seq", "len", "ack", "ip_id")
 _INT_FIELDS = ("t_us", "seq", "len", "ack", "ip_id")
 
-# The exact line write_trace emits for a valid event: ASCII digits without
-# leading zeros, no spaces, the keys in _FIELDS order. Any other line, valid
-# JSON or not, is left to _parse_line.
+# The exact line write_trace emits, newline included: ASCII digits without
+# leading zeros, no spaces, the keys in _FIELDS order. No match holds a line
+# break but its last "\n", and each starts at a line start, so a text is all
+# canonical lines exactly when it has as many matches as "\n"s.
 _NAT = "(0|[1-9][0-9]*)"
-_CANONICAL_LINE = re.compile(
-    f'{{"t_us":{_NAT},"dir":"(tx|rx)","kind":"(syn|synack|data|ack|rst|fin)",'
-    f'"seq":{_NAT},"len":{_NAT},"ack":{_NAT},"ip_id":{_NAT}}}'
-).fullmatch
+_CANONICAL_LINES = re.compile(
+    f'^{{"t_us":{_NAT},"dir":"(tx|rx)","kind":"(syn|synack|data|ack|rst|fin)",'
+    f'"seq":{_NAT},"len":{_NAT},"ack":{_NAT},"ip_id":{_NAT}}}\n',
+    re.MULTILINE,
+).findall
 
 PLOT_HEADER = "t_us,y,marker"
 
@@ -91,6 +96,34 @@ def _parse_line(line_no: int, line: str) -> TraceEvent:
     return TraceEvent(**raw)
 
 
+def _read_canonical(text: str) -> list[TraceEvent] | None:
+    """The events of a text of valid canonical lines, or None for any other text."""
+    body = text if text.endswith("\n") else text + "\n"
+    rows = _CANONICAL_LINES(body)
+    if len(rows) != body.count("\n"):
+        return None
+    t_us, dirs, kinds, seqs, lens, acks, ip_ids = zip(*rows)
+    if list(map("data".__eq__, kinds)) != list(map("0".__ne__, lens)):
+        return None  # a data/len mismatch: the line reader names the line
+    try:
+        return list(map(TraceEvent, map(int, t_us), dirs, kinds, map(int, seqs),
+                        map(int, lens), map(int, acks), map(int, ip_ids)))
+    except ValueError:
+        return None  # an integer past the digit limit: the line reader names the line
+
+
+def _read_lines(text: str) -> list[TraceEvent]:
+    events = []
+    try:
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                raise TraceParseError(line_no, "blank line")
+            events.append(_parse_line(line_no, line))
+    except ValueError as exc:  # json.loads past the int-string digit limit
+        raise TraceParseError(line_no, "integer has too many digits") from exc
+    return events
+
+
 def read_trace(source) -> list[TraceEvent]:
     """Parse a trace from a file object, path, or string of JSONL."""
     if isinstance(source, Path):
@@ -99,24 +132,10 @@ def read_trace(source) -> list[TraceEvent]:
         text = source
     else:
         text = source.read()
-    events = []
-    try:
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            match = _CANONICAL_LINE(line)
-            if match is not None:
-                t_us, dir_, kind, seq, length, ack, ip_id = match.groups()
-                if (kind == "data") == (length != "0"):
-                    events.append(TraceEvent(
-                        int(t_us), dir_, kind, int(seq), int(length), int(ack), int(ip_id)
-                    ))
-                    continue
-            if not line.strip():
-                raise TraceParseError(line_no, "blank line")
-            events.append(_parse_line(line_no, line))
-    except ValueError as exc:
-        # Both int() and json.loads raise a plain ValueError for an integer
-        # past Python's int-string digit limit (sys.get_int_max_str_digits).
-        raise TraceParseError(line_no, "integer has too many digits") from exc
+    events = _read_canonical(text)
+    if events is None:
+        events = _read_lines(text)
+    # Every line parsed before any order check: parse errors outrank order errors.
     for prev, cur in zip(events, events[1:]):
         if cur.t_us < prev.t_us:
             raise TraceOrderError(
@@ -142,6 +161,6 @@ def write_plot_points(trace: list[TraceEvent], sink) -> None:
         with open(sink, "w", encoding="utf-8") as fp:
             write_plot_points(trace, fp)
         return
-    sink.write(PLOT_HEADER + "\n")
-    for t_us, y, marker in emit_plot_points(trace):
-        sink.write(f"{t_us},{y},{marker}\n")
+    sink.write(PLOT_HEADER + "\n" + "".join([
+        f"{t_us},{y},{marker}\n" for t_us, y, marker in emit_plot_points(trace)
+    ]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccprobe import Variant, read_trace, write_trace
+from ccprobe import Variant, read_trace, traceio, write_trace
 from ccprobe.errors import TraceOrderError, TraceParseError
 from ccprobe.traceio import (
     DIRS,
@@ -70,9 +70,12 @@ valid_traces = st.lists(
 ).map(lambda evs: sorted(evs, key=lambda ev: ev.t_us))
 
 
-@given(valid_traces)
-def test_any_valid_trace_round_trips(trace):
-    assert read_trace(trace_text(trace)) == trace
+@given(valid_traces, st.booleans())
+def test_any_valid_trace_round_trips(trace, drop_last_newline):
+    text = trace_text(trace)
+    if drop_last_newline:
+        text = text.removesuffix("\n")
+    assert read_trace(text) == reference_read_trace(text) == trace
 
 
 # -- rejection cases -----------------------------------------------------------
@@ -120,8 +123,8 @@ def test_empty_text_is_empty_trace():
 
 
 # -- equivalence with the json-based writer and reader ---------------------------
-# write_trace formats lines itself and read_trace takes a regex fast path for
-# canonical lines; the json-based versions they replaced are kept here as
+# write_trace formats lines itself and read_trace reads an all-canonical text
+# in one regex scan; the json-based versions they replaced are kept here as
 # oracles.
 
 FIELDS = ("t_us", "dir", "kind", "seq", "len", "ack", "ip_id")
@@ -161,7 +164,10 @@ def reference_read_trace(text: str) -> list[TraceEvent]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             raise TraceParseError(line_no, "blank line")
-        events.append(reference_parse_line(line_no, line))
+        try:
+            events.append(reference_parse_line(line_no, line))
+        except ValueError as exc:  # json.loads past the int-string digit limit
+            raise TraceParseError(line_no, "integer has too many digits") from exc
     for prev, cur in zip(events, events[1:]):
         if cur.t_us < prev.t_us:
             raise TraceOrderError(f"events out of order: t_us {cur.t_us} after {prev.t_us}")
@@ -272,12 +278,51 @@ def test_integer_past_digit_limit_is_a_parse_error(key, spacing):
     assert excinfo.value.line_no == 2
 
 
-def test_parse_error_outranks_order_error():
-    text = bad_line(t_us=10) + "\n" + bad_line(t_us=5) + "\n" + bad_line(seq="x")
-    with pytest.raises(TraceParseError) as excinfo:
+@pytest.mark.parametrize(
+    "third, reason",
+    [
+        (bad_line(t_us=20, kind="ack", seq="x"), "seq must be an integer"),
+        # All three lines canonical: the one-pass reader must not judge order first.
+        (bad_line(t_us=20, kind="data", len=0), "data events need len > 0"),
+        (mutate_number(bad_line(t_us=20, kind="ack"), "seq", "9" * 5000),
+         "integer has too many digits"),
+    ],
+    ids=["json", "data-len", "digits"],
+)
+def test_parse_error_outranks_order_error(third, reason):
+    text = bad_line(t_us=10, kind="ack") + "\n" + bad_line(t_us=5, kind="ack") + "\n" + third
+    with pytest.raises(TraceParseError, match=reason) as excinfo:
         read_trace(text)
     assert excinfo.value.line_no == 3
     assert_reads_like_reference(text)
+
+
+CANONICAL_A = bad_line(t_us=1, kind="ack")
+CANONICAL_B = bad_line(t_us=2, dir="rx", kind="data", len=100)
+
+
+@pytest.mark.parametrize("text", [
+    CANONICAL_A + "\n" + CANONICAL_B,
+    CANONICAL_A + "\r\n" + CANONICAL_B + "\r\n",
+    CANONICAL_A + "\n" + CANONICAL_B + "\n\n",
+    "\n" + CANONICAL_A + "\n" + CANONICAL_B + "\n",
+    *(form.format(a=CANONICAL_A, b=CANONICAL_B, sep=sep)
+      for sep in ("\x0b", "\x85", "\u2028")
+      for form in ("{a}{sep}{b}\n", "{a}\n{sep}{b}\n", "{a}\n{sep}\n{b}\n")),
+    "",
+    "\n",
+])
+def test_reader_matches_reference_on_edge_texts(text):
+    assert_reads_like_reference(text)
+
+
+def test_canonical_text_is_read_without_the_line_reader(default_runs, monkeypatch):
+    def refuse(text):
+        raise AssertionError("canonical text went to the line reader")
+
+    monkeypatch.setattr(traceio, "_read_lines", refuse)
+    for run in default_runs.values():
+        assert read_trace(trace_text(run.trace)) == run.trace
 
 
 def test_bool_field_is_written_so_both_readers_reject_it():
@@ -335,3 +380,21 @@ def test_plot_csv_for_empty_trace_is_header_only():
     buf = io.StringIO()
     write_plot_points([], buf)
     assert buf.getvalue() == PLOT_HEADER + "\n"
+
+
+def test_plot_csv_is_one_write_of_the_per_point_bytes(default_runs):
+    class Sink(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    for run in default_runs.values():
+        sink = Sink()
+        write_plot_points(run.trace, sink)
+        per_point = PLOT_HEADER + "\n" + "".join(
+            f"{t_us},{y},{marker}\n" for t_us, y, marker in emit_plot_points(run.trace)
+        )
+        assert sink.getvalue() == per_point
+        assert sink.writes == 1
