@@ -5,7 +5,7 @@ classifies the sender's congestion-control variant from the observed
 trace alone.
 """
 
-from .classifier import ClassificationReport, ClassifierConfig, classify_trace
+from .classifier import ClassificationReport, classify_trace
 from .errors import (
     CcprobeError,
     ConfigurationError,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CcprobeError",
     "ClassificationReport",
-    "ClassifierConfig",
     "ConfigurationError",
     "InternalError",
     "ProbeScript",

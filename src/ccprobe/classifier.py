@@ -11,7 +11,9 @@ features to a label or an error.
 Retransmissions are recognized as data arrivals whose byte range overlaps
 an earlier arrival carrying a lower ip_id (the server's ip_id increases by
 one per emitted segment). A retransmission is ``timeout`` when the silence
-before it exceeds timeout_factor * estimated rtt, ``fast`` otherwise.
+since the previous data arrival exceeds 1.5 estimated round trips
+(``TIMEOUT_RTTS``), ``fast`` otherwise: a fast repair follows within one
+round trip, the timer's first repair of a hole after 1.84 or more.
 
 Earlier arrivals are not compared one by one. A coverage index keeps the
 bytes seen so far as sorted disjoint spans, each with the lowest ip_id
@@ -26,7 +28,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 
-from .errors import ConfigurationError
 from .prober import EVENT_CAP, ProbeScript
 from .traceio import TraceEvent
 from .wire import first_index
@@ -43,21 +44,19 @@ RETX_FAST = "fast"
 RETX_TIMEOUT = "timeout"
 
 
+# A repair is a timer's when the silence since the previous data arrival
+# exceeds this many estimated round trips. The prober acks every arrival,
+# so a fast repair lands at most 1.0 round trip after the arrival that drew
+# the last duplicate ACK. The first timer repair of a scripted hole lands
+# at least 1.84 round trips after the previous arrival (measured over rtt
+# 1-800 ms, pages of 30 and 50 packets, initial cwnd 1-4); 1.5 sits in that
+# gap. A threshold of 3.0 misread 670 of the 9,200 first repairs over rtt
+# 1-799 ms in 7 ms steps on the same pages and windows.
+TIMEOUT_RTTS = 1.5
+
+
 class IncompleteTrace(Exception):
-    """No measurable exchange in the trace."""
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    timeout_factor: float = 3.0
-
-    def __post_init__(self):
-        # Zero or less reads nearly every repair as a timeout; nan and inf read all as fast.
-        if not (math.isfinite(self.timeout_factor) and self.timeout_factor > 0):
-            raise ConfigurationError("timeout factor must be a positive finite number")
-
-
-_DEFAULT_CONFIG = ClassifierConfig()
+    """No handshake in the trace to measure the round trip by."""
 
 
 @dataclass
@@ -139,22 +138,17 @@ class _Coverage:
 
 
 def estimate_rtt(trace: list[TraceEvent]) -> int | None:
-    """Round trip from SYN -> SYN+ACK, else request -> first data arrival."""
+    """Round trip from SYN -> SYN+ACK, or None without a handshake."""
     syn_t = next((ev.t_us for ev in trace if ev.dir == "tx" and ev.kind == "syn"), None)
     if syn_t is not None:
         for ev in trace:
             if ev.dir == "rx" and ev.kind == "synack" and ev.t_us >= syn_t:
                 return ev.t_us - syn_t
-    req_t = next((ev.t_us for ev in trace if ev.dir == "tx" and ev.kind == "data"), None)
-    if req_t is not None:
-        for ev in trace:
-            if ev.dir == "rx" and ev.kind == "data" and ev.t_us >= req_t:
-                return ev.t_us - req_t
     return None
 
 
 def _coverage_pass(
-    trace: list[TraceEvent], rtt_est: int, mss: int, timeout_factor: float
+    trace: list[TraceEvent], rtt_est: int, mss: int
 ) -> tuple[list[RetxEvent], int | None]:
     """One scan of the data arrivals: the retransmissions, and the trace
     index of the first fresh arrival whose ip_id runs backwards (or None)."""
@@ -163,7 +157,7 @@ def _coverage_pass(
     max_fresh_ip_id = -math.inf
     coverage = _Coverage()
     add, starts, ends, ip_ids = coverage.add, coverage.starts, coverage.ends, coverage.ip_ids
-    limit = timeout_factor * rtt_est
+    limit = TIMEOUT_RTTS * rtt_est
     last_data_t = None
     for position, ev in enumerate(trace):
         if ev.kind != "data" or ev.dir != "rx":
@@ -190,19 +184,13 @@ def _coverage_pass(
     return retxs, reorder_at
 
 
-def detect_retransmissions(
-    trace: list[TraceEvent],
-    rtt_est: int,
-    *,
-    mss: int,
-    timeout_factor: float = 3.0,
-) -> list[RetxEvent]:
-    return _coverage_pass(trace, rtt_est, mss, timeout_factor)[0]
+def detect_retransmissions(trace: list[TraceEvent], rtt_est: int, *, mss: int) -> list[RetxEvent]:
+    return _coverage_pass(trace, rtt_est, mss)[0]
 
 
 def detect_reordering(trace: list[TraceEvent]) -> int | None:
     """Trace index of the first fresh arrival whose ip_id runs backwards."""
-    return _coverage_pass(trace, 0, 1, 1.0)[1]
+    return _coverage_pass(trace, 0, 1)[1]
 
 
 def classify(features: FeatureVector) -> ClassificationReport:
@@ -229,13 +217,8 @@ def classify(features: FeatureVector) -> ClassificationReport:
     return labeled(LABEL_UNCLASSIFIABLE)
 
 
-def extract_features(
-    trace: list[TraceEvent],
-    script: ProbeScript,
-    config: ClassifierConfig | None = None,
-) -> tuple[FeatureVector, list]:
+def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[FeatureVector, list]:
     """Build the feature vector plus the trace-index evidence behind it."""
-    config = config or _DEFAULT_CONFIG
     rtt = estimate_rtt(trace)
     if rtt is None:
         raise IncompleteTrace()
@@ -245,7 +228,7 @@ def extract_features(
     last_drop = drops[-1] if drops else None
     follower = last_drop + 1 if last_drop is not None else None
 
-    retxs, reorder_at = _coverage_pass(trace, rtt, script.mss, config.timeout_factor)
+    retxs, reorder_at = _coverage_pass(trace, rtt, script.mss)
     evidence = []
     for retx in retxs:
         evidence.append(
@@ -296,16 +279,12 @@ def _error_row(error: str) -> ClassificationReport:
     return ClassificationReport(label=None, error=error, features=FeatureVector())
 
 
-def classify_trace(
-    trace: list[TraceEvent],
-    script: ProbeScript,
-    config: ClassifierConfig | None = None,
-) -> ClassificationReport:
+def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> ClassificationReport:
     """Full pipeline from observed trace to report.
 
     Only a finished probe gets a label. A trace of EVENT_CAP events or more
     is a TraceOverflow error row, and a trace in which the prober never
-    sent ``rst`` or ``fin`` is an Incomplete one.
+    sent ``rst`` or ``fin``, or that lacks the handshake, is an Incomplete one.
     """
     if len(trace) >= EVENT_CAP:
         return _error_row(ERROR_TRACE_OVERFLOW)
@@ -313,7 +292,7 @@ def classify_trace(
     if not any(ev.dir == "tx" and ev.kind in ("rst", "fin") for ev in reversed(trace)):
         return _error_row(ERROR_INCOMPLETE)
     try:
-        features, evidence = extract_features(trace, script, config)
+        features, evidence = extract_features(trace, script)
     except IncompleteTrace:
         return _error_row(ERROR_INCOMPLETE)
     report = classify(features)

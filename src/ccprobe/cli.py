@@ -22,7 +22,7 @@ import sys
 import time
 from pathlib import Path
 
-from .classifier import ClassifierConfig, classify_trace
+from .classifier import classify_trace
 from .errors import CcprobeError, ConfigurationError, TraceIOError
 from .netsim import Scenario, TerminationReason, run_to_completion, sim_init
 from .prober import ProbeScript
@@ -30,9 +30,7 @@ from .sender import Variant
 from .traceio import read_trace, write_plot_points, write_trace
 
 VARIANT_CHOICES = tuple(v.value.lower() for v in Variant)
-# 500ms is excluded: timeout detection needs a gap > 3*rtt, and the 1s
-# floor on the retransmit timer leaves only a 2x margin at rtt=500ms.
-SWEEP_RTTS_MS = (10, 50, 100, 200)
+SWEEP_RTTS_MS = (10, 50, 100, 200, 500)
 
 
 def _parse_drops(text: str) -> frozenset:
@@ -46,13 +44,11 @@ def _parse_drops(text: str) -> frozenset:
 
 
 def _build_script(args) -> ProbeScript:
-    script = ProbeScript(
+    return ProbeScript(
         mss=args.mss,
         drop_packets=_parse_drops(args.drop),
         ack_limit_packet=args.ack_limit,
     )
-    script.validate()
-    return script
 
 
 def _build_scenario(args, variant: Variant, rtt_ms=None) -> Scenario:
@@ -89,11 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--mss", type=int, default=100)
     p_cls.add_argument("--drop", default="13,16")
     p_cls.add_argument("--ack-limit", type=int, default=25)
-    p_cls.add_argument("--timeout-factor", type=float, default=3.0)
 
     p_mat = sub.add_parser("matrix", help="run all variants, print confusion matrix")
     _add_scenario_flags(p_mat)
-    p_mat.add_argument("--timeout-factor", type=float, default=3.0)
     p_mat.add_argument(
         "--rtt-sweep",
         action="store_true",
@@ -117,8 +111,7 @@ def cmd_sim(args) -> int:
 
 def cmd_classify(args) -> int:
     trace = read_trace(Path(args.input))
-    script = _build_script(args)
-    report = classify_trace(trace, script, ClassifierConfig(timeout_factor=args.timeout_factor))
+    report = classify_trace(trace, _build_script(args))
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.error is None else 3
 
@@ -131,7 +124,6 @@ def _matrix_runs(args):
 
 
 def cmd_matrix(args) -> int:
-    config = ClassifierConfig(timeout_factor=args.timeout_factor)
     labels = [v.value for v in Variant]
     columns = labels + ["other"]
     counts = {actual: {col: 0 for col in columns} for actual in labels}
@@ -140,7 +132,7 @@ def cmd_matrix(args) -> int:
     for rtt_ms, variant in _matrix_runs(args):
         scenario = _build_scenario(args, variant, rtt_ms=rtt_ms)
         trace, _ = run_to_completion(sim_init(scenario))
-        report = classify_trace(trace, scenario.probe_script, config)
+        report = classify_trace(trace, scenario.probe_script)
         predicted = report.label if report.label in labels else "other"
         counts[variant.value][predicted] += 1
         runs += 1

@@ -51,9 +51,7 @@ class Scenario:
     run_deadline_ms: int = DEFAULT_RUN_DEADLINE_MS
     ambient_drops: frozenset = frozenset()  # server ip_ids lost in the link
 
-    def validate(self) -> None:
-        self.sender_config.validate()
-        self.probe_script.validate()
+    def __post_init__(self):
         if self.rtt_ms <= 0:
             raise ConfigurationError("rtt must be positive")
         if self.page_bytes < (self.probe_script.ack_limit_packet + 1) * self.probe_script.mss:
@@ -155,8 +153,7 @@ class SimWorld:
 
 
 def sim_init(scenario: Scenario) -> SimWorld:
-    """Validate a scenario and build its world (one pending event at t=0)."""
-    scenario.validate()
+    """Build a scenario's world (one pending event at t=0)."""
     return SimWorld(scenario)
 
 

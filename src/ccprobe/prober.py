@@ -30,7 +30,7 @@ class ProbeScript:
     drop_packets: frozenset = frozenset({13, 16})
     ack_limit_packet: int = 25
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mss <= 0:
             raise ConfigurationError("script mss must be positive")
         if any(index < 1 for index in self.drop_packets):
@@ -60,7 +60,6 @@ class ProbeSession:
     """State of one probe connection, including its observed trace."""
 
     def __init__(self, script: ProbeScript):
-        script.validate()
         self.script = script
 
         self.phase = "idle"  # idle -> syn_sent -> established -> closed

@@ -57,7 +57,7 @@ class SenderConfig:
     rto_min_us: int = 1_000_000
     rto_max_us: int = 64_000_000
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.mss <= 0:
             raise ConfigurationError("mss must be positive")
         if self.initial_cwnd < 1:
@@ -75,7 +75,6 @@ class Sender:
     """One direction of a TCP connection: the side that sends the page."""
 
     def __init__(self, config: SenderConfig, variant: Variant):
-        config.validate()
         self.config = config
         self.variant = variant
         self.mss = config.mss

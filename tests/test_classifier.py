@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccprobe import ProbeScript, Variant, classifier, classify_trace
+from ccprobe import ProbeScript, SenderConfig, Variant, classifier, classify_trace
 from ccprobe.classifier import (
     ERROR_INCOMPLETE,
     ERROR_REORDERING,
@@ -32,8 +32,8 @@ from ccprobe.classifier import (
     RETX_FAST,
     RETX_NONE,
     RETX_TIMEOUT,
+    TIMEOUT_RTTS,
     ClassificationReport,
-    ClassifierConfig,
     FeatureVector,
     IncompleteTrace,
     RetxEvent,
@@ -44,6 +44,7 @@ from ccprobe.classifier import (
     extract_features,
 )
 from ccprobe.prober import EVENT_CAP
+from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 from ccprobe.wire import first_index
 
@@ -73,17 +74,21 @@ def test_rtt_from_handshake(default_runs):
         assert estimate_rtt(run.trace) == 100 * MS
 
 
-def test_rtt_falls_back_to_request_response(default_runs):
+def test_rtt_none_without_any_exchange():
+    assert estimate_rtt([]) is None
+
+
+def test_closed_trace_without_handshake_is_incomplete(default_runs):
+    # The prober only closes once its SYN drew a SYN+ACK, so a closed trace
+    # without the handshake is hand-made; it has no round trip to go by.
     trace = [
         ev
         for ev in default_runs[Variant.NEWRENO].trace
         if ev.kind not in ("syn", "synack")
     ]
-    assert estimate_rtt(trace) == 100 * MS  # request at 100ms, first data at 200ms
-
-
-def test_rtt_none_without_any_exchange():
-    assert estimate_rtt([]) is None
+    assert trace[-1].kind == "rst"
+    assert estimate_rtt(trace) is None
+    assert classify_trace(trace, SCRIPT).error == ERROR_INCOMPLETE
 
 
 # -- retransmission detection --------------------------------------------------
@@ -115,12 +120,58 @@ def test_retransmission_points_back_into_trace(default_runs):
     assert (ev.dir, ev.kind, ev.seq) == ("rx", "data", 1200)
 
 
-def test_timeout_kind_follows_the_factor(default_runs):
-    # The first repair lands 100ms after the previous arrival; with a
-    # factor of 0.1 that gap reads as a timer expiry.
-    trace = default_runs[Variant.NEWRENO].trace
-    retxs = detect_retransmissions(trace, 100 * MS, mss=100, timeout_factor=0.1)
-    assert retxs[0].kind == RETX_TIMEOUT
+@pytest.mark.parametrize("rtt_us", [2, 100 * MS, 798 * MS])
+def test_timeout_threshold_is_one_and_a_half_round_trips(rtt_us):
+    # A repair after exactly 1.5 round trips of silence is still fast; one
+    # microsecond more and it is the timer's.
+    limit = rtt_us * 3 // 2
+    for gap, kind in ((limit, RETX_FAST), (limit + 1, RETX_TIMEOUT)):
+        trace = [rx(200, 0, 1), rx(300, 100, 2)]
+        trace.append(TraceEvent(300 * MS + gap, "rx", "data", 0, 100, 0, 3))
+        assert [r.kind for r in detect_retransmissions(trace, rtt_us, mss=100)] == [kind]
+
+
+# RTT 1-799 ms in 7 ms steps, two pages, initial cwnd 1-4, every variant.
+GROUND_TRUTH_GRID = [
+    (variant, rtt_ms, page_bytes, ack_limit, cwnd)
+    for variant in Variant
+    for rtt_ms in range(1, 800, 7)
+    for page_bytes, ack_limit in ((3000, 25), (5000, 40))
+    for cwnd in range(1, 5)
+]
+
+
+def test_first_repairs_are_timeout_exactly_when_the_timer_sent_them(monkeypatch):
+    # Ground truth from the sender itself: the ip_ids its retransmission
+    # timer emitted. The trace-only attribution must agree with it on the
+    # first repair of both scripted holes in every run of the grid.
+    timer_ip_ids = set()
+    on_rto = Sender.on_rto
+
+    def recording_on_rto(sender, now):
+        out = on_rto(sender, now)
+        timer_ip_ids.update(seg.ip_id for seg in out)
+        return out
+
+    monkeypatch.setattr(Sender, "on_rto", recording_on_rto)
+    assert len(GROUND_TRUTH_GRID) == 4600
+    misread = []
+    for variant, rtt_ms, page_bytes, ack_limit, cwnd in GROUND_TRUTH_GRID:
+        timer_ip_ids.clear()
+        run = run_scenario(
+            variant,
+            rtt_ms=rtt_ms,
+            page_bytes=page_bytes,
+            sender_config=SenderConfig(initial_cwnd=cwnd),
+            probe_script=ProbeScript(ack_limit_packet=ack_limit),
+        )
+        retxs = detect_retransmissions(run.trace, estimate_rtt(run.trace), mss=100)
+        for hole in sorted(SCRIPT.drop_packets):
+            first = next(r for r in retxs if r.index == hole)
+            by_timer = run.trace[first.event_index].ip_id in timer_ip_ids
+            if (first.kind == RETX_TIMEOUT) != by_timer:
+                misread.append((variant.value, rtt_ms, page_bytes, cwnd, hole))
+    assert misread == []
 
 
 # -- reordering detection ------------------------------------------------------
@@ -331,14 +382,6 @@ def test_trace_rule_agrees_with_session_state(variant, overrides):
         assert (report.error == ERROR_INCOMPLETE) == (prober.phase != "closed")
 
 
-def test_aggressive_timeout_factor_mislabels_newreno(default_runs):
-    run = default_runs[Variant.NEWRENO]
-    report = classify_trace(
-        run.trace, run.scenario.probe_script, ClassifierConfig(timeout_factor=0.1)
-    )
-    assert report.label == "NoFastRetransmit"
-
-
 # -- timing invariance ---------------------------------------------------------
 
 
@@ -350,18 +393,9 @@ def test_labels_stable_across_round_trip_times(rtt_ms):
 
 def test_labels_at_half_second_round_trip_boundary():
     # At rtt=500ms the 1s floor on the retransmit timer is only 2x the
-    # round trip, under the 3x needed to read silence as a timer expiry,
-    # so the timer-only variant presents like a go-back sender. The other
-    # four keep their labels. Pinned as measured.
-    expected = {
-        Variant.TAHOE: "Tahoe",
-        Variant.RENO: "Reno",
-        Variant.NEWRENO: "NewReno",
-        Variant.NO_FAST_RETRANSMIT: "Tahoe",
-        Variant.RENO_PLUS: "RenoPlus",
-    }
-    for variant, label in expected.items():
-        assert label_of(run_scenario(variant, rtt_ms=500)) == label
+    # round trip, still past the 1.5x that reads silence as a timer expiry.
+    for variant in Variant:
+        assert label_of(run_scenario(variant, rtt_ms=500)) == variant.value
 
 
 # -- report shape ----------------------------------------------------------------
@@ -395,14 +429,14 @@ def overlap(a: TraceEvent, b: TraceEvent) -> bool:
     return a.seq < b.seq + b.len and b.seq < a.seq + a.len
 
 
-def reference_retransmissions(trace, rtt_est, *, mss, timeout_factor=3.0):
+def reference_retransmissions(trace, rtt_est, *, mss):
     out, seen, last_data_t = [], [], None
     for position, ev in enumerate(trace):
         if ev.dir != "rx" or ev.kind != "data":
             continue
         if any(overlap(prior, ev) and prior.ip_id < ev.ip_id for prior in seen):
             gap = ev.t_us - last_data_t if last_data_t is not None else 0
-            kind = RETX_TIMEOUT if gap > timeout_factor * rtt_est else RETX_FAST
+            kind = RETX_TIMEOUT if gap > TIMEOUT_RTTS * rtt_est else RETX_FAST
             out.append(RetxEvent(first_index(ev.seq, mss), ev.t_us, kind, position))
         seen.append(ev)
         last_data_t = ev.t_us
@@ -422,7 +456,7 @@ def reference_reordering(trace):
     return None
 
 
-def reference_report(trace, script, timeout_factor=3.0) -> ClassificationReport | None:
+def reference_report(trace, script) -> ClassificationReport | None:
     """The classifier's report built from the reference scans; None without an rtt."""
     rtt = estimate_rtt(trace)
     if rtt is None:
@@ -431,9 +465,7 @@ def reference_report(trace, script, timeout_factor=3.0) -> ClassificationReport 
     first_drop = drops[0] if drops else None
     last_drop = drops[-1] if drops else None
     follower = last_drop + 1 if last_drop is not None else None
-    retxs = reference_retransmissions(
-        trace, rtt, mss=script.mss, timeout_factor=timeout_factor
-    )
+    retxs = reference_retransmissions(trace, rtt, mss=script.mss)
     reorder_at = reference_reordering(trace)
     evidence = [
         (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
@@ -557,29 +589,29 @@ def tx_ack(t_ms, ack) -> TraceEvent:
 
 
 @settings(max_examples=250, deadline=None)
-@given(probe_traces(), _scripts, st.sampled_from([0.5, 3.0]))
+@given(probe_traces(), _scripts)
 # A split span keeps its own lowest ip_id on both sides of the arrival.
-@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 0, 5, 50), rx(400, 60, 3, 10)], SCRIPT, 3.0)
+@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 0, 5, 50), rx(400, 60, 3, 10)], SCRIPT)
 # Packet 17 repaired, then ack-covered: the covering ack comes too late.
-@example(HANDSHAKE + [rx(200, 1600, 2), rx(300, 1600, 3), tx_ack(300, 1700)], SCRIPT, 3.0)
+@example(HANDSHAKE + [rx(200, 1600, 2), rx(300, 1600, 3), tx_ack(300, 1700)], SCRIPT)
 # In-order appends: one starting exactly at the last span's end touches it
 # (fresh, no repair); one a byte below overlaps it (a repair); one past a
 # gap is fresh, and a later fill of the gap with a lower ip_id is reordering.
-@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 100, 2)], SCRIPT, 3.0)
-@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 99, 2)], SCRIPT, 3.0)
-@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 200, 3), rx(400, 100, 2)], SCRIPT, 3.0)
-def test_coverage_index_matches_quadratic_reference(trace, script, factor):
+@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 100, 2)], SCRIPT)
+@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 99, 2)], SCRIPT)
+@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 200, 3), rx(400, 100, 2)], SCRIPT)
+def test_coverage_index_matches_quadratic_reference(trace, script):
     rtt = estimate_rtt(trace) or 100 * MS
-    assert detect_retransmissions(
-        trace, rtt, mss=script.mss, timeout_factor=factor
-    ) == reference_retransmissions(trace, rtt, mss=script.mss, timeout_factor=factor)
+    assert detect_retransmissions(trace, rtt, mss=script.mss) == reference_retransmissions(
+        trace, rtt, mss=script.mss
+    )
     assert detect_reordering(trace) == reference_reordering(trace)
-    expected = reference_report(trace, script, factor)
+    expected = reference_report(trace, script)
     if expected is None:
         with pytest.raises(IncompleteTrace):
-            extract_features(trace, script, ClassifierConfig(timeout_factor=factor))
+            extract_features(trace, script)
         return
-    feats, evidence = extract_features(trace, script, ClassifierConfig(timeout_factor=factor))
+    feats, evidence = extract_features(trace, script)
     assert (feats, evidence) == (expected.features, expected.evidence)
 
 

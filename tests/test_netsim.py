@@ -45,7 +45,9 @@ def prober_segment(flags=Flag.ACK, length=0, ip_id=1, mss_option=None) -> Segmen
 
 
 def test_default_scenario_validates():
-    Scenario(variant=Variant.NEWRENO).validate()
+    # A scenario checks itself, and its two configs, when built.
+    scenario = Scenario(variant=Variant.NEWRENO)
+    assert sim_init(scenario).scenario is scenario
 
 
 def test_page_too_small_for_script():

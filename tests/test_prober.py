@@ -62,13 +62,22 @@ def test_script_defaults():
     assert script.ack_limit_packet == 25
 
 
-def test_script_rejects_bad_values():
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mss": 0},
+        {"mss": -100},
+        {"drop_packets": frozenset({0})},
+        {"drop_packets": frozenset({13, 16}), "ack_limit_packet": 16},
+        {"drop_packets": frozenset(), "ack_limit_packet": 0},
+    ],
+    ids=["mss-0", "mss-negative", "drop-0", "ack-limit-at-drop", "ack-limit-0"],
+)
+def test_script_rejects_bad_values(overrides):
+    # A script checks itself when built, so no probe or classifier ever
+    # holds one that no probe could have run.
     with pytest.raises(ConfigurationError):
-        ProbeScript(mss=0).validate()
-    with pytest.raises(ConfigurationError):
-        ProbeScript(drop_packets=frozenset({0})).validate()
-    with pytest.raises(ConfigurationError):
-        ProbeScript(drop_packets=frozenset({13, 16}), ack_limit_packet=16).validate()
+        ProbeScript(**overrides)
 
 
 # -- reassembly ----------------------------------------------------------------
