@@ -3,29 +3,27 @@
 Everything here works from the prober's observed trace alone (plus the
 probe script that produced it); no sender or session state is consulted,
 and only the trace of a finished probe gets a label. The trace yields a
-small feature vector -- how the two scripted losses were repaired,
-whether anything else was retransmitted between or after them, and
-whether the path reordered -- and an ordered decision table maps the
-features to a label or an error.
+small feature vector -- how the two scripted losses were repaired and
+whether anything else was retransmitted between or after them -- and an
+ordered decision table maps the features to a label.
 
-Retransmissions are recognized as data arrivals whose byte range overlaps
-an earlier arrival carrying a lower ip_id (the server's ip_id increases by
-one per emitted segment). A retransmission is ``timeout`` when the silence
-since the previous data arrival exceeds 1.5 estimated round trips
-(``TIMEOUT_RTTS``), ``fast`` otherwise: a fast repair follows within one
-round trip, the timer's first repair of a hole after 1.84 or more.
+As TBIT does, a trace is judged only if its path was clean. The server
+numbers its segments from one per-connection ip_id counter, starting at
+the SYN+ACK, and the scripted drops are recorded on arrival. So on a
+clean path every data arrival carries the next ip_id and starts at or
+below the high-water mark ``high``: the bytes seen form one prefix
+[0, high). One scan checks both. At the first arrival that fails, the trace gets an
+error row naming it: ``Reordering`` when its ip_id runs backwards or a
+later arrival carries a lower one, ``UnexpectedLoss`` otherwise.
 
-Earlier arrivals are not compared one by one. A coverage index keeps the
-bytes seen so far as sorted disjoint spans, each with the lowest ip_id
-that covered it. An in-order arrival, one starting at or past the end of
-the last span, is appended without a search; any other costs a bisect
-plus the few spans it overlaps. ``extract_features`` makes one coverage
-pass that yields both the retransmissions and the first reordered
-arrival, so a trace classifies in time about linear in its length.
+On a clean path an arrival overlaps earlier ones, all of lower ip_id,
+exactly when it starts below ``high``: that is a retransmission. It is
+``timeout`` when the silence since the previous data arrival exceeds 1.5
+estimated round trips (``TIMEOUT_RTTS``), ``fast`` otherwise: a fast
+repair follows within one round trip, the timer's first repair of a hole
+after 1.84 or more.
 """
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 
 from .prober import EVENT_CAP, ProbeScript
@@ -36,6 +34,7 @@ LABELS = ("Tahoe", "Reno", "NewReno", "NoFastRetransmit", "RenoPlus")
 LABEL_UNCLASSIFIABLE = "Unclassifiable"
 
 ERROR_REORDERING = "Reordering"
+ERROR_UNEXPECTED_LOSS = "UnexpectedLoss"
 ERROR_TRACE_OVERFLOW = "TraceOverflow"
 ERROR_INCOMPLETE = "Incomplete"
 
@@ -55,8 +54,8 @@ RETX_TIMEOUT = "timeout"
 TIMEOUT_RTTS = 1.5
 
 
-class IncompleteTrace(Exception):
-    """No handshake in the trace to measure the round trip by."""
+class _Unjudgeable(Exception):
+    """No label can be read off the trace; args: the error row's error and evidence."""
 
 
 @dataclass
@@ -66,7 +65,6 @@ class FeatureVector:
     retx16: str = RETX_NONE
     unnecessary_retx17: bool = False
     extra_retx_between_13_and_16: bool = False
-    reordering_detected: bool = False
     retransmission_count: int = 0
 
 
@@ -94,49 +92,6 @@ class RetxEvent:
     event_index: int  # position in the trace
 
 
-class _Coverage:
-    """Data bytes seen so far: sorted disjoint spans [start, end), each
-    holding the lowest ip_id of the arrivals that covered it.
-
-    Data arrivals have len > 0, so two arrivals overlap exactly when they
-    share a byte; spans that only touch do not overlap.
-    """
-
-    def __init__(self):
-        self.starts: list[int] = []
-        self.ends: list[int] = []
-        self.ip_ids: list[int] = []
-
-    def add(self, start: int, end: int, ip_id: int) -> int | None:
-        """Cover [start, end) with ip_id; the lowest ip_id it overlapped, or None."""
-        starts, ends, ip_ids = self.starts, self.ends, self.ip_ids
-        lo = bisect_right(ends, start)
-        hi = bisect_left(starts, end, lo)
-        if lo == hi:
-            starts.insert(lo, start)
-            ends.insert(lo, end)
-            ip_ids.insert(lo, ip_id)
-            return None
-        lowest = min(ip_ids[lo:hi])
-        # Rebuild the overlapped stretch: parts outside [start, end) keep
-        # their ip_id, parts inside take the lower one, gaps take ip_id.
-        pieces = []
-        cursor = start
-        for s, e, i in zip(starts[lo:hi], ends[lo:hi], ip_ids[lo:hi]):
-            if cursor < s:
-                pieces.append((cursor, s, ip_id))
-            if s < start:
-                pieces.append((s, start, i))
-            pieces.append((max(s, start), min(e, end), min(i, ip_id)))
-            if end < e:
-                pieces.append((end, e, i))
-            cursor = e
-        if cursor < end:
-            pieces.append((cursor, end, ip_id))
-        starts[lo:hi], ends[lo:hi], ip_ids[lo:hi] = zip(*pieces)
-        return lowest
-
-
 def estimate_rtt(trace: list[TraceEvent]) -> int | None:
     """Round trip from SYN -> SYN+ACK, or None without a handshake."""
     syn_t = next((ev.t_us for ev in trace if ev.dir == "tx" and ev.kind == "syn"), None)
@@ -149,39 +104,41 @@ def estimate_rtt(trace: list[TraceEvent]) -> int | None:
 
 def _coverage_pass(
     trace: list[TraceEvent], rtt_est: int, mss: int
-) -> tuple[list[RetxEvent], int | None]:
-    """One scan of the data arrivals: the retransmissions, and the trace
-    index of the first fresh arrival whose ip_id runs backwards (or None)."""
+) -> tuple[list[RetxEvent], tuple | None]:
+    """One scan of the server's arrivals: the retransmissions before the
+    first path break, and that break as (error, trace index, note) or None."""
     retxs = []
-    reorder_at = None
-    max_fresh_ip_id = -math.inf
-    coverage = _Coverage()
-    add, starts, ends, ip_ids = coverage.add, coverage.starts, coverage.ends, coverage.ip_ids
     limit = TIMEOUT_RTTS * rtt_est
+    high = 0  # the bytes seen so far are [0, high)
+    next_ip_id = -1  # no data is due before the SYN+ACK
     last_data_t = None
     for position, ev in enumerate(trace):
-        if ev.kind != "data" or ev.dir != "rx":
+        if ev.dir != "rx":
+            continue
+        if ev.kind != "data":
+            if ev.kind == "synack":
+                next_ip_id = ev.ip_id + 1
             continue
         start, ip_id = ev.seq, ev.ip_id
-        if not ends or start >= ends[-1]:
-            # In order: past every span, so it overlaps nothing (add's lo == hi == len).
-            starts.append(start)
-            ends.append(start + ev.len)
-            ip_ids.append(ip_id)
-            lowest = None
-        else:
-            lowest = add(start, start + ev.len, ip_id)
-        if lowest is None:
-            if ip_id >= max_fresh_ip_id:
-                max_fresh_ip_id = ip_id
-            elif reorder_at is None:
-                reorder_at = position
-        elif lowest < ip_id:
+        if ip_id != next_ip_id or start > high:
+            reordered = ip_id < next_ip_id or any(
+                later.ip_id < ip_id
+                for later in trace[position + 1:]
+                if later.dir == "rx" and later.kind == "data"
+            )
+            error = ERROR_REORDERING if reordered else ERROR_UNEXPECTED_LOSS
+            note = f"path break: ip_id {ip_id} at byte {start}, due ip_id {next_ip_id} at byte <= {high}"
+            return retxs, (error, position, note)
+        next_ip_id += 1
+        if start < high:
             gap = ev.t_us - last_data_t if last_data_t is not None else 0
             kind = RETX_TIMEOUT if gap > limit else RETX_FAST
-            retxs.append(RetxEvent(first_index(ev.seq, mss), ev.t_us, kind, position))
+            retxs.append(RetxEvent(first_index(start, mss), ev.t_us, kind, position))
+        end = start + ev.len
+        if end > high:
+            high = end
         last_data_t = ev.t_us
-    return retxs, reorder_at
+    return retxs, None
 
 
 def detect_retransmissions(trace: list[TraceEvent], rtt_est: int, *, mss: int) -> list[RetxEvent]:
@@ -189,19 +146,18 @@ def detect_retransmissions(trace: list[TraceEvent], rtt_est: int, *, mss: int) -
 
 
 def detect_reordering(trace: list[TraceEvent]) -> int | None:
-    """Trace index of the first fresh arrival whose ip_id runs backwards."""
-    return _coverage_pass(trace, 0, 1)[1]
+    """Trace index of the first path break, if the path reordered there."""
+    broken = _coverage_pass(trace, 0, 1)[1]
+    return broken[1] if broken is not None and broken[0] == ERROR_REORDERING else None
 
 
 def classify(features: FeatureVector) -> ClassificationReport:
-    """Ordered decision table; exactly one label or error per input."""
+    """Ordered decision table; exactly one label per input."""
     f = features
 
     def labeled(label):
         return ClassificationReport(label=label, error=None, features=f)
 
-    if f.reordering_detected:
-        return ClassificationReport(label=None, error=ERROR_REORDERING, features=f)
     if f.retx13 == RETX_TIMEOUT:
         return labeled("NoFastRetransmit")
     if f.retx13 == RETX_NONE:
@@ -221,27 +177,26 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
     """Build the feature vector plus the trace-index evidence behind it."""
     rtt = estimate_rtt(trace)
     if rtt is None:
-        raise IncompleteTrace()
+        raise _Unjudgeable(ERROR_INCOMPLETE, [])
 
     drops = sorted(script.drop_packets)
     first_drop = drops[0] if drops else None
     last_drop = drops[-1] if drops else None
     follower = last_drop + 1 if last_drop is not None else None
 
-    retxs, reorder_at = _coverage_pass(trace, rtt, script.mss)
-    evidence = []
-    for retx in retxs:
-        evidence.append(
-            (retx.event_index, f"retransmission of packet {retx.index} ({retx.kind})")
-        )
-    if reorder_at is not None:
-        evidence.append((reorder_at, "ip_id order inconsistent with arrival order"))
+    retxs, broken = _coverage_pass(trace, rtt, script.mss)
+    if broken is not None:
+        error, position, note = broken
+        raise _Unjudgeable(error, [(position, note)])
+    evidence = [
+        (retx.event_index, f"retransmission of packet {retx.index} ({retx.kind})")
+        for retx in retxs
+    ]
 
     def first_retx(index):
         return next((r for r in retxs if r.index == index), None)
 
-    features = FeatureVector(rtt_est=rtt, reordering_detected=reorder_at is not None)
-    features.retransmission_count = len(retxs)
+    features = FeatureVector(rtt_est=rtt, retransmission_count=len(retxs))
     r13 = first_retx(first_drop) if first_drop is not None else None
     r16 = first_retx(last_drop) if last_drop is not None else None
     if r13 is not None:
@@ -275,8 +230,8 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
     return features, evidence
 
 
-def _error_row(error: str) -> ClassificationReport:
-    return ClassificationReport(label=None, error=error, features=FeatureVector())
+def _error_row(error: str, evidence: list) -> ClassificationReport:
+    return ClassificationReport(None, error, FeatureVector(), evidence)
 
 
 def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> ClassificationReport:
@@ -284,17 +239,18 @@ def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> Classificati
 
     Only a finished probe gets a label. A trace of EVENT_CAP events or more
     is a TraceOverflow error row, and a trace in which the prober never
-    sent ``rst`` or ``fin``, or that lacks the handshake, is an Incomplete one.
+    sent ``rst`` or ``fin``, or that lacks the handshake, is an Incomplete
+    one. A path break is a Reordering or UnexpectedLoss row naming it.
     """
     if len(trace) >= EVENT_CAP:
-        return _error_row(ERROR_TRACE_OVERFLOW)
+        return _error_row(ERROR_TRACE_OVERFLOW, [])
     # The prober's close sits within a few hundred events of the end.
     if not any(ev.dir == "tx" and ev.kind in ("rst", "fin") for ev in reversed(trace)):
-        return _error_row(ERROR_INCOMPLETE)
+        return _error_row(ERROR_INCOMPLETE, [])
     try:
         features, evidence = extract_features(trace, script)
-    except IncompleteTrace:
-        return _error_row(ERROR_INCOMPLETE)
+    except _Unjudgeable as exc:
+        return _error_row(*exc.args)
     report = classify(features)
     report.evidence = evidence
     return report

@@ -37,7 +37,7 @@ _CANONICAL_LINES = re.compile(
     f'^{{"t_us":{_NAT},"dir":"(tx|rx)","kind":"(syn|synack|data|ack|rst|fin)",'
     f'"seq":{_NAT},"len":{_NAT},"ack":{_NAT},"ip_id":{_NAT}}}\n',
     re.MULTILINE,
-).findall
+)
 
 PLOT_HEADER = "t_us,y,marker"
 
@@ -99,7 +99,9 @@ def _parse_line(line_no: int, line: str) -> TraceEvent:
 def _read_canonical(text: str) -> list[TraceEvent] | None:
     """The events of a text of valid canonical lines, or None for any other text."""
     body = text if text.endswith("\n") else text + "\n"
-    rows = _CANONICAL_LINES(body)
+    if not _CANONICAL_LINES.match(body):
+        return None  # not canonical from its first line: no whole-text scan
+    rows = _CANONICAL_LINES.findall(body)
     if len(rows) != body.count("\n"):
         return None
     t_us, dirs, kinds, seqs, lens, acks, ip_ids = zip(*rows)

@@ -27,6 +27,7 @@ from ccprobe.classifier import (
     ERROR_INCOMPLETE,
     ERROR_REORDERING,
     ERROR_TRACE_OVERFLOW,
+    ERROR_UNEXPECTED_LOSS,
     LABEL_UNCLASSIFIABLE,
     LABELS,
     RETX_FAST,
@@ -35,7 +36,6 @@ from ccprobe.classifier import (
     TIMEOUT_RTTS,
     ClassificationReport,
     FeatureVector,
-    IncompleteTrace,
     RetxEvent,
     classify,
     detect_reordering,
@@ -48,7 +48,7 @@ from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 from ccprobe.wire import first_index
 
-from conftest import run_scenario
+from conftest import delivered_union, run_scenario
 
 MS = 1000
 SCRIPT = ProbeScript()
@@ -58,6 +58,17 @@ def rx(t_ms, seq, ip_id, length=100) -> TraceEvent:
     return TraceEvent(
         t_us=t_ms * MS, dir="rx", kind="data", seq=seq, len=length, ack=0, ip_id=ip_id
     )
+
+
+HANDSHAKE = [
+    TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1),
+    TraceEvent(t_us=100 * MS, dir="rx", kind="synack", seq=0, len=0, ack=1, ip_id=1),
+]
+
+
+def closed(trace) -> list[TraceEvent]:
+    """The trace plus the prober's closing rst, so that it may get a label."""
+    return trace + [TraceEvent(trace[-1].t_us, "tx", "rst", 50, 0, 0, 99)]
 
 
 def label_of(run) -> str:
@@ -126,8 +137,8 @@ def test_timeout_threshold_is_one_and_a_half_round_trips(rtt_us):
     # microsecond more and it is the timer's.
     limit = rtt_us * 3 // 2
     for gap, kind in ((limit, RETX_FAST), (limit + 1, RETX_TIMEOUT)):
-        trace = [rx(200, 0, 1), rx(300, 100, 2)]
-        trace.append(TraceEvent(300 * MS + gap, "rx", "data", 0, 100, 0, 3))
+        trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3)]
+        trace.append(TraceEvent(300 * MS + gap, "rx", "data", 0, 100, 0, 4))
         assert [r.kind for r in detect_retransmissions(trace, rtt_us, mss=100)] == [kind]
 
 
@@ -174,12 +185,13 @@ def test_first_repairs_are_timeout_exactly_when_the_timer_sent_them(monkeypatch)
     assert misread == []
 
 
-# -- reordering detection ------------------------------------------------------
+# -- path integrity --------------------------------------------------------------
 
 
 def test_reordering_flagged_when_ip_ids_run_backwards():
-    trace = [rx(200, 0, 2), rx(300, 200, 5), rx(300, 100, 4)]
-    assert detect_reordering(trace) == 2
+    # ip_id 3 is skipped and arrives later: the path reordered at the skip.
+    trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 200, 4), rx(300, 100, 3)]
+    assert detect_reordering(trace) == 3
 
 
 def test_no_reordering_in_default_runs(default_runs):
@@ -188,9 +200,105 @@ def test_no_reordering_in_default_runs(default_runs):
 
 
 def test_retransmission_is_not_reordering():
-    # A re-sent copy overlaps an earlier range; only fresh data counts.
-    trace = [rx(200, 0, 2), rx(300, 100, 5), rx(400, 0, 4)]
+    # A re-sent copy carries the next ip_id and starts below the bytes seen.
+    trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3), rx(400, 0, 4)]
     assert detect_reordering(trace) is None
+    assert [r.index for r in detect_retransmissions(trace, 100 * MS, mss=100)] == [1]
+    # One that skips an ip_id is a loss on the path, not a reordering.
+    trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3), rx(400, 0, 5)]
+    assert detect_reordering(trace) is None
+    assert classify_trace(closed(trace), SCRIPT).error == ERROR_UNEXPECTED_LOSS
+
+
+@pytest.mark.parametrize(
+    "arrivals, error, at",
+    [
+        # ip_id 3 never arrives.
+        ([rx(200, 0, 2), rx(300, 200, 4), rx(400, 300, 5)], ERROR_UNEXPECTED_LOSS, 3),
+        # ip_id 3 arrives after ip_id 4.
+        ([rx(200, 0, 2), rx(300, 200, 4), rx(400, 100, 3)], ERROR_REORDERING, 3),
+        # The next ip_id, but bytes [100, 200) were never seen.
+        ([rx(200, 0, 2), rx(300, 200, 3), rx(400, 300, 4)], ERROR_UNEXPECTED_LOSS, 3),
+        # A backward step: ip_id 2 again where 4 was due.
+        ([rx(200, 0, 2), rx(300, 100, 3), rx(400, 0, 2)], ERROR_REORDERING, 4),
+        # A repeated ip_id.
+        ([rx(200, 0, 2), rx(300, 100, 3), rx(400, 200, 3)], ERROR_REORDERING, 4),
+        # The first data arrival skips the ip_id after the SYN+ACK's.
+        ([rx(200, 0, 3), rx(300, 100, 4)], ERROR_UNEXPECTED_LOSS, 2),
+    ],
+    ids=["skip", "late-fill", "byte-gap", "backward-step", "repeat", "first-skip"],
+)
+def test_path_break_is_an_error_row_naming_it(arrivals, error, at):
+    report = classify_trace(closed(HANDSHAKE + arrivals), SCRIPT)
+    assert (report.label, report.error) == (None, error)
+    assert report.features == FeatureVector()
+    assert [index for index, _ in report.evidence] == [at]
+    assert detect_reordering(HANDSHAKE + arrivals) == (at if error == ERROR_REORDERING else None)
+
+
+def test_retransmissions_before_the_break_are_kept():
+    # The scan stops at the byte gap: the repair before it is reported, the
+    # one after it is not.
+    trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 0, 3), rx(400, 200, 4), rx(500, 0, 5)]
+    assert [r.event_index for r in detect_retransmissions(trace, 100 * MS, mss=100)] == [3]
+
+
+def test_lost_segment_arrives_as_unexpected_loss():
+    # The default NewReno run with its 10th server segment lost on the path.
+    run = run_scenario(Variant.NEWRENO, ambient_drops=frozenset({10}))
+    report = classify_trace(run.trace, run.scenario.probe_script)
+    assert report.error == ERROR_UNEXPECTED_LOSS
+    (at, note), = report.evidence
+    assert run.trace[at].ip_id == 11
+    assert "due ip_id 10" in note
+
+
+# One run per variant, rtt {10, 100, 200} ms and initial cwnd {1, 2, 4}, and
+# one per server ip_id from 2 (the first data segment) to the clean run's last.
+SINGLE_LOSS_CELLS = [
+    (variant, rtt_ms, cwnd)
+    for variant in Variant
+    for rtt_ms in (10, 100, 200)
+    for cwnd in (1, 2, 4)
+]
+
+
+def test_single_path_loss_grid_gives_no_wrong_label():
+    runs, wrong, errors = 0, [], set()
+    for variant, rtt_ms, cwnd in SINGLE_LOSS_CELLS:
+        overrides = dict(rtt_ms=rtt_ms, sender_config=SenderConfig(initial_cwnd=cwnd))
+        last = max(ev.ip_id for ev in run_scenario(variant, **overrides).trace if ev.dir == "rx")
+        for ip_id in range(2, last + 1):
+            run = run_scenario(variant, ambient_drops=frozenset({ip_id}), **overrides)
+            report = classify_trace(run.trace, run.scenario.probe_script)
+            runs += 1
+            if report.error is not None:
+                errors.add(report.error)
+            elif report.label != variant.value:
+                wrong.append((variant.value, rtt_ms, cwnd, ip_id, report.label))
+    assert runs == 1581
+    assert wrong == []
+    assert errors == {ERROR_UNEXPECTED_LOSS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(list(Variant)),
+    st.integers(min_value=1, max_value=800),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_path_loss_gives_the_clean_label_or_an_error_row(variant, rtt_ms, cwnd, data):
+    overrides = dict(rtt_ms=rtt_ms, sender_config=SenderConfig(initial_cwnd=cwnd))
+    clean = run_scenario(variant, **overrides)
+    last = max(ev.ip_id for ev in clean.trace if ev.dir == "rx")
+    drops = data.draw(
+        st.frozensets(st.integers(min_value=2, max_value=last), min_size=1, max_size=2)
+    )
+    run = run_scenario(variant, ambient_drops=drops, **overrides)
+    report = classify_trace(run.trace, run.scenario.probe_script)
+    if report.error is None:
+        assert report.label == classify_trace(clean.trace, clean.scenario.probe_script).label
 
 
 # -- decision table ------------------------------------------------------------
@@ -203,7 +311,6 @@ def features(**kw) -> FeatureVector:
 
 
 DECISION_ROWS = [
-    (features(reordering_detected=True), None, ERROR_REORDERING),
     (features(retx13=RETX_TIMEOUT), "NoFastRetransmit", None),
     (features(retx13=RETX_NONE), LABEL_UNCLASSIFIABLE, None),
     (features(extra_retx_between_13_and_16=True), "RenoPlus", None),
@@ -221,9 +328,16 @@ def test_decision_table_row(vector, label, error):
     assert (report.label, report.error) == (label, error)
 
 
-def test_reordering_outranks_every_label():
-    vector = features(retx13=RETX_TIMEOUT, reordering_detected=True)
-    assert classify(vector).error == ERROR_REORDERING
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_reordering_outranks_every_label(default_runs, variant):
+    # Swap the last two data arrivals of a labelled run: the first of them
+    # now skips an ip_id that arrives next, so the path reordered there.
+    trace = list(default_runs[variant].trace)
+    first, second = [i for i, ev in enumerate(trace) if ev.kind == "data" and ev.dir == "rx"][-2:]
+    trace[first], trace[second] = trace[second], trace[first]
+    report = classify_trace(trace, SCRIPT)
+    assert report.error == ERROR_REORDERING
+    assert [index for index, _ in report.evidence] == [first]
 
 
 @given(
@@ -234,17 +348,13 @@ def test_reordering_outranks_every_label():
         retx16=st.sampled_from([RETX_NONE, RETX_FAST, RETX_TIMEOUT]),
         unnecessary_retx17=st.booleans(),
         extra_retx_between_13_and_16=st.booleans(),
-        reordering_detected=st.booleans(),
         retransmission_count=st.integers(min_value=0, max_value=50),
     )
 )
 def test_decision_table_is_total(vector):
     report = classify(vector)
-    assert (report.label is None) != (report.error is None)
-    if report.label is not None:
-        assert report.label in LABELS + (LABEL_UNCLASSIFIABLE,)
-    else:
-        assert report.error == ERROR_REORDERING
+    assert report.error is None
+    assert report.label in LABELS + (LABEL_UNCLASSIFIABLE,)
 
 
 # -- end to end ----------------------------------------------------------------
@@ -344,13 +454,13 @@ REORDERED = [
 def test_synthetic_reordering_yields_error():
     report = classify_trace(REORDERED, SCRIPT)
     assert report.error == ERROR_REORDERING
-    assert report.features.reordering_detected
+    assert [index for index, _ in report.evidence] == [2]
 
 
 def test_synthetic_reordering_without_close_is_incomplete():
     report = classify_trace(REORDERED[:-1], SCRIPT)
     assert report.error == ERROR_INCOMPLETE
-    assert not report.features.reordering_detected
+    assert report.evidence == []
 
 
 # A 2,000-packet page acked up to packet 1,900 fills the event cap first.
@@ -420,9 +530,10 @@ def test_report_dict_serializes_evidence_as_pairs(default_runs):
 
 # -- equivalence with the quadratic reference ----------------------------------
 # The reference scans below compare every data arrival with every earlier
-# one, as the classifier did before its coverage index. The index must
-# reproduce them exactly: same retransmissions, same reordering index,
-# same features and evidence.
+# one, as the classifier did before its high-water mark. On a trace whose
+# path stayed intact the mark must reproduce them exactly: same
+# retransmissions, same features and evidence. Any other trace must get an
+# error row naming the reference's first break.
 
 
 def overlap(a: TraceEvent, b: TraceEvent) -> bool:
@@ -443,44 +554,42 @@ def reference_retransmissions(trace, rtt_est, *, mss):
     return out
 
 
-def reference_reordering(trace):
-    max_ip_id, seen = None, []
+def reference_break(trace):
+    """Trace index of the first data arrival that is not the k-th after the
+    SYN+ACK carrying its ip_id + k, or that leaves a byte below it unseen."""
+    synack_ip_id, seen = None, []
     for position, ev in enumerate(trace):
+        if ev.dir == "rx" and ev.kind == "synack":
+            synack_ip_id = ev.ip_id
         if ev.dir != "rx" or ev.kind != "data":
             continue
-        if not any(overlap(prior, ev) for prior in seen):
-            if max_ip_id is not None and ev.ip_id < max_ip_id:
-                return position
-            max_ip_id = ev.ip_id if max_ip_id is None else max(max_ip_id, ev.ip_id)
         seen.append(ev)
+        due = None if synack_ip_id is None else synack_ip_id + len(seen)
+        spans = delivered_union(seen)
+        if ev.ip_id != due or len(spans) != 1 or spans[0][0] != 0:
+            return position
     return None
 
 
 def reference_report(trace, script) -> ClassificationReport | None:
-    """The classifier's report built from the reference scans; None without an rtt."""
+    """The classifier's report built from the reference scans; None without
+    an rtt or on a broken path."""
     rtt = estimate_rtt(trace)
-    if rtt is None:
+    if rtt is None or reference_break(trace) is not None:
         return None
     drops = sorted(script.drop_packets)
     first_drop = drops[0] if drops else None
     last_drop = drops[-1] if drops else None
     follower = last_drop + 1 if last_drop is not None else None
     retxs = reference_retransmissions(trace, rtt, mss=script.mss)
-    reorder_at = reference_reordering(trace)
     evidence = [
         (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
     ]
-    if reorder_at is not None:
-        evidence.append((reorder_at, "ip_id order inconsistent with arrival order"))
 
     def first_retx(index):
         return next((r for r in retxs if r.index == index), None)
 
-    feats = FeatureVector(
-        rtt_est=rtt,
-        reordering_detected=reorder_at is not None,
-        retransmission_count=len(retxs),
-    )
+    feats = FeatureVector(rtt_est=rtt, retransmission_count=len(retxs))
     r13 = first_retx(first_drop) if first_drop is not None else None
     r16 = first_retx(last_drop) if last_drop is not None else None
     if r13 is not None:
@@ -510,11 +619,17 @@ def reference_report(trace, script) -> ClassificationReport | None:
 
 
 def test_touching_arrivals_do_not_overlap():
-    # [0, 100) then [100, 200): no shared byte, so neither a repair nor a
-    # duplicate; the second one's lower ip_id therefore reads as reordering.
-    assert detect_retransmissions([rx(200, 0, 1), rx(300, 100, 2)], 100 * MS, mss=100) == []
-    assert detect_reordering([rx(200, 0, 5), rx(300, 100, 4)]) == 1
-    assert detect_reordering([rx(200, 0, 5), rx(300, 99, 4)]) is None
+    # [0, 100) then [100, 200): no shared byte, so no repair; one byte lower
+    # they overlap, and one byte higher they leave a gap on the path.
+    touching = HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3)]
+    assert detect_retransmissions(touching, 100 * MS, mss=100) == []
+    overlapping = HANDSHAKE + [rx(200, 0, 2), rx(300, 99, 3)]
+    assert [r.event_index for r in detect_retransmissions(overlapping, 100 * MS, mss=100)] == [3]
+    apart = HANDSHAKE + [rx(200, 0, 2), rx(300, 101, 3)]
+    report = classify_trace(closed(apart), SCRIPT)
+    assert (report.error, report.evidence[0][0]) == (ERROR_UNEXPECTED_LOSS, 3)
+    # Touching, but the later ip_id arrived first: the path reordered.
+    assert detect_reordering(HANDSHAKE + [rx(200, 0, 3), rx(300, 100, 2)]) == 2
 
 
 _seqs = st.one_of(
@@ -528,7 +643,7 @@ _lens = st.one_of(
     st.integers(min_value=1, max_value=30),  # runts
     st.integers(min_value=1, max_value=300),
 )
-# Mostly rising ip_ids, as the server stamps them, with repeats and
+# In a broken trace: mostly rising ip_ids, with skips, repeats and
 # backward steps mixed in.
 _ip_id_steps = st.sampled_from([1, 1, 1, 2, 0, -1, -4])
 _data = st.tuples(st.just("data"), _seqs, _lens, _ip_id_steps)
@@ -545,7 +660,7 @@ _acks = st.tuples(
 def probe_traces(draw) -> list[TraceEvent]:
     trace = []
     t = 0
-    opening = draw(st.sampled_from(["handshake", "handshake", "request", "none"]))
+    opening = draw(st.sampled_from(["handshake", "handshake", "handshake", "request", "none"]))
     if opening == "handshake":
         t = draw(st.integers(min_value=1, max_value=300)) * MS
         trace += [
@@ -554,13 +669,19 @@ def probe_traces(draw) -> list[TraceEvent]:
         ]
     elif opening == "request":
         trace.append(TraceEvent(t_us=0, dir="tx", kind="data", seq=0, len=50, ack=0, ip_id=1))
-    ip_id = 1
+    # An intact trace: each data arrival carries the next ip_id and starts
+    # at or below the end of the bytes seen so far.
+    intact = draw(st.booleans())
+    ip_id, high = 1, 0
     for item in draw(st.lists(st.one_of(_data, _data, _acks), min_size=10, max_size=80)):
         t += draw(st.sampled_from([0, 1, 50, 250, 900])) * MS
         if item[0] == "data":
             _, seq, length, step = item
+            if intact:
+                seq, step = min(seq, high), 1
             trace.append(rx(t // MS, seq, max(1, ip_id + step), length))
             ip_id = max(ip_id, ip_id + step)
+            high = max(high, seq + length)
         else:
             trace.append(
                 TraceEvent(t_us=t, dir="tx", kind="ack", seq=50, len=0, ack=item[1], ip_id=1)
@@ -578,63 +699,62 @@ _scripts = st.sampled_from(
 )
 
 
-HANDSHAKE = [
-    TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1),
-    TraceEvent(t_us=100 * MS, dir="rx", kind="synack", seq=0, len=0, ack=1, ip_id=1),
-]
-
-
 def tx_ack(t_ms, ack) -> TraceEvent:
     return TraceEvent(t_us=t_ms * MS, dir="tx", kind="ack", seq=50, len=0, ack=ack, ip_id=1)
 
 
 @settings(max_examples=250, deadline=None)
 @given(probe_traces(), _scripts)
-# A split span keeps its own lowest ip_id on both sides of the arrival.
-@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 0, 5, 50), rx(400, 60, 3, 10)], SCRIPT)
+# Repairs of part of an earlier arrival's bytes.
+@example(HANDSHAKE + [rx(200, 0, 2), rx(300, 0, 3, 50), rx(400, 60, 4, 10)], SCRIPT)
 # Packet 17 repaired, then ack-covered: the covering ack comes too late.
-@example(HANDSHAKE + [rx(200, 1600, 2), rx(300, 1600, 3), tx_ack(300, 1700)], SCRIPT)
-# In-order appends: one starting exactly at the last span's end touches it
-# (fresh, no repair); one a byte below overlaps it (a repair); one past a
-# gap is fresh, and a later fill of the gap with a lower ip_id is reordering.
-@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 100, 2)], SCRIPT)
-@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 99, 2)], SCRIPT)
-@example(HANDSHAKE + [rx(200, 0, 1), rx(300, 200, 3), rx(400, 100, 2)], SCRIPT)
+@example(HANDSHAKE + [rx(200, 0, 2, 1700), rx(300, 1600, 3), tx_ack(300, 1700)], SCRIPT)
+# One arrival starting exactly at the end of the bytes seen touches them
+# (fresh, no repair); one a byte below overlaps them (a repair); one past a
+# gap breaks the path, and a later fill of the gap with the skipped ip_id
+# makes that break a reordering.
+@example(HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3)], SCRIPT)
+@example(HANDSHAKE + [rx(200, 0, 2), rx(300, 99, 3)], SCRIPT)
+@example(HANDSHAKE + [rx(200, 0, 2), rx(300, 200, 4), rx(400, 100, 3)], SCRIPT)
 def test_coverage_index_matches_quadratic_reference(trace, script):
-    rtt = estimate_rtt(trace) or 100 * MS
+    expected = reference_report(trace, script)
+    if expected is None:
+        # No handshake or a broken path: an error row, naming the break.
+        report = classify_trace(closed(trace), script)
+        assert report.label is None
+        if estimate_rtt(trace) is None:
+            assert report.error == ERROR_INCOMPLETE
+        else:
+            assert report.error in (ERROR_REORDERING, ERROR_UNEXPECTED_LOSS)
+            assert [index for index, _ in report.evidence] == [reference_break(trace)]
+        return
+    rtt = expected.features.rtt_est
     assert detect_retransmissions(trace, rtt, mss=script.mss) == reference_retransmissions(
         trace, rtt, mss=script.mss
     )
-    assert detect_reordering(trace) == reference_reordering(trace)
-    expected = reference_report(trace, script)
-    if expected is None:
-        with pytest.raises(IncompleteTrace):
-            extract_features(trace, script)
-        return
-    feats, evidence = extract_features(trace, script)
-    assert (feats, evidence) == (expected.features, expected.evidence)
+    assert detect_reordering(trace) is None
+    assert extract_features(trace, script) == (expected.features, expected.evidence)
 
 
 def test_features_come_from_one_coverage_pass(default_runs, monkeypatch):
-    # Retransmissions and reordering are read off the same pass over the
-    # arrivals, and classify_trace adds no second one. Standalone, each scan
-    # still matches the quadratic reference (see the property above).
-    built = []
+    # Retransmissions and the path check are read off one pass over the
+    # arrivals, and classify_trace adds no second one.
+    calls = []
+    coverage_pass = classifier._coverage_pass
 
-    class Counted(classifier._Coverage):
-        def __init__(self):
-            super().__init__()
-            built.append(self)
+    def counted(*args):
+        calls.append(args)
+        return coverage_pass(*args)
 
-    monkeypatch.setattr(classifier, "_Coverage", Counted)
+    monkeypatch.setattr(classifier, "_coverage_pass", counted)
     for variant, run in default_runs.items():
         script = run.scenario.probe_script
-        built.clear()
+        calls.clear()
         features, _ = extract_features(run.trace, script)
-        assert len(built) == 1, variant
-        built.clear()
+        assert len(calls) == 1, variant
+        calls.clear()
         assert classify_trace(run.trace, script).features == features
-        assert len(built) == 1, variant
+        assert len(calls) == 1, variant
 
 
 @pytest.mark.parametrize(

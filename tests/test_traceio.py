@@ -325,6 +325,31 @@ def test_canonical_text_is_read_without_the_line_reader(default_runs, monkeypatc
         assert read_trace(trace_text(run.trace)) == run.trace
 
 
+@pytest.mark.parametrize(
+    "first_line",
+    [SYN_LINE.replace('":', '": '), "", "not json", SYN_LINE.replace('"ip_id":1', '"ip_id":01')],
+    ids=["spaced", "blank", "garbage", "leading-zero"],
+)
+def test_noncanonical_first_line_skips_the_whole_text_scan(default_runs, monkeypatch, first_line):
+    pattern = traceio._CANONICAL_LINES
+    scans = []
+
+    class Spy:
+        match = pattern.match
+
+        def findall(self, text):
+            scans.append(text)
+            return pattern.findall(text)
+
+    monkeypatch.setattr(traceio, "_CANONICAL_LINES", Spy())
+    text = first_line + "\n" + trace_text(default_runs[Variant.NEWRENO].trace)
+    assert_reads_like_reference(text)
+    assert scans == []
+    # A canonical text still takes the one scan.
+    assert read_trace(trace_text(default_runs[Variant.NEWRENO].trace))
+    assert len(scans) == 1
+
+
 def test_bool_field_is_written_so_both_readers_reject_it():
     ev = TraceEvent(t_us=True, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1)
     text = trace_text([ev])
