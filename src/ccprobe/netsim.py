@@ -7,13 +7,13 @@ integer-microsecond clock advanced only by the event queue, so a given
 scenario always produces a bit-identical trace.
 
 The queue holds one ``(when, dest, segments)`` entry per delivered batch
-that drew any answer: everything the handlers send while one batch is
-delivered shares one due time and goes out together as the next entry.
-No timer fires between its parts: a timer fires only when it is strictly
-earlier than the next arrival, the deadline that let the batch run was
-already at or past its time, and a deadline set while it is handled is at
-least ``now + rto_min``. So delivery order is exactly that of one entry
-per segment.
+that drew any answer. An endpoint takes an entry whole, in one
+``handle_segment`` call, and all it sends in answer shares one due time
+and goes out as the next entry. No timer fires between its parts: a
+timer fires only when it is strictly earlier than the next arrival, the
+deadline that let the batch run was already at or past its time, and a
+deadline set while it is handled is at least ``now + rto_min``. So
+delivery order is exactly that of one entry per segment.
 
 An optional ambient-drop list (server ip_ids swallowed by the link)
 exists for robustness testing only; the default link never loses data.
@@ -94,15 +94,26 @@ class HttpServerEndpoint:
             return []
         return self.sender.on_rto(now)
 
-    def handle_segment(self, seg: Segment, now: int) -> list[Segment]:
-        # The common arrival first: a pure ACK while the page is being sent.
-        if seg.flags == Flag.ACK and not seg.len and self.phase == "established":
-            return [] if self.halted else self.sender.on_ack(seg.ack, now)
+    def handle_segment(self, segments: list[Segment], now: int) -> list[Segment]:
+        """Take in one delivered batch, in order; return every answer to it."""
         if self.halted:
             return []
-        if seg.flags & (Flag.RST | Flag.FIN):
-            self.halted = True
-            return []
+        out, sender, ACK = [], self.sender, Flag.ACK
+        established = self.phase == "established"
+        for seg in segments:
+            # The common arrival first: a pure ACK while the page is being sent.
+            if established and seg.flags == ACK and not seg.len:
+                out += sender.on_ack(seg.ack, now)
+            elif seg.flags & (Flag.RST | Flag.FIN):
+                self.halted = True
+                break
+            else:
+                out += self._open(seg, now)
+                sender, established = self.sender, self.phase == "established"
+        return out
+
+    def _open(self, seg: Segment, now: int) -> list[Segment]:
+        """Any arrival but a close or, once established, a pure ACK."""
         if seg.flags & Flag.SYN:
             offered = seg.mss_option or self.base_config.mss
             negotiated = replace(
@@ -121,12 +132,8 @@ class HttpServerEndpoint:
             self.sender.rcv_nxt = seg.end
             self.sender.enqueue_app_data(self.page_bytes)
             return self.sender.pump_transmissions(now)
-        if seg.flags & Flag.ACK:
-            if self.phase == "syn_rcvd":
-                self.phase = "established"
-                return []
-            if self.phase == "established":
-                return self.sender.on_ack(seg.ack, now)
+        if seg.flags & Flag.ACK and self.phase == "syn_rcvd":
+            self.phase = "established"  # pure ACKs from here on take the loop's path
         return []
 
 
@@ -179,21 +186,15 @@ def run_to_completion(world: SimWorld):
             world.clock = when
             due = when + one_way
             if dest == PROBER:
-                out = []
-                for seg in segments:
-                    out += to_prober(seg, when)
-                    if prober.overflowed:  # it answers nothing past the cap
-                        break
-                if prober.overflowed:
+                out = to_prober(segments, when)
+                if prober.overflowed:  # it stopped at the arrival past the cap
                     reason = TerminationReason.TRACE_OVERFLOW
                     break
                 if out:
                     queue.append((due, SERVER, out))
                 continue
             if dest == SERVER:
-                out = []
-                for seg in segments:
-                    out += to_server(seg, when)
+                out = to_server(segments, when)
                 if drops:
                     out = [s for s in out if s.ip_id not in drops]
                 if out:

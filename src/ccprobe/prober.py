@@ -8,8 +8,9 @@ arrival is answered with an immediate duplicate ACK, so a fast-retransmit
 sender sees the classic triple-dupACK burst. Once the cumulative ACK
 covers the scripted packet limit the prober emits a final ACK and closes.
 
-The session records at most EVENT_CAP events; past that it sets
-``overflowed`` and answers nothing more. How a probe ended is not kept
+``handle_segment`` takes a whole delivered batch and answers it. The
+session records at most EVENT_CAP events: at the arrival past that it
+sets ``overflowed`` and stops, mid-batch. How a probe ended is not kept
 here: ``classifier.classify_trace`` reads it off the trace alone.
 """
 
@@ -98,61 +99,89 @@ class ProbeSession:
         self.phase = "syn_sent"
         return [self._send(now, "syn", Flag.SYN, mss_option=self.script.mss)]
 
-    def handle_segment(self, seg: Segment, now: int) -> list[Segment]:
-        trace = self.trace
-        if seg.flags == Flag.ACK and seg.len and self.phase == "established":
-            # The common arrival first: data while the probe runs.
+    def handle_segment(self, segments: list[Segment], now: int) -> list[Segment]:
+        """Take in one delivered batch, in order; return every answer to it.
+        The connection state lives in locals across the batch."""
+        trace, out, above, ACK = self.trace, [], self._above, Flag.ACK
+        record, pending, mss = trace.append, self.pending_drops, self.script.mss
+        close_at = self.script.ack_limit_packet * mss
+        rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
+        dupacks, established = self.dupacks_sent, self.phase == "established"
+        for seg in segments:
+            if len(trace) >= EVENT_CAP:
+                self.overflowed = True  # it answers nothing past the cap
+                break
+            start, length = seg.seq, seg.len
+            if established and seg.flags == ACK and length:
+                # The common arrival first: data while the probe runs.
+                record(TraceEvent(now, "rx", "data", start, length, seg.ack, seg.ip_id))
+            else:
+                self.rcv_nxt, self.ip_id_counter = rcv_nxt, ip_id
+                answers = self._arrive(seg, now)
+                ip_id, snd_off = self.ip_id_counter, self.snd_off
+                established = self.phase == "established"
+                if answers is not None:
+                    out += answers
+                    continue
+
+            end = start + length
+            if pending:
+                to_drop = pending.intersection(covered_indices(start, length, mss))
+                if to_drop:
+                    # Pretend loss: record the arrival, acknowledge nothing. The
+                    # drop is one-shot; a retransmitted copy will be honored.
+                    pending -= to_drop
+                    continue
+
+            previous = rcv_nxt
+            if start <= previous < end and not above:
+                rcv_nxt = end  # in order, nothing stored past it
+            else:
+                rcv_nxt = self._reassemble(previous, start, end)
+            if rcv_nxt == previous and end <= rcv_nxt:
+                continue  # arrivals entirely below rcv_nxt stay silent
+            # A new cumulative ACK, or a duplicate.
             if len(trace) >= EVENT_CAP:
                 self.overflowed = True
-                return []
-            trace.append(TraceEvent(now, "rx", "data", seg.seq, seg.len, seg.ack, seg.ip_id))
-        else:
-            kind = _segment_kind(seg)
-            self._record(now, "rx", kind, seg)
-            if self.overflowed or self.phase == "closed":
-                return []  # record-only; the probe no longer answers
-            if kind == "synack" and self.phase == "syn_sent":
-                self.phase = "established"
-                handshake_ack = self._send(now, "ack", Flag.ACK)
-                request = self._send(now, "data", Flag.ACK, REQUEST_BYTES)
-                self.snd_off = REQUEST_BYTES
-                return [handshake_ack, request]
-            if not seg.len or self.phase != "established":
-                return []
+                break
+            ip_id += 1
+            record(TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id))
+            out.append(Segment(snd_off, 0, rcv_nxt, ACK, ip_id))
+            if rcv_nxt == previous:
+                dupacks += 1
+            elif rcv_nxt >= close_at:
+                # Close with a reset, as TBIT closes its probe connections.
+                self.rcv_nxt, self.ip_id_counter, self.phase = rcv_nxt, ip_id, "closed"
+                out.append(self._send(now, "rst", Flag.RST))
+                ip_id, established = self.ip_id_counter, False
+        self.rcv_nxt, self.ip_id_counter, self.dupacks_sent = rcv_nxt, ip_id, dupacks
+        return out
 
-        start, end = seg.seq, seg.seq + seg.len
-        if self.pending_drops:
-            to_drop = self.pending_drops.intersection(
-                covered_indices(start, seg.len, self.script.mss)
-            )
-            if to_drop:
-                # Pretend loss: record the arrival, acknowledge nothing. The
-                # drop is one-shot; a retransmitted copy will be honored.
-                self.pending_drops -= to_drop
-                return []
+    def _arrive(self, seg: Segment, now: int) -> list[Segment] | None:
+        """Record any arrival but data while the probe runs, and answer the
+        SYN+ACK. None means the arrival carries data to take in."""
+        kind = _segment_kind(seg)
+        self._record(now, "rx", kind, seg)
+        if self.overflowed or self.phase == "closed":
+            return []  # record-only; the probe no longer answers
+        if kind == "synack" and self.phase == "syn_sent":
+            self.phase = "established"
+            handshake_ack = self._send(now, "ack", Flag.ACK)
+            request = self._send(now, "data", Flag.ACK, REQUEST_BYTES)
+            self.snd_off = REQUEST_BYTES
+            return [handshake_ack, request]
+        if not seg.len or self.phase != "established":
+            return []
+        return None
 
-        previous = self.rcv_nxt
-        if start <= previous < end and not self._above:
-            self.rcv_nxt = end  # in order, nothing stored past it
-        else:
-            self._reassemble(start, end)
-        advanced = self.rcv_nxt > previous
-        if not advanced and end <= self.rcv_nxt:
-            return []  # arrivals entirely below rcv_nxt stay silent
-        ack = self._send(now, "ack", Flag.ACK)  # a new cumulative ACK, or a duplicate
-        if not advanced:
-            self.dupacks_sent += 1
-        elif self.rcv_nxt >= self.script.ack_limit_packet * self.script.mss:
-            return [ack, self._close(now)]
-        return [ack]
-
-    def _reassemble(self, start: int, end: int) -> None:
-        """Take in the bytes [start, end): store them, or advance rcv_nxt
-        through them and every stored span that overlaps or touches them."""
+    def _reassemble(self, rcv_nxt: int, start: int, end: int) -> int:
+        """Take in the bytes [start, end) and return the new ``rcv_nxt``:
+        store them above it, or advance it through them and every stored
+        span that overlaps or touches them."""
         spans = self._above
-        if start > self.rcv_nxt:
+        if start > rcv_nxt:
             insort(spans, (start, end))
-            return
+            return rcv_nxt
         joined = 0
         for span_start, span_end in spans:
             if span_start > end:
@@ -160,9 +189,4 @@ class ProbeSession:
             end = max(end, span_end)
             joined += 1
         del spans[:joined]
-        self.rcv_nxt = max(self.rcv_nxt, end)
-
-    def _close(self, now: int) -> Segment:
-        # Always a reset, as TBIT closes its probe connections.
-        self.phase = "closed"
-        return self._send(now, "rst", Flag.RST)
+        return max(rcv_nxt, end)

@@ -19,8 +19,10 @@ Five congestion-control behaviors sit behind one event-driven sender:
 
 The sender is a pure state machine: time enters as an explicit argument,
 segments leave as return values, and nothing here touches a clock or a
-socket. All times are integer virtual microseconds; cwnd/ssthresh are raw
-byte counts (deliberately not rounded to segment multiples).
+socket. Every emission, fresh or repeated, is one byte range cut into
+segments, with Karn's RTT-sample rule applied once per range. All times
+are integer virtual microseconds; cwnd/ssthresh are raw byte counts
+(deliberately not rounded to segment multiples).
 """
 
 import enum
@@ -112,20 +114,31 @@ class Sender:
             return self.cwnd + self.dupacks * self.mss
         return self.cwnd
 
-    def _emit(self, seq: int, length: int, now: int) -> Segment:
-        # Karn bookkeeping: a re-emission poisons any timed segment it
-        # overlaps; otherwise start timing the first fresh segment in flight.
-        if seq < self._max_sent:
-            if self._rtt_probe is not None:
-                start, end, _ = self._rtt_probe
-                if seq < end and start < seq + length:
-                    self._rtt_probe = None
-        elif self._rtt_probe is None:
-            self._rtt_probe = (seq, seq + length, now)
-        if seq + length > self._max_sent:
-            self._max_sent = seq + length
-        self.ip_id_counter += 1
-        return Segment(seq, length, self.rcv_nxt, Flag.ACK, self.ip_id_counter)
+    def _emit_range(self, seq: int, end: int, now: int) -> list[Segment]:
+        """Emit [seq, end), end > seq, as segments of one mss and a rest.
+        Karn's rule, once per range: the segments that start below
+        ``_max_sent`` are re-sent and poison a timed segment they overlap;
+        the first fresh one is timed if nothing is."""
+        mss, max_sent = self.mss, self._max_sent
+        fresh = seq
+        if seq < max_sent:
+            # Fresh data begins with the first segment at or past max_sent.
+            fresh = min(end, max_sent + (seq - max_sent) % mss)
+            probe = self._rtt_probe
+            if probe is not None and seq < probe[1] and probe[0] < fresh:
+                self._rtt_probe = None
+        if fresh < end and self._rtt_probe is None:
+            self._rtt_probe = (fresh, min(fresh + mss, end), now)
+        if end > max_sent:
+            self._max_sent = end
+        out, ack, ip_id = [], self.rcv_nxt, self.ip_id_counter
+        while seq + mss < end:
+            ip_id += 1
+            out.append(Segment(seq, mss, ack, Flag.ACK, ip_id))
+            seq += mss
+        self.ip_id_counter = ip_id + 1
+        out.append(Segment(seq, end - seq, ack, Flag.ACK, ip_id + 1))
+        return out
 
     # -- operations -----------------------------------------------------
 
@@ -136,69 +149,59 @@ class Sender:
 
     def pump_transmissions(self, now: int) -> list[Segment]:
         """Send whatever the window and the application queue allow."""
-        out = []
-        mss, snd_nxt = self.mss, self.snd_nxt
         # effective_window(), inline: this runs on every ACK.
-        window = self.cwnd + self.dupacks * mss if self.in_fast_recovery else self.cwnd
-        limit = min(self.app_limit, self.snd_una + window)
-        while snd_nxt < limit:
-            end = snd_nxt + mss if snd_nxt + mss < limit else limit
-            out.append(self._emit(snd_nxt, end - snd_nxt, now))
-            snd_nxt = end
-        self.snd_nxt = snd_nxt
-        if self.rto_deadline is None and snd_nxt > self.snd_una:
+        window = self.cwnd + self.dupacks * self.mss if self.in_fast_recovery else self.cwnd
+        snd_nxt, limit = self.snd_nxt, self.snd_una + window
+        if limit > self.app_limit:
+            limit = self.app_limit
+        if snd_nxt >= limit:
+            # The timer is armed whenever data is in flight, so it stands.
+            return []
+        self.snd_nxt = limit
+        if self.rto_deadline is None:
             self.rto_deadline = now + self.rto_current
-        return out
+        return self._emit_range(snd_nxt, limit, now)
 
     def on_ack(self, ack: int, now: int) -> list[Segment]:
+        snd_una = self.snd_una
         if ack > self.app_limit:
             raise ProtocolError(f"ack {ack} beyond queued data {self.app_limit}")
-        if ack < self.snd_una:
-            return []  # stale: it acknowledges nothing new
-
-        out = []
-        if ack > self.snd_una:
-            if self._rtt_probe is not None and ack >= self._rtt_probe[1]:
-                emitted_at = self._rtt_probe[2]
-                self._rtt_probe = None
-                self.update_rtt(now - emitted_at)
-            bytes_acked = ack - self.snd_una
-            self.snd_una = ack
-            if self.snd_nxt < self.snd_una:
-                # The peer acknowledged data we forgot about after a go-back.
-                self.snd_nxt = self.snd_una
-            self.dupacks = 0
-
-            if self.in_fast_recovery and self.variant is Variant.NEWRENO:
-                if ack >= self.recover:
-                    self.in_fast_recovery = False
-                    self.cwnd = self.ssthresh
-                else:
-                    # Partial ACK: repair the next hole, deflate by the amount
-                    # acknowledged, stay in recovery.
-                    out.append(self._retransmit_head(now))
-                    self.cwnd = max(self.cwnd - bytes_acked, 0) + self.mss
-            elif self.in_fast_recovery:
-                self.in_fast_recovery = False
-                self.cwnd = self.ssthresh
-            elif self.cwnd < self.ssthresh:
-                self.cwnd += self.mss  # slow start: one segment per new ACK
-            else:
-                self.cwnd += (self.mss * self.mss) // self.cwnd
-
-            self.rto_deadline = (
-                now + self.rto_current if self.snd_nxt > self.snd_una else None
-            )
-            out += self.pump_transmissions(now)
-        elif self.snd_nxt > self.snd_una:
+        if ack <= snd_una:
+            if ack < snd_una or self.snd_nxt <= snd_una:
+                return []  # stale, or a duplicate with nothing in flight
             self.dupacks += 1
-            if (
-                self.dupacks == DUPACK_THRESHOLD
-                and self._may_enter_loss_response()
-            ):
-                out += self._loss_response(now)
-            out += self.pump_transmissions(now)
-        return out
+            out = []
+            if self.dupacks == DUPACK_THRESHOLD and self._may_enter_loss_response():
+                out = self._loss_response(now)
+            return out + self.pump_transmissions(now)
+
+        probe = self._rtt_probe
+        if probe is not None and ack >= probe[1]:
+            self._rtt_probe = None
+            self.update_rtt(now - probe[2])
+        self.snd_una = ack
+        if self.snd_nxt < ack:
+            # The peer acknowledged data we forgot about after a go-back.
+            self.snd_nxt = ack
+        self.dupacks = 0
+        cwnd, mss, repair = self.cwnd, self.mss, None
+        # The common case first: a new ACK outside recovery.
+        if not self.in_fast_recovery:
+            if cwnd < self.ssthresh:
+                self.cwnd = cwnd + mss  # slow start: one segment per new ACK
+            else:
+                self.cwnd = cwnd + mss * mss // cwnd
+        elif self.variant is Variant.NEWRENO and ack < self.recover:
+            # Partial ACK: repair the next hole, deflate by the amount
+            # acknowledged, stay in recovery.
+            repair = self._retransmit_head(now)
+            self.cwnd = max(cwnd - (ack - snd_una), 0) + mss
+        else:
+            self.in_fast_recovery = False
+            self.cwnd = self.ssthresh
+        self.rto_deadline = now + self.rto_current if self.snd_nxt > ack else None
+        out = self.pump_transmissions(now)
+        return repair + out if repair else out
 
     def on_rto(self, now: int) -> list[Segment]:
         """Retransmission timer expiry: collapse to one segment and go back."""
@@ -211,8 +214,8 @@ class Sender:
         self.snd_nxt = self.snd_una
         out = []
         if self.snd_una < self.app_limit:
-            out.append(self._retransmit_head(now))
-            self.snd_nxt = self.snd_una + out[0].len
+            out = self._retransmit_head(now)
+            self.snd_nxt = out[0].end
         self.rto_current = min(2 * self.rto_current, self.config.rto_max_us)
         self.rto_deadline = (
             now + self.rto_current if self.snd_nxt > self.snd_una else None
@@ -236,9 +239,9 @@ class Sender:
 
     # -- internals ------------------------------------------------------
 
-    def _retransmit_head(self, now: int) -> Segment:
-        length = min(self.mss, self.app_limit - self.snd_una)
-        return self._emit(self.snd_una, length, now)
+    def _retransmit_head(self, now: int) -> list[Segment]:
+        snd_una = self.snd_una
+        return self._emit_range(snd_una, min(snd_una + self.mss, self.app_limit), now)
 
     def _may_enter_loss_response(self) -> bool:
         if self.variant is Variant.NO_FAST_RETRANSMIT:
@@ -255,10 +258,10 @@ class Sender:
         self.ssthresh = max(self.flight // 2, 2 * self.mss)
         if self.variant is Variant.TAHOE:
             self.cwnd = self.mss
-            seg = self._retransmit_head(now)
-            self.snd_nxt = self.snd_una + seg.len
+            out = self._retransmit_head(now)
+            self.snd_nxt = out[0].end
             self.dupacks = 0
-            return [seg]
+            return out
         if self.variant is Variant.RENO_PLUS:
             # Window left alone; the caller's pump re-sends forward from
             # snd_una inside the inflated window (go-back burst).
@@ -266,8 +269,8 @@ class Sender:
             self.recover = self.snd_nxt
             self.snd_nxt = self.snd_una
             return []
-        seg = self._retransmit_head(now)
+        out = self._retransmit_head(now)
         self.cwnd = self.ssthresh + DUPACK_THRESHOLD * self.mss
         self.in_fast_recovery = True
         self.recover = self.snd_nxt
-        return [seg]
+        return out

@@ -5,8 +5,9 @@ offsets from the start of each direction's payload stream; the handshake
 consumes no sequence space in this model.
 
 A ``Segment`` is a slotted dataclass: cheap to build, compared by value,
-not hashable. Nothing in the package alters a segment after building it,
-and callers should treat it as read-only too.
+not hashable. It checks itself in its own ``__init__``, so building one
+costs a single call. Nothing in the package alters a segment after
+building it, and callers should treat it as read-only too.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ class Flag:
     RST = 8
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Segment:
     seq: int
     len: int
@@ -32,13 +33,19 @@ class Segment:
     ip_id: int
     mss_option: int | None = None
 
-    def __post_init__(self):
-        if self.len < 0:
+    def __init__(self, seq, len, ack, flags, ip_id, mss_option=None):
+        if len < 0:
             raise ValueError("negative payload length")
-        if self.flags & Flag.SYN and self.flags & Flag.RST:
+        if flags & Flag.SYN and flags & Flag.RST:
             raise ValueError("SYN and RST are mutually exclusive")
-        if self.mss_option is not None and not self.flags & Flag.SYN:
+        if mss_option is not None and not flags & Flag.SYN:
             raise ValueError("mss_option is only valid on SYN segments")
+        self.seq = seq
+        self.len = len
+        self.ack = ack
+        self.flags = flags
+        self.ip_id = ip_id
+        self.mss_option = mss_option
 
     @property
     def end(self) -> int:

@@ -5,6 +5,8 @@ byte spans) were derived by hand from the variant rules and the fixed
 rtt/2 link before implementation, then frozen here.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,9 +25,11 @@ from ccprobe import (
 )
 from ccprobe.netsim import PROBER, SERVER, HttpServerEndpoint
 from ccprobe.prober import EVENT_CAP, ProbeSession
+from ccprobe.sender import Sender
 from ccprobe.wire import Flag, Segment
 
 from conftest import delivered_union, run_scenario, rx_data, trace_text, tx_acks
+from test_golden import LONG_PAGE
 
 MS = 1000
 
@@ -81,7 +85,7 @@ def fresh_server(page=3000) -> HttpServerEndpoint:
 
 def test_syn_answered_with_synack_echoing_smaller_mss():
     server = fresh_server()
-    out = server.handle_segment(prober_segment(Flag.SYN, mss_option=100), 0)
+    out = server.handle_segment([prober_segment(Flag.SYN, mss_option=100)], 0)
     assert len(out) == 1
     assert out[0].flags == Flag.SYN | Flag.ACK
     assert out[0].ack == 0  # the handshake consumes no sequence space
@@ -91,36 +95,36 @@ def test_syn_answered_with_synack_echoing_smaller_mss():
 
 def test_request_triggers_initial_window_of_two():
     server = fresh_server()
-    server.handle_segment(prober_segment(Flag.SYN, mss_option=100), 0)
-    server.handle_segment(prober_segment(Flag.ACK, ip_id=2), 50)
-    out = server.handle_segment(prober_segment(Flag.ACK, length=100, ip_id=3), 50)
+    server.handle_segment([prober_segment(Flag.SYN, mss_option=100)], 0)
+    server.handle_segment([prober_segment(Flag.ACK, ip_id=2)], 50)
+    out = server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=3)], 50)
     assert [(seg.seq, seg.len) for seg in out] == [(0, 100), (100, 100)]
     assert [seg.ack for seg in out] == [100, 100]  # the request is acked
 
 
 def test_payload_before_handshake_or_second_request_is_ignored():
     server = fresh_server()
-    out = server.handle_segment(prober_segment(Flag.ACK, length=100), 0)
+    out = server.handle_segment([prober_segment(Flag.ACK, length=100)], 0)
     assert out == []
     assert (server.phase, server.sender) == ("listen", None)
-    server.handle_segment(prober_segment(Flag.SYN, mss_option=100), 0)
-    server.handle_segment(prober_segment(Flag.ACK, ip_id=2), 50)
-    server.handle_segment(prober_segment(Flag.ACK, length=100, ip_id=3), 50)
+    server.handle_segment([prober_segment(Flag.SYN, mss_option=100)], 0)
+    server.handle_segment([prober_segment(Flag.ACK, ip_id=2)], 50)
+    server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=3)], 50)
     sent = (server.sender.snd_una, server.sender.snd_nxt, server.sender.app_limit)
-    out = server.handle_segment(prober_segment(Flag.ACK, length=100, ip_id=4), 60)
+    out = server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=4)], 60)
     assert out == []
     assert (server.sender.snd_una, server.sender.snd_nxt, server.sender.app_limit) == sent
 
 
 def test_reset_halts_server_forever():
     server = fresh_server()
-    server.handle_segment(prober_segment(Flag.SYN, mss_option=100), 0)
-    server.handle_segment(prober_segment(Flag.ACK, ip_id=2), 50)
-    server.handle_segment(prober_segment(Flag.ACK, length=100, ip_id=3), 50)
-    out = server.handle_segment(prober_segment(Flag.RST, ip_id=4), 60)
+    server.handle_segment([prober_segment(Flag.SYN, mss_option=100)], 0)
+    server.handle_segment([prober_segment(Flag.ACK, ip_id=2)], 50)
+    server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=3)], 50)
+    out = server.handle_segment([prober_segment(Flag.RST, ip_id=4)], 60)
     assert out == []
     assert server.halted
-    out = server.handle_segment(prober_segment(Flag.ACK, ip_id=5), 70)
+    out = server.handle_segment([prober_segment(Flag.ACK, ip_id=5)], 70)
     assert out == []
     assert server.rto_deadline is None  # timer silenced with the endpoint
 
@@ -249,12 +253,12 @@ def test_capped_run_stops_at_the_overflowing_arrival(monkeypatch):
     # The 2,000-packet page acked up to 1,900 fills the 10,000-event cap
     # long before the prober could close. The run must end right there,
     # not keep simulating arrivals the prober no longer answers.
-    arrivals = []
+    batches = []  # (now, overflowed before, batch size, trace length before)
     handle = ProbeSession.handle_segment
 
-    def counted(session, seg, now):
-        arrivals.append((now, session.overflowed))
-        return handle(session, seg, now)
+    def counted(session, segments, now):
+        batches.append((now, session.overflowed, len(segments), len(session.trace)))
+        return handle(session, segments, now)
 
     monkeypatch.setattr(ProbeSession, "handle_segment", counted)
     world = sim_init(Scenario(variant=Variant.NEWRENO, **CAPPED))
@@ -262,11 +266,16 @@ def test_capped_run_stops_at_the_overflowing_arrival(monkeypatch):
     assert reason is TerminationReason.TRACE_OVERFLOW
     assert world.prober.overflowed
     assert len(trace) == EVENT_CAP
-    # No arrival reached the prober after the one that overflowed it, and
-    # the clock stopped at that arrival.
-    assert not any(was_over for _, was_over in arrivals)
-    assert world.clock == arrivals[-1][0]
+    # No batch reached the prober after the one that overflowed it, and
+    # the clock stopped at that batch.
+    assert not any(was_over for _, was_over, _, _ in batches)
+    now, _, size, before = batches[-1]
+    assert world.clock == now
     assert world.clock - trace[-1].t_us <= 10 * MS
+    # The prober stopped mid-batch: it took fewer of the batch's arrivals
+    # than were delivered, each recorded as one rx event.
+    taken = sum(ev.dir == "rx" for ev in trace[before:])
+    assert 0 < taken < size
 
 
 # -- the batched event loop against the per-segment one -------------------------
@@ -318,9 +327,9 @@ def run_per_segment(world):
         if kind == "start":
             _dispatch_each(world, world.prober.start(when), when, PROBER)
         elif kind == SERVER:
-            _dispatch_each(world, world.server.handle_segment(seg, when), when, SERVER)
+            _dispatch_each(world, world.server.handle_segment([seg], when), when, SERVER)
         else:
-            _dispatch_each(world, world.prober.handle_segment(seg, when), when, PROBER)
+            _dispatch_each(world, world.prober.handle_segment([seg], when), when, PROBER)
     return list(world.prober.trace), reason
 
 
@@ -374,3 +383,50 @@ def test_batched_loop_matches_per_segment_loop(scenario):
     expected_trace, expected_reason = run_per_segment(oracle)
     assert len(expected_trace) < EVENT_CAP
     assert (trace, reason, batched.clock) == (expected_trace, expected_reason, oracle.clock)
+
+
+# -- the entry points the benchmark's tracer wraps ------------------------------
+# bench/tracing.py wraps these class attributes to time each layer and to
+# count the golden "timers" and per-layer calls. Each endpoint takes a whole
+# delivered batch in one call, so every segment must still pass through its
+# endpoint's handle_segment, and every timer fire through on_timer.
+
+
+def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
+    seen = Counter()
+    inside_timer = [False]
+
+    def wrap(owner, name, count):
+        original = owner.__dict__[name]
+
+        def wrapped(self, *args):
+            seen[name, owner.__name__] += count(args)
+            if name == "on_timer":
+                inside_timer[0] = True
+                try:
+                    return original(self, *args)
+                finally:
+                    inside_timer[0] = False
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    wrap(ProbeSession, "handle_segment", lambda args: len(args[0]))
+    wrap(HttpServerEndpoint, "handle_segment", lambda args: len(args[0]))
+    wrap(HttpServerEndpoint, "on_timer", lambda args: 1)
+    wrap(Sender, "on_ack", lambda args: 1)
+    wrap(Sender, "on_rto", lambda args: 0 if inside_timer[0] else 1)
+    timers = 0
+    for overrides in ({}, LONG_PAGE):
+        for variant in Variant:
+            seen.clear()
+            run = run_scenario(variant, **overrides)
+            assert run.reason is TerminationReason.PROBER_CLOSED
+            directions = Counter(ev.dir for ev in run.trace)
+            assert seen["handle_segment", "ProbeSession"] == directions["rx"]
+            assert seen["handle_segment", "HttpServerEndpoint"] == directions["tx"]
+            # Every prober ACK but the handshake's reaches the sender.
+            assert seen["on_ack", "Sender"] == len(tx_acks(run.trace)) - 1
+            assert seen["on_rto", "Sender"] == 0  # no timer fire bypasses on_timer
+            timers += seen["on_timer", "HttpServerEndpoint"]
+    assert timers == 4  # as at the per-segment loop: Reno and NoFastRetransmit, both pages

@@ -39,7 +39,7 @@ def synack(mss_option: int = MSS) -> Segment:
 def established_session(script: ProbeScript = None) -> ProbeSession:
     session = ProbeSession(script or ProbeScript())
     session.start(0)
-    session.handle_segment(synack(), 0)
+    session.handle_segment([synack()], 0)
     return session
 
 
@@ -48,7 +48,7 @@ def replay(script: ProbeScript, arrivals=()) -> ProbeSession:
     session = ProbeSession(script)
     session.start(0)
     for now, seg in enumerate(arrivals, start=1):
-        session.handle_segment(seg, now)
+        session.handle_segment([seg], now)
     return session
 
 
@@ -91,7 +91,7 @@ def test_reassembly_merges_stored_spans_into_the_ack_point():
     session = established_session(ProbeScript(drop_packets=frozenset()))
 
     def acks(seq, length):
-        return [seg.ack for seg in session.handle_segment(raw_data(seq, length), 1)]
+        return [seg.ack for seg in session.handle_segment([raw_data(seq, length)], 1)]
 
     assert acks(0, 100) == [100]
     assert acks(200, 100) == [100]  # stored above the hole: a dupACK
@@ -128,7 +128,7 @@ def test_handshake_mss_pass_through():
 def test_synack_triggers_ack_and_request():
     session = ProbeSession(ProbeScript())
     session.start(0)
-    out = session.handle_segment(synack(), 100)
+    out = session.handle_segment([synack()], 100)
     assert len(out) == 2
     handshake_ack, request = out
     assert handshake_ack.len == 0
@@ -145,7 +145,7 @@ def test_in_order_arrivals_ack_cumulatively():
     session = established_session()
     acks = []
     for index in range(1, 6):
-        out = session.handle_segment(data_segment(index, ip_id=index + 1), index)
+        out = session.handle_segment([data_segment(index, ip_id=index + 1)], index)
         acks += [seg.ack for seg in out]
     assert acks == [100, 200, 300, 400, 500]
     assert session.rcv_nxt == 500
@@ -154,8 +154,8 @@ def test_in_order_arrivals_ack_cumulatively():
 def test_first_arrival_of_dropped_packet_gets_no_ack():
     session = established_session()
     for index in range(1, 13):
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
-    out = session.handle_segment(data_segment(13, ip_id=14), 13)
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
+    out = session.handle_segment([data_segment(13, ip_id=14)], 13)
     assert out == []
     assert session.rcv_nxt == 1200
     # recorded on the wire even though it was not acknowledged
@@ -166,10 +166,10 @@ def test_first_arrival_of_dropped_packet_gets_no_ack():
 def test_out_of_order_arrivals_send_one_dupack_each():
     session = established_session()
     for index in range(1, 13):
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
-    session.handle_segment(data_segment(13, ip_id=14), 13)  # dropped
-    dup1 = session.handle_segment(data_segment(14, ip_id=15), 14)
-    dup2 = session.handle_segment(data_segment(15, ip_id=16), 15)
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
+    session.handle_segment([data_segment(13, ip_id=14)], 13)  # dropped
+    dup1 = session.handle_segment([data_segment(14, ip_id=15)], 14)
+    dup2 = session.handle_segment([data_segment(15, ip_id=16)], 15)
     assert [seg.ack for seg in dup1 + dup2] == [1200, 1200]
     assert session.dupacks_sent == 2
 
@@ -179,11 +179,11 @@ def test_retransmission_is_honored_and_ack_jumps():
     # cumulative point to 1500; the still-missing 16 holds it there.
     session = established_session()
     for index in range(1, 13):
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
-    session.handle_segment(data_segment(13, ip_id=14), 13)
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
+    session.handle_segment([data_segment(13, ip_id=14)], 13)
     for offset, index in enumerate((14, 15, 17, 18)):
-        session.handle_segment(data_segment(index, ip_id=15 + offset), 14 + offset)
-    out = session.handle_segment(data_segment(13, ip_id=30), 20)
+        session.handle_segment([data_segment(index, ip_id=15 + offset)], 14 + offset)
+    out = session.handle_segment([data_segment(13, ip_id=30)], 20)
     assert [seg.ack for seg in out] == [1500]
     assert session.rcv_nxt == 1500
 
@@ -191,9 +191,9 @@ def test_retransmission_is_honored_and_ack_jumps():
 def test_second_drop_is_independent():
     session = established_session()
     for index in range(1, 13):
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
-    session.handle_segment(data_segment(13, ip_id=14), 13)
-    out = session.handle_segment(data_segment(16, ip_id=15), 14)
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
+    session.handle_segment([data_segment(13, ip_id=14)], 13)
+    out = session.handle_segment([data_segment(16, ip_id=15)], 14)
     assert out == []  # swallowed silently: 16 is also scripted
     assert session.pending_drops == set()
 
@@ -202,7 +202,7 @@ def test_close_after_ack_limit_emits_single_reset():
     script = ProbeScript(drop_packets=frozenset())
     session = established_session(script)
     for index in range(1, 26):
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
     assert session.phase == "closed"
     resets = [ev for ev in session.trace if ev.kind == "rst"]
     assert len(resets) == 1
@@ -216,9 +216,9 @@ def test_after_close_arrivals_are_recorded_only():
     script = ProbeScript(drop_packets=frozenset())
     session = established_session(script)
     for index in range(1, 26):
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
     before = len(session.trace)
-    out = session.handle_segment(data_segment(26, ip_id=40), 99)
+    out = session.handle_segment([data_segment(26, ip_id=40)], 99)
     assert out == []
     assert len(session.trace) == before + 1
     assert session.trace[-1].dir == "rx"
@@ -227,16 +227,16 @@ def test_after_close_arrivals_are_recorded_only():
 def test_stale_arrival_below_ack_point_stays_silent():
     session = established_session()
     for index in range(1, 4):
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
-    out = session.handle_segment(data_segment(1, ip_id=9), 10)
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
+    out = session.handle_segment([data_segment(1, ip_id=9)], 10)
     assert out == []
     assert session.rcv_nxt == 300
 
 
 def test_duplicate_delivery_is_recorded_and_silent():
     session = established_session()
-    session.handle_segment(data_segment(1, ip_id=2), 1)
-    out = session.handle_segment(data_segment(1, ip_id=2), 2)
+    session.handle_segment([data_segment(1, ip_id=2)], 1)
+    out = session.handle_segment([data_segment(1, ip_id=2)], 2)
     assert out == []
     assert session.rcv_nxt == 100
     assert [(ev.t_us, ev.ip_id) for ev in session.trace if ev.dir == "rx"][-2:] == [
@@ -252,7 +252,7 @@ def test_event_cap_marks_overflow():
         ProbeScript(drop_packets=frozenset(), ack_limit_packet=EVENT_CAP + 1)
     )
     answers = [
-        session.handle_segment(data_segment(index, ip_id=index + 1), index)
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
         for index in range(1, EVENT_CAP + 1)
     ]
     assert session.overflowed
@@ -324,7 +324,7 @@ def test_acks_monotone_and_never_cover_unseen_bytes(indices):
         now += 1
         seg = data_segment(index, ip_id=ip_id)
         observed.update(range(seg.seq, seg.end))
-        for out in session.handle_segment(seg, now):
+        for out in session.handle_segment([seg], now):
             if out.flags & Flag.ACK and out.len == 0:
                 assert out.ack >= last_ack  # cumulative ACK monotonicity
                 last_ack = out.ack
@@ -353,7 +353,7 @@ def test_ack_point_is_the_contiguous_prefix_of_unaligned_arrivals(arrivals):
     received = set()
     for now, (seq, length) in enumerate(arrivals, start=1):
         previous = session.rcv_nxt
-        out = session.handle_segment(raw_data(seq, length, ip_id=now + 1), now)
+        out = session.handle_segment([raw_data(seq, length, ip_id=now + 1)], now)
         received.update(range(seq, seq + length))
         assert session.rcv_nxt == contiguous_prefix(received)
         if session.rcv_nxt > previous or seq + length > session.rcv_nxt:

@@ -7,18 +7,26 @@ and are frozen; the round-table test checks the sender against a separate
 brute-force oracle rather than against itself.
 """
 
+from unittest.mock import patch
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import (
     ConfigurationError,
     InternalError,
+    ProbeScript,
     ProtocolError,
+    Scenario,
     SenderConfig,
     Variant,
+    run_to_completion,
+    sim_init,
 )
+from ccprobe import netsim
 from ccprobe.sender import Sender
+from ccprobe.wire import Flag, Segment
 
 MSS = 100
 CFG = SenderConfig(mss=MSS)
@@ -521,3 +529,163 @@ def test_deterministic_replay():
         return [(s.seq, s.len, s.ip_id, s.ack) for s in out]
 
     assert run() == run()
+
+
+# -- the range emitter against per-segment Karn bookkeeping ---------------------
+# The sender emits a byte range in one call and applies Karn's rule once for
+# it. The reference below is the per-segment emission it replaced: each
+# segment on its own poisons an overlapping timed segment when it starts
+# below the high-water mark, or else starts timing if nothing is timed.
+
+
+def reference_emit(sender: Sender, seq: int, length: int, now: int) -> Segment:
+    if seq < sender._max_sent:
+        if sender._rtt_probe is not None:
+            start, end, _ = sender._rtt_probe
+            if seq < end and start < seq + length:
+                sender._rtt_probe = None
+    elif sender._rtt_probe is None:
+        sender._rtt_probe = (seq, seq + length, now)
+    if seq + length > sender._max_sent:
+        sender._max_sent = seq + length
+    sender.ip_id_counter += 1
+    return Segment(seq, length, sender.rcv_nxt, Flag.ACK, sender.ip_id_counter)
+
+
+class PerSegmentSender(Sender):
+    """The sender with per-segment emission in its pump and its repairs."""
+
+    def pump_transmissions(self, now: int) -> list[Segment]:
+        out = []
+        mss, snd_nxt = self.mss, self.snd_nxt
+        limit = min(self.app_limit, self.snd_una + self.effective_window())
+        while snd_nxt < limit:
+            end = snd_nxt + mss if snd_nxt + mss < limit else limit
+            out.append(reference_emit(self, snd_nxt, end - snd_nxt, now))
+            snd_nxt = end
+        self.snd_nxt = snd_nxt
+        if self.rto_deadline is None and snd_nxt > self.snd_una:
+            self.rto_deadline = now + self.rto_current
+        return out
+
+    def _emit_range(self, seq: int, end: int, now: int) -> list[Segment]:
+        out = []
+        while seq < end:
+            length = min(self.mss, end - seq)
+            out.append(reference_emit(self, seq, length, now))
+            seq += length
+        return out
+
+
+def karn_state(sender: Sender) -> tuple:
+    return (
+        sender._rtt_probe, sender._max_sent, sender.srtt, sender.rto_current,
+        sender.rto_deadline, sender.snd_nxt, sender.ip_id_counter,
+    )
+
+
+class ShadowedSender(Sender):
+    """The sender under test. Each outside call is repeated on a
+    ``PerSegmentSender`` twin, and the two must agree after it."""
+
+    def __init__(self, config: SenderConfig, variant: Variant):
+        super().__init__(config, variant)
+        self.twin = PerSegmentSender(config, variant)
+        self.nested = False
+
+    def _checked(self, name: str, *args) -> list[Segment]:
+        if self.nested:  # a call from inside the sender itself
+            return getattr(Sender, name)(self, *args)
+        twin = self.twin
+        # The server sets these from outside: the request's end and the page.
+        twin.rcv_nxt, twin.app_limit, twin.ip_id_counter = (
+            self.rcv_nxt, self.app_limit, self.ip_id_counter,
+        )
+        self.nested = True
+        try:
+            out = getattr(Sender, name)(self, *args)
+        finally:
+            self.nested = False
+        assert out == getattr(PerSegmentSender, name)(twin, *args)
+        assert karn_state(self) == karn_state(twin)
+        return out
+
+    def on_ack(self, ack, now):
+        return self._checked("on_ack", ack, now)
+
+    def pump_transmissions(self, now):
+        return self._checked("pump_transmissions", now)
+
+    def on_rto(self, now):
+        return self._checked("on_rto", now)
+
+
+def run_shadowed(scenario: Scenario) -> list:
+    with patch.object(netsim, "Sender", ShadowedSender):
+        world = sim_init(scenario)
+        trace, _ = run_to_completion(world)
+    assert isinstance(world.server.sender, ShadowedSender)
+    return trace
+
+
+def go_back_page(variant, packets, ack_limit, rtt_ms=50, cwnd=2) -> Scenario:
+    return Scenario(
+        variant=variant,
+        rtt_ms=rtt_ms,
+        page_bytes=packets * 100,
+        sender_config=SenderConfig(initial_cwnd=cwnd),
+        probe_script=ProbeScript(ack_limit_packet=ack_limit),
+    )
+
+
+@st.composite
+def emitter_scenarios(draw) -> Scenario:
+    ack_limit = draw(st.integers(min_value=2, max_value=60))
+    drops = draw(st.frozensets(st.integers(min_value=1, max_value=ack_limit - 1), max_size=3))
+    return Scenario(
+        variant=draw(st.sampled_from(list(Variant))),
+        rtt_ms=draw(st.sampled_from([10, 50, 100, 300, 600])),
+        page_bytes=ack_limit * 100 + draw(st.integers(min_value=100, max_value=3000)),
+        sender_config=SenderConfig(initial_cwnd=draw(st.integers(min_value=1, max_value=4))),
+        probe_script=ProbeScript(drop_packets=drops, ack_limit_packet=ack_limit),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(emitter_scenarios())
+# Go-back pumps from below the high-water mark that run on into fresh data;
+# on the long pages congestion avoidance leaves the mark off the mss grid,
+# so one re-sent segment straddles it.
+@example(go_back_page(Variant.TAHOE, 30, 25))
+@example(go_back_page(Variant.RENO_PLUS, 30, 25))
+@example(go_back_page(Variant.TAHOE, 300, 250, cwnd=4))
+@example(go_back_page(Variant.RENO_PLUS, 300, 250, cwnd=4))
+@example(go_back_page(Variant.NEWRENO, 300, 250, rtt_ms=10, cwnd=1))
+def test_range_emitter_matches_per_segment_karn_reference(scenario):
+    run_shadowed(scenario)
+
+
+@pytest.mark.parametrize(
+    "una, probe, expected_probe",
+    [
+        (0, None, (300, 400, 7)),  # nothing timed: time the first fresh segment
+        (0, (0, 100, 1), (300, 400, 7)),  # the re-sent head poisons the timed one
+        (0, (200, 250, 1), (300, 400, 7)),  # so does the segment straddling the mark
+        (100, (0, 100, 1), (0, 100, 1)),  # a timed segment below the range stands
+    ],
+    ids=["untimed", "head-timed", "straddler-timed", "below-range-timed"],
+)
+def test_go_back_range_across_the_high_water_mark(una, probe, expected_probe):
+    # Five segments from una with max_sent at 250: those that start below
+    # it are re-sent, the last straddling it, and 300 starts the fresh data.
+    results = []
+    for cls in (Sender, PerSegmentSender):
+        sender = cls(CFG, Variant.TAHOE)
+        sender.enqueue_app_data(3000)
+        sender.snd_una = sender.snd_nxt = una
+        sender.cwnd, sender._max_sent, sender._rtt_probe = 500, 250, probe
+        out = sender.pump_transmissions(7)
+        assert [(seg.seq, seg.len) for seg in out] == [(s, 100) for s in range(una, una + 500, 100)]
+        results.append((out, karn_state(sender)))
+    assert results[0] == results[1]
+    assert results[0][1][:2] == (expected_probe, una + 500)

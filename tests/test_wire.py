@@ -45,6 +45,27 @@ def test_segment_constructor_checks(args, message):
         Segment(*args)
 
 
+# A segment that breaks two rules reports the first in this order: negative
+# length, then SYN with RST, then mss_option without SYN. No segment breaks
+# the last two at once, since one needs SYN and the other its absence.
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, -1, 0, Flag.SYN | Flag.RST, 1), "negative payload length"),
+        ((0, -1, 0, Flag.ACK, 1, 100), "negative payload length"),
+        ((0, -1, 0, Flag.SYN | Flag.RST, 1, 100), "negative payload length"),
+        ((0, 0, 0, Flag.SYN | Flag.RST, 1, 100), "SYN and RST are mutually exclusive"),
+        ((0, 0, 0, Flag.RST, 1, 100), "mss_option is only valid on SYN segments"),
+    ],
+    ids=["len-and-syn-rst", "len-and-mss", "len-syn-rst-and-mss", "syn-rst-with-mss", "rst-with-mss"],
+)
+def test_segment_reports_the_first_broken_rule(args, message):
+    with pytest.raises(ValueError, match=message):
+        Segment(*args)
+    with pytest.raises(ValueError, match=message):
+        Segment(**dict(zip(SEGMENT_FIELDS, args)))
+
+
 @pytest.mark.parametrize(
     "make",
     [
