@@ -15,6 +15,11 @@ deadline that let the batch run was already at or past its time, and a
 deadline set while it is handled is at least ``now + rto_min``. So
 delivery order is exactly that of one entry per segment.
 
+Each endpoint's ``handle_segment`` is its one arrival path, a loop over
+the batch that tests the common arrival first. The server's one
+``phase`` runs listen -> syn_rcvd -> established -> serving -> closed
+(see ``HttpServerEndpoint``).
+
 An optional ambient-drop list (server ip_ids swallowed by the link)
 exists for robustness testing only; the default link never loses data.
 """
@@ -72,69 +77,61 @@ class HttpServerEndpoint:
     page; request and response bytes are opaque. The congestion sender is
     created at SYN time with the negotiated MSS, and the SYN+ACK draws its
     ip_id from the same per-connection counter the sender uses.
+
+    ``phase`` runs listen -> syn_rcvd -> established -> serving, and a RST
+    or FIN in any phase makes it ``closed``, which answers nothing. A SYN
+    in any open phase starts a fresh sender and is answered again; once
+    the page is served, that SYN leads to ``reopened``, whose ACK leads
+    back to ``serving``, so the page is never served twice.
     """
 
     def __init__(self, config: SenderConfig, variant: Variant, page_bytes: int):
         self.base_config = config
         self.variant = variant
         self.page_bytes = page_bytes
-        self.phase = "listen"  # listen -> syn_rcvd -> established
+        self.phase = "listen"
         self.sender = None
-        self.halted = False
-        self.request_seen = False
 
     @property
     def rto_deadline(self):
-        if self.halted or self.sender is None:
-            return None
-        return self.sender.rto_deadline
+        # Only the page puts data in flight, so only ``serving`` arms a timer.
+        return self.sender.rto_deadline if self.phase == "serving" else None
 
     def on_timer(self, now: int) -> list[Segment]:
-        if self.halted or self.sender is None:
+        if self.phase in ("listen", "closed"):
             return []
         return self.sender.on_rto(now)
 
     def handle_segment(self, segments: list[Segment], now: int) -> list[Segment]:
         """Take in one delivered batch, in order; return every answer to it."""
-        if self.halted:
-            return []
-        out, sender, ACK = [], self.sender, Flag.ACK
-        established = self.phase == "established"
+        out, sender, phase, ACK = [], self.sender, self.phase, Flag.ACK
+        acking = phase == "established" or phase == "serving"
         for seg in segments:
-            # The common arrival first: a pure ACK while the page is being sent.
-            if established and seg.flags == ACK and not seg.len:
+            flags = seg.flags
+            # The common arrival first: a pure ACK once established.
+            if acking and flags == ACK and not seg.len:
                 out += sender.on_ack(seg.ack, now)
-            elif seg.flags & (Flag.RST | Flag.FIN):
-                self.halted = True
+            elif phase == "closed" or flags & (Flag.RST | Flag.FIN):
+                phase = "closed"
                 break
-            else:
-                out += self._open(seg, now)
-                sender, established = self.sender, self.phase == "established"
+            elif flags & Flag.SYN:
+                config = self.base_config
+                negotiated = replace(config, mss=min(config.mss, seg.mss_option or config.mss))
+                sender = self.sender = Sender(negotiated, self.variant)
+                sender.ip_id_counter = 1  # the SYN+ACK takes the first ip_id
+                out.append(Segment(0, 0, 0, Flag.SYN | Flag.ACK, 1, negotiated.mss))
+                phase = "reopened" if phase in ("serving", "reopened") else "syn_rcvd"
+                acking = False
+            elif seg.len:
+                if phase == "established":  # the request; other payloads are ignored
+                    phase, sender.rcv_nxt = "serving", seg.end
+                    sender.enqueue_app_data(self.page_bytes)
+                    out += sender.pump_transmissions(now)
+            elif flags & ACK and phase in ("syn_rcvd", "reopened"):
+                phase = "established" if phase == "syn_rcvd" else "serving"
+                acking = True
+        self.phase = phase
         return out
-
-    def _open(self, seg: Segment, now: int) -> list[Segment]:
-        """Any arrival but a close or, once established, a pure ACK."""
-        if seg.flags & Flag.SYN:
-            offered = seg.mss_option or self.base_config.mss
-            negotiated = replace(
-                self.base_config, mss=min(self.base_config.mss, offered)
-            )
-            sender = self.sender = Sender(negotiated, self.variant)
-            sender.ip_id_counter += 1  # the SYN+ACK takes the first ip_id
-            self.phase = "syn_rcvd"
-            return [Segment(0, 0, 0, Flag.SYN | Flag.ACK, sender.ip_id_counter, negotiated.mss)]
-        if seg.len > 0:
-            if self.phase != "established" or self.request_seen:
-                # Payload before the handshake completes (or a second
-                # request) is ignored.
-                return []
-            self.request_seen = True
-            self.sender.rcv_nxt = seg.end
-            self.sender.enqueue_app_data(self.page_bytes)
-            return self.sender.pump_transmissions(now)
-        if seg.flags & Flag.ACK and self.phase == "syn_rcvd":
-            self.phase = "established"  # pure ACKs from here on take the loop's path
-        return []
 
 
 class SimWorld:

@@ -8,10 +8,14 @@ arrival is answered with an immediate duplicate ACK, so a fast-retransmit
 sender sees the classic triple-dupACK burst. Once the cumulative ACK
 covers the scripted packet limit the prober emits a final ACK and closes.
 
-``handle_segment`` takes a whole delivered batch and answers it. The
-session records at most EVENT_CAP events: at the arrival past that it
-sets ``overflowed`` and stops, mid-batch. How a probe ended is not kept
-here: ``classifier.classify_trace`` reads it off the trace alone.
+``start`` sends the SYN. ``handle_segment`` is the one arrival path: a
+loop over a whole delivered batch that records every arrival, takes in
+data while the probe runs (the common arrival, tested first), answers
+the SYN+ACK with an ACK and the request, and sends the closing reset.
+The session records at most EVENT_CAP events, and every record checks
+the cap: the first event past it sets ``overflowed`` and nothing more is
+recorded, sent or taken in. How a probe ended is not kept here:
+``classifier.classify_trace`` reads it off the trace alone.
 """
 
 from bisect import insort
@@ -73,31 +77,17 @@ class ProbeSession:
         self.overflowed = False
         self.trace: list[TraceEvent] = []
 
-    # -- recording ------------------------------------------------------
-
-    def _record(self, now: int, direction: str, kind: str, seg: Segment) -> None:
-        if len(self.trace) >= EVENT_CAP:
-            self.overflowed = True
-            return
-        self.trace.append(
-            TraceEvent(now, direction, kind, seg.seq, seg.len, seg.ack, seg.ip_id)
-        )
-
-    def _send(self, now: int, kind: str, flags: int, length: int = 0, mss_option=None) -> Segment:
-        """Build the next outgoing segment and record it as a ``kind`` event."""
-        self.ip_id_counter += 1
-        seg = Segment(self.snd_off, length, self.rcv_nxt, flags, self.ip_id_counter, mss_option)
-        self._record(now, "tx", kind, seg)
-        return seg
-
-    # -- protocol -------------------------------------------------------
-
     def start(self, now: int) -> list[Segment]:
         """Open the probe: send a SYN advertising the script's MSS."""
         if self.phase != "idle":
             return []
         self.phase = "syn_sent"
-        return [self._send(now, "syn", Flag.SYN, mss_option=self.script.mss)]
+        if len(self.trace) >= EVENT_CAP:
+            self.overflowed = True
+            return []
+        self.ip_id_counter = 1
+        self.trace.append(TraceEvent(now, "tx", "syn", 0, 0, 0, 1))
+        return [Segment(0, 0, 0, Flag.SYN, 1, self.script.mss)]
 
     def handle_segment(self, segments: list[Segment], now: int) -> list[Segment]:
         """Take in one delivered batch, in order; return every answer to it.
@@ -106,73 +96,64 @@ class ProbeSession:
         record, pending, mss = trace.append, self.pending_drops, self.script.mss
         close_at = self.script.ack_limit_packet * mss
         rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
-        dupacks, established = self.dupacks_sent, self.phase == "established"
+        dupacks, phase = self.dupacks_sent, self.phase
+        established = phase == "established"
         for seg in segments:
             if len(trace) >= EVENT_CAP:
                 self.overflowed = True  # it answers nothing past the cap
                 break
             start, length = seg.seq, seg.len
-            if established and seg.flags == ACK and length:
+            kind = "data" if seg.flags == ACK and length else _segment_kind(seg)
+            record(TraceEvent(now, "rx", kind, start, length, seg.ack, seg.ip_id))
+            if established and length:
                 # The common arrival first: data while the probe runs.
-                record(TraceEvent(now, "rx", "data", start, length, seg.ack, seg.ip_id))
-            else:
-                self.rcv_nxt, self.ip_id_counter = rcv_nxt, ip_id
-                answers = self._arrive(seg, now)
-                ip_id, snd_off = self.ip_id_counter, self.snd_off
-                established = self.phase == "established"
-                if answers is not None:
-                    out += answers
+                end = start + length
+                if pending:
+                    to_drop = pending.intersection(covered_indices(start, length, mss))
+                    if to_drop:
+                        # Pretend loss: record the arrival, acknowledge nothing. The
+                        # drop is one-shot; a retransmitted copy will be honored.
+                        pending -= to_drop
+                        continue
+                previous = rcv_nxt
+                if start <= previous < end and not above:
+                    rcv_nxt = end  # in order, nothing stored past it
+                else:
+                    rcv_nxt = self._reassemble(previous, start, end)
+                if rcv_nxt == previous and end <= rcv_nxt:
+                    continue  # arrivals entirely below rcv_nxt stay silent
+                # A new cumulative ACK, or a duplicate.
+                if len(trace) >= EVENT_CAP:
+                    self.overflowed = True
+                    break
+                ip_id += 1
+                record(TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id))
+                out.append(Segment(snd_off, 0, rcv_nxt, ACK, ip_id))
+                if rcv_nxt == previous:
+                    dupacks += 1
                     continue
-
-            end = start + length
-            if pending:
-                to_drop = pending.intersection(covered_indices(start, length, mss))
-                if to_drop:
-                    # Pretend loss: record the arrival, acknowledge nothing. The
-                    # drop is one-shot; a retransmitted copy will be honored.
-                    pending -= to_drop
+                if rcv_nxt < close_at:
                     continue
-
-            previous = rcv_nxt
-            if start <= previous < end and not above:
-                rcv_nxt = end  # in order, nothing stored past it
-            else:
-                rcv_nxt = self._reassemble(previous, start, end)
-            if rcv_nxt == previous and end <= rcv_nxt:
-                continue  # arrivals entirely below rcv_nxt stay silent
-            # A new cumulative ACK, or a duplicate.
-            if len(trace) >= EVENT_CAP:
-                self.overflowed = True
-                break
-            ip_id += 1
-            record(TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id))
-            out.append(Segment(snd_off, 0, rcv_nxt, ACK, ip_id))
-            if rcv_nxt == previous:
-                dupacks += 1
-            elif rcv_nxt >= close_at:
                 # Close with a reset, as TBIT closes its probe connections.
-                self.rcv_nxt, self.ip_id_counter, self.phase = rcv_nxt, ip_id, "closed"
-                out.append(self._send(now, "rst", Flag.RST))
-                ip_id, established = self.ip_id_counter, False
-        self.rcv_nxt, self.ip_id_counter, self.dupacks_sent = rcv_nxt, ip_id, dupacks
+                phase, established, sends = "closed", False, (("rst", Flag.RST, 0),)
+            elif kind == "synack" and phase == "syn_sent":
+                # ACK the answer to our SYN and send the request; any
+                # payload the SYN+ACK carries is ignored.
+                phase, established = "established", True
+                sends = (("ack", ACK, 0), ("data", ACK, REQUEST_BYTES))
+            else:
+                continue  # every other arrival is only recorded
+            for kind, flags, length in sends:
+                if len(trace) >= EVENT_CAP:
+                    self.overflowed = True
+                    break
+                ip_id += 1
+                record(TraceEvent(now, "tx", kind, snd_off, length, rcv_nxt, ip_id))
+                out.append(Segment(snd_off, length, rcv_nxt, flags, ip_id))
+                snd_off += length
+        self.rcv_nxt, self.ip_id_counter, self.snd_off = rcv_nxt, ip_id, snd_off
+        self.dupacks_sent, self.phase = dupacks, phase
         return out
-
-    def _arrive(self, seg: Segment, now: int) -> list[Segment] | None:
-        """Record any arrival but data while the probe runs, and answer the
-        SYN+ACK. None means the arrival carries data to take in."""
-        kind = _segment_kind(seg)
-        self._record(now, "rx", kind, seg)
-        if self.overflowed or self.phase == "closed":
-            return []  # record-only; the probe no longer answers
-        if kind == "synack" and self.phase == "syn_sent":
-            self.phase = "established"
-            handshake_ack = self._send(now, "ack", Flag.ACK)
-            request = self._send(now, "data", Flag.ACK, REQUEST_BYTES)
-            self.snd_off = REQUEST_BYTES
-            return [handshake_ack, request]
-        if not seg.len or self.phase != "established":
-            return []
-        return None
 
     def _reassemble(self, rcv_nxt: int, start: int, end: int) -> int:
         """Take in the bytes [start, end) and return the new ``rcv_nxt``:

@@ -48,36 +48,30 @@ class Variant(enum.Enum):
 
 
 DUPACK_THRESHOLD = 3  # duplicate ACKs that signal a loss (RFC 5681)
+INITIAL_SSTHRESH = 65535  # bytes
+# Retransmission timer bounds after RFC 6298 section 2: 1 s before the
+# first RTT sample and as the floor; a cap, if any, of at least 60 s.
+RTO_INITIAL_US = 1_000_000
+RTO_MIN_US = 1_000_000
+RTO_MAX_US = 64_000_000
 
 
 @dataclass(frozen=True)
 class SenderConfig:
     mss: int = 1460
     initial_cwnd: int = 2  # segments
-    initial_ssthresh: int = 65535  # bytes
-    rto_initial_us: int = 1_000_000
-    rto_min_us: int = 1_000_000
-    rto_max_us: int = 64_000_000
 
     def __post_init__(self):
         if self.mss <= 0:
             raise ConfigurationError("mss must be positive")
         if self.initial_cwnd < 1:
             raise ConfigurationError("initial_cwnd must be at least 1 segment")
-        if self.initial_ssthresh <= 0:
-            raise ConfigurationError("initial_ssthresh must be positive")
-        # A zero timer would fire forever at one instant of the virtual clock.
-        if not (0 < self.rto_min_us <= self.rto_initial_us <= self.rto_max_us):
-            raise ConfigurationError(
-                "rto bounds must satisfy 0 < rto_min <= rto_initial <= rto_max"
-            )
 
 
 class Sender:
     """One direction of a TCP connection: the side that sends the page."""
 
     def __init__(self, config: SenderConfig, variant: Variant):
-        self.config = config
         self.variant = variant
         self.mss = config.mss
 
@@ -86,12 +80,12 @@ class Sender:
         self.rcv_nxt = 0  # the peer's stream, acked on every segment we emit
         self.app_limit = 0  # end of queued application data
         self.cwnd = config.initial_cwnd * config.mss
-        self.ssthresh = config.initial_ssthresh
+        self.ssthresh = INITIAL_SSTHRESH
         self.dupacks = 0
         self.in_fast_recovery = False
         self.recover = None  # high-water mark of the last loss response
 
-        self.rto_current = config.rto_initial_us
+        self.rto_current = RTO_INITIAL_US
         self.rto_deadline = None
         self.srtt = None
         self.rttvar = None
@@ -106,13 +100,6 @@ class Sender:
     @property
     def flight(self) -> int:
         return self.snd_nxt - self.snd_una
-
-    def effective_window(self) -> int:
-        # Only the Reno family enters fast recovery, where each duplicate
-        # ACK inflates the usable window by one mss.
-        if self.in_fast_recovery:
-            return self.cwnd + self.dupacks * self.mss
-        return self.cwnd
 
     def _emit_range(self, seq: int, end: int, now: int) -> list[Segment]:
         """Emit [seq, end), end > seq, as segments of one mss and a rest.
@@ -149,7 +136,8 @@ class Sender:
 
     def pump_transmissions(self, now: int) -> list[Segment]:
         """Send whatever the window and the application queue allow."""
-        # effective_window(), inline: this runs on every ACK.
+        # Only the Reno family enters fast recovery, where each duplicate
+        # ACK inflates the usable window by one mss.
         window = self.cwnd + self.dupacks * self.mss if self.in_fast_recovery else self.cwnd
         snd_nxt, limit = self.snd_nxt, self.snd_una + window
         if limit > self.app_limit:
@@ -216,7 +204,7 @@ class Sender:
         if self.snd_una < self.app_limit:
             out = self._retransmit_head(now)
             self.snd_nxt = out[0].end
-        self.rto_current = min(2 * self.rto_current, self.config.rto_max_us)
+        self.rto_current = min(2 * self.rto_current, RTO_MAX_US)
         self.rto_deadline = (
             now + self.rto_current if self.snd_nxt > self.snd_una else None
         )
@@ -233,9 +221,7 @@ class Sender:
             self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample_us)
             self.srtt = 0.875 * self.srtt + 0.125 * sample_us
         candidate = int(self.srtt + 4.0 * self.rttvar)
-        self.rto_current = min(
-            max(candidate, self.config.rto_min_us), self.config.rto_max_us
-        )
+        self.rto_current = min(max(candidate, RTO_MIN_US), RTO_MAX_US)
 
     # -- internals ------------------------------------------------------
 

@@ -61,6 +61,16 @@ def tx_acks(trace: list[TraceEvent]) -> list[TraceEvent]:
     return [ev for ev in trace if ev.dir == "tx" and ev.kind == "ack"]
 
 
+def outcome(call, *args) -> tuple:
+    """What ``call(*args)`` gave: ``("returned", value)`` or ``("raised",
+    type, message)``, so a differential test compares answers and errors
+    of two implementations alike."""
+    try:
+        return ("returned", call(*args))
+    except Exception as error:  # any error: the two must raise the same one
+        return ("raised", type(error), str(error))
+
+
 def delivered_union(trace: list[TraceEvent]) -> list[tuple[int, int]]:
     """Distinct byte ranges that arrived, as merged [start, end) spans."""
     spans: list[tuple[int, int]] = []

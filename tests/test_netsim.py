@@ -6,6 +6,7 @@ rtt/2 link before implementation, then frozen here.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,8 +29,9 @@ from ccprobe.prober import EVENT_CAP, ProbeSession
 from ccprobe.sender import Sender
 from ccprobe.wire import Flag, Segment
 
-from conftest import delivered_union, run_scenario, rx_data, trace_text, tx_acks
+from conftest import delivered_union, outcome, run_scenario, rx_data, trace_text, tx_acks
 from test_golden import LONG_PAGE
+from test_prober import any_flags
 
 MS = 1000
 
@@ -123,7 +125,7 @@ def test_reset_halts_server_forever():
     server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=3)], 50)
     out = server.handle_segment([prober_segment(Flag.RST, ip_id=4)], 60)
     assert out == []
-    assert server.halted
+    assert server.phase == "closed"
     out = server.handle_segment([prober_segment(Flag.ACK, ip_id=5)], 70)
     assert out == []
     assert server.rto_deadline is None  # timer silenced with the endpoint
@@ -430,3 +432,128 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
             assert seen["on_rto", "Sender"] == 0  # no timer fire bypasses on_timer
             timers += seen["on_timer", "HttpServerEndpoint"]
     assert timers == 4  # as at the per-segment loop: Reno and NoFastRetransmit, both pages
+
+
+# -- the server's one loop against the endpoint with a helper path ---------------
+# ReferenceServer keeps the endpoint as it was when a pure ACK once
+# established was handled inline and every other arrival but a close went
+# through ``_open``, with ``request_seen`` and ``halted`` beside ``phase``.
+
+
+class ReferenceServer:
+    def __init__(self, config, variant, page_bytes):
+        self.base_config = config
+        self.variant = variant
+        self.page_bytes = page_bytes
+        self.phase = "listen"
+        self.sender = None
+        self.halted = False
+        self.request_seen = False
+
+    @property
+    def rto_deadline(self):
+        if self.halted or self.sender is None:
+            return None
+        return self.sender.rto_deadline
+
+    def on_timer(self, now):
+        if self.halted or self.sender is None:
+            return []
+        return self.sender.on_rto(now)
+
+    def handle_segment(self, segments, now):
+        if self.halted:
+            return []
+        out, sender, ACK = [], self.sender, Flag.ACK
+        established = self.phase == "established"
+        for seg in segments:
+            if established and seg.flags == ACK and not seg.len:
+                out += sender.on_ack(seg.ack, now)
+            elif seg.flags & (Flag.RST | Flag.FIN):
+                self.halted = True
+                break
+            else:
+                out += self._open(seg, now)
+                sender, established = self.sender, self.phase == "established"
+        return out
+
+    def _open(self, seg, now):
+        if seg.flags & Flag.SYN:
+            offered = seg.mss_option or self.base_config.mss
+            negotiated = replace(self.base_config, mss=min(self.base_config.mss, offered))
+            sender = self.sender = Sender(negotiated, self.variant)
+            sender.ip_id_counter += 1
+            self.phase = "syn_rcvd"
+            return [Segment(0, 0, 0, Flag.SYN | Flag.ACK, sender.ip_id_counter, negotiated.mss)]
+        if seg.len > 0:
+            if self.phase != "established" or self.request_seen:
+                return []
+            self.request_seen = True
+            self.sender.rcv_nxt = seg.end
+            self.sender.enqueue_app_data(self.page_bytes)
+            return self.sender.pump_transmissions(now)
+        if seg.flags & Flag.ACK and self.phase == "syn_rcvd":
+            self.phase = "established"
+        return []
+
+
+def folded_phase(reference: ReferenceServer) -> str:
+    """The one ``phase`` that stands for the reference's three fields."""
+    if reference.halted:
+        return "closed"
+    if reference.request_seen:
+        return "serving" if reference.phase == "established" else "reopened"
+    return reference.phase
+
+
+@st.composite
+def client_segments(draw) -> Segment:
+    flags = draw(any_flags([Flag.ACK, Flag.ACK, Flag.ACK, Flag.SYN]))
+    return Segment(
+        draw(st.integers(min_value=0, max_value=300)),
+        draw(st.one_of(st.just(0), st.just(100), st.integers(min_value=0, max_value=300))),
+        draw(st.one_of(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=3100))),
+        flags,
+        draw(st.integers(min_value=1, max_value=50)),
+        draw(st.one_of(st.none(), st.integers(-1, 1500))) if flags & Flag.SYN else None,
+    )
+
+
+server_ops = st.lists(
+    st.one_of(st.just("timer"), st.lists(client_segments(), min_size=1, max_size=8)), max_size=14
+)
+SYN = prober_segment(Flag.SYN, mss_option=100)
+REQUEST = prober_segment(Flag.ACK, length=100, ip_id=3)
+
+
+def acks(*values) -> list:
+    return [Segment(0, 0, ack, Flag.ACK, 4) for ack in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(variant=st.sampled_from(list(Variant)), ops=server_ops)
+# The handshake and request in one batch, ACKs, a timer fire.
+@example(Variant.RENO, [[SYN, prober_segment(), REQUEST], acks(100, 200), "timer", acks(300)])
+# A pure ACK after the handshake but before the request reaches the sender.
+@example(Variant.RENO, [[SYN], [prober_segment()], acks(100)])
+# A SYN after the request: a fresh sender, and the page is not served again.
+@example(Variant.TAHOE, [[SYN, prober_segment(), REQUEST], [SYN], acks(0), [REQUEST], acks(0)])
+# A FIN closes the server mid-transfer and silences its timer.
+@example(Variant.NEWRENO, [[SYN, prober_segment(), REQUEST, prober_segment(Flag.FIN)], "timer"])
+def test_server_loop_matches_helper_path_reference(variant, ops):
+    server = HttpServerEndpoint(SenderConfig(), variant, 3000)
+    reference = ReferenceServer(SenderConfig(), variant, 3000)
+    for step, op in enumerate(ops, start=1):
+        now = step * 10 * MS
+        got, expected = (
+            outcome(endpoint.on_timer, now) if op == "timer" else outcome(endpoint.handle_segment, op, now)
+            for endpoint in (server, reference)
+        )
+        assert got == expected
+        if got[0] == "raised":
+            break
+        assert server.phase == folded_phase(reference)
+        assert server.rto_deadline == reference.rto_deadline
+        assert (server.sender is None) == (reference.sender is None)
+        if server.sender is not None:
+            assert vars(server.sender) == vars(reference.sender)

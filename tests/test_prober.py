@@ -9,8 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import ConfigurationError, ProbeScript, classify_trace
-from ccprobe.prober import EVENT_CAP, ProbeSession
-from ccprobe.wire import Flag, Segment
+from ccprobe.prober import EVENT_CAP, REQUEST_BYTES, ProbeSession, _segment_kind
+from ccprobe.traceio import TraceEvent
+from ccprobe.wire import Flag, Segment, covered_indices
+
+from conftest import outcome
 
 MSS = 100
 
@@ -261,6 +264,33 @@ def test_event_cap_marks_overflow():
     assert session.phase == "established"
 
 
+def test_closing_ack_at_the_cap_sends_no_reset():
+    # Stale copies of packet 1 are recorded and not answered; they fill the
+    # trace so that the ACK of packet 25 is its EVENT_CAP-th event.
+    session = established_session(ProbeScript(drop_packets=frozenset()))
+    for index in range(1, 25):
+        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
+    stale = [data_segment(1, ip_id=2)] * (EVENT_CAP - 2 - len(session.trace))
+    out = session.handle_segment(stale + [data_segment(25, ip_id=26)], 25)
+    assert [(seg.flags, seg.ack) for seg in out] == [(Flag.ACK, 2500)]  # no reset
+    assert len(session.trace) == EVENT_CAP
+    assert session.trace[-1].kind == "ack"
+    assert session.overflowed
+
+
+def test_handshake_past_the_cap_records_and_builds_nothing():
+    # EVENT_CAP - 2 arrivals before the SYN+ACK: with the SYN they leave
+    # room for the SYN+ACK alone, not for the ACK and request it draws.
+    session = ProbeSession(ProbeScript())
+    session.start(0)
+    session.handle_segment([data_segment(1, ip_id=2)] * (EVENT_CAP - 2), 1)
+    out = session.handle_segment([synack()], 2)
+    assert out == []
+    assert len(session.trace) == EVENT_CAP
+    assert session.trace[-1].kind == "synack"
+    assert session.overflowed
+
+
 # -- how the probe ended, as classify_trace reads it off the trace -------------
 
 
@@ -360,3 +390,192 @@ def test_ack_point_is_the_contiguous_prefix_of_unaligned_arrivals(arrivals):
             assert [seg.ack for seg in out] == [session.rcv_nxt]  # new ACK or dupACK
         else:
             assert out == []  # nothing new above the ack point
+
+
+# -- the one arrival loop against the helper-path session it replaced -----------
+# ReferenceProbeSession keeps the session's arrival handling as it was when
+# plain data was handled inline and every other arrival went through
+# helpers that recorded it, answered the SYN+ACK and closed with a reset.
+# One difference is allowed: past the cap the reference still builds the
+# SYN, the handshake's ACK and request, and the closing reset without
+# recording them, where the session under test builds nothing.
+
+
+class ReferenceProbeSession(ProbeSession):
+    def _record(self, now, direction, kind, seg):
+        if len(self.trace) >= EVENT_CAP:
+            self.overflowed = True
+            return
+        self.trace.append(
+            TraceEvent(now, direction, kind, seg.seq, seg.len, seg.ack, seg.ip_id)
+        )
+
+    def _send(self, now, kind, flags, length=0, mss_option=None):
+        self.ip_id_counter += 1
+        seg = Segment(self.snd_off, length, self.rcv_nxt, flags, self.ip_id_counter, mss_option)
+        self._record(now, "tx", kind, seg)
+        return seg
+
+    def start(self, now):
+        if self.phase != "idle":
+            return []
+        self.phase = "syn_sent"
+        return [self._send(now, "syn", Flag.SYN, mss_option=self.script.mss)]
+
+    def handle_segment(self, segments, now):
+        trace, out, above, ACK = self.trace, [], self._above, Flag.ACK
+        record, pending, mss = trace.append, self.pending_drops, self.script.mss
+        close_at = self.script.ack_limit_packet * mss
+        rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
+        dupacks, established = self.dupacks_sent, self.phase == "established"
+        for seg in segments:
+            if len(trace) >= EVENT_CAP:
+                self.overflowed = True
+                break
+            start, length = seg.seq, seg.len
+            if established and seg.flags == ACK and length:
+                record(TraceEvent(now, "rx", "data", start, length, seg.ack, seg.ip_id))
+            else:
+                self.rcv_nxt, self.ip_id_counter = rcv_nxt, ip_id
+                answers = self._arrive(seg, now)
+                ip_id, snd_off = self.ip_id_counter, self.snd_off
+                established = self.phase == "established"
+                if answers is not None:
+                    out += answers
+                    continue
+            end = start + length
+            if pending:
+                to_drop = pending.intersection(covered_indices(start, length, mss))
+                if to_drop:
+                    pending -= to_drop
+                    continue
+            previous = rcv_nxt
+            if start <= previous < end and not above:
+                rcv_nxt = end
+            else:
+                rcv_nxt = self._reassemble(previous, start, end)
+            if rcv_nxt == previous and end <= rcv_nxt:
+                continue
+            if len(trace) >= EVENT_CAP:
+                self.overflowed = True
+                break
+            ip_id += 1
+            record(TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id))
+            out.append(Segment(snd_off, 0, rcv_nxt, ACK, ip_id))
+            if rcv_nxt == previous:
+                dupacks += 1
+            elif rcv_nxt >= close_at:
+                self.rcv_nxt, self.ip_id_counter, self.phase = rcv_nxt, ip_id, "closed"
+                out.append(self._send(now, "rst", Flag.RST))
+                ip_id, established = self.ip_id_counter, False
+        self.rcv_nxt, self.ip_id_counter, self.dupacks_sent = rcv_nxt, ip_id, dupacks
+        return out
+
+    def _arrive(self, seg, now):
+        kind = _segment_kind(seg)
+        self._record(now, "rx", kind, seg)
+        if self.overflowed or self.phase == "closed":
+            return []
+        if kind == "synack" and self.phase == "syn_sent":
+            self.phase = "established"
+            handshake_ack = self._send(now, "ack", Flag.ACK)
+            request = self._send(now, "data", Flag.ACK, REQUEST_BYTES)
+            self.snd_off = REQUEST_BYTES
+            return [handshake_ack, request]
+        if not seg.len or self.phase != "established":
+            return []
+        return None
+
+
+# Every flag set a Segment accepts: all but SYN with RST.
+FLAG_SETS = [flags for flags in range(16) if not (flags & Flag.SYN and flags & Flag.RST)]
+SMALL_SCRIPT = ProbeScript(drop_packets=frozenset({2, 3}), ack_limit_packet=4)
+FILLER = TraceEvent(0, "rx", "ack", 0, 0, 0, 0)
+
+
+def any_flags(common: list) -> st.SearchStrategy:
+    """Mostly one of the ``common`` flag sets, and now and then any."""
+    return st.integers(0, 9).flatmap(
+        lambda roll: st.sampled_from(FLAG_SETS if roll == 0 else common)
+    )
+
+
+@st.composite
+def arrivals(draw, script: ProbeScript) -> Segment:
+    """Any flags; offsets on and next to packet starts up to just past the
+    ack limit, so the drops, their repairs and the close all come up."""
+    mss = script.mss
+    flags = draw(any_flags([Flag.ACK, Flag.ACK, Flag.ACK, Flag.SYN | Flag.ACK]))
+    index = draw(st.integers(min_value=1, max_value=script.ack_limit_packet + 2))
+    seq = max(0, (index - 1) * mss + draw(st.sampled_from([0, 0, 0, -1, 1, mss // 2])))
+    return Segment(
+        seq,
+        draw(st.one_of(st.just(mss), st.integers(min_value=0, max_value=300))),
+        draw(st.integers(min_value=0, max_value=200)),
+        flags,
+        draw(st.integers(min_value=1, max_value=50)),
+        draw(st.one_of(st.none(), st.integers(1, 1500))) if flags & Flag.SYN else None,
+    )
+
+
+def probe_ops(script: ProbeScript) -> st.SearchStrategy:
+    batches = st.lists(arrivals(script), min_size=1, max_size=8)
+    return st.lists(st.one_of(st.just("start"), batches), max_size=16)
+
+
+SCRIPTS = st.shared(st.sampled_from([ProbeScript(), SMALL_SCRIPT]), key="script")
+
+
+def in_order(packets, first=1) -> list:
+    return [data_segment(index, ip_id=index + 1) for index in range(first, packets + 1)]
+
+
+def synack_data(seq: int) -> Segment:
+    return Segment(seq, 100, 0, Flag.SYN | Flag.ACK, 1, MSS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    script=SCRIPTS,
+    room=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    ops=SCRIPTS.flatmap(probe_ops),
+)
+# Drops, a dupACK, the repair that closes, and an arrival after the close.
+@example(SMALL_SCRIPT, None, ["start", [synack()], in_order(4), in_order(3, first=2), in_order(1)])
+@example(SMALL_SCRIPT, 3, ["start", [synack()]])  # the request would overflow
+@example(SMALL_SCRIPT, 2, ["start", [synack()]])  # the SYN+ACK fills the trace
+@example(SMALL_SCRIPT, 0, ["start"])  # no room for the SYN
+# The closing ACK is the last event that fits.
+@example(ProbeScript(drop_packets=frozenset()), 54, ["start", [synack()], in_order(25)])
+# A SYN+ACK carrying data: before the SYN, as the handshake, while the
+# probe runs and after the close.
+@example(
+    SMALL_SCRIPT,
+    None,
+    [
+        [synack_data(0)], "start", [synack_data(0)], in_order(4),
+        [synack_data(400)], in_order(3, first=2), [synack_data(500)],
+    ],
+)
+def test_arrival_loop_matches_helper_path_reference(script, room, ops):
+    session, reference = ProbeSession(script), ReferenceProbeSession(script)
+    if room is not None:
+        session.trace += [FILLER] * (EVENT_CAP - room)
+        reference.trace += [FILLER] * (EVENT_CAP - room)
+    for now, op in enumerate(ops):
+        got, expected = (
+            outcome(probe.start, now) if op == "start" else outcome(probe.handle_segment, op, now)
+            for probe in (session, reference)
+        )
+        if expected[0] == "returned" and reference.overflowed:
+            recorded = {ev.ip_id for ev in reference.trace if ev.dir == "tx"}
+            expected = ("returned", [seg for seg in expected[1] if seg.ip_id in recorded])
+        assert got == expected
+        assert session.trace == reference.trace
+        assert len(session.trace) <= EVENT_CAP
+        state = ("phase", "rcv_nxt", "dupacks_sent", "overflowed", "pending_drops")
+        assert [getattr(session, name) for name in state] == [
+            getattr(reference, name) for name in state
+        ]
+        if got[0] == "raised":
+            break
