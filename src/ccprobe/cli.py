@@ -60,12 +60,16 @@ def _build_scenario(args, variant: Variant, rtt_ms=None) -> Scenario:
     )
 
 
-def _add_scenario_flags(parser):
-    parser.add_argument("--rtt-ms", type=int, default=100)
-    parser.add_argument("--page-bytes", type=int, default=3000)
+def _add_script_flags(parser):
     parser.add_argument("--mss", type=int, default=100)
     parser.add_argument("--drop", default="13,16", help="comma list of packet numbers, or 'none'")
     parser.add_argument("--ack-limit", type=int, default=25)
+
+
+def _add_scenario_flags(parser):
+    parser.add_argument("--rtt-ms", type=int, default=100)
+    parser.add_argument("--page-bytes", type=int, default=3000)
+    _add_script_flags(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a recorded trace")
     p_cls.add_argument("--in", dest="input", required=True, help="trace path")
-    p_cls.add_argument("--mss", type=int, default=100)
-    p_cls.add_argument("--drop", default="13,16")
-    p_cls.add_argument("--ack-limit", type=int, default=25)
+    _add_script_flags(p_cls)
 
     p_mat = sub.add_parser("matrix", help="run all variants, print confusion matrix")
     _add_scenario_flags(p_mat)

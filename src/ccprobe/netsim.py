@@ -15,6 +15,10 @@ deadline that let the batch run was already at or past its time, and a
 deadline set while it is handled is at least ``now + rto_min``. So
 delivery order is exactly that of one entry per segment.
 
+``sim_init`` queues the prober's SYN as the first entry. One loop in
+``run_to_completion`` takes every arrival and timer fire, and it alone
+ends a run: at the event cap, at quiescence or at the run deadline.
+
 Each endpoint's ``handle_segment`` is its one arrival path, a loop over
 the batch that tests the common arrival first. The server's one
 ``phase`` runs listen -> syn_rcvd -> established -> serving -> closed
@@ -29,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError, InternalError
-from .prober import ProbeSession, ProbeScript
+from .prober import EVENT_CAP, ProbeSession, ProbeScript
 from .sender import Sender, SenderConfig, Variant
 from .wire import US_PER_MS, Flag, Segment
 
@@ -79,10 +83,9 @@ class HttpServerEndpoint:
     ip_id from the same per-connection counter the sender uses.
 
     ``phase`` runs listen -> syn_rcvd -> established -> serving, and a RST
-    or FIN in any phase makes it ``closed``, which answers nothing. A SYN
-    in any open phase starts a fresh sender and is answered again; once
-    the page is served, that SYN leads to ``reopened``, whose ACK leads
-    back to ``serving``, so the page is never served twice.
+    or FIN in any phase makes it ``closed``, which answers nothing. The
+    server opens one connection: only ``listen`` takes a SYN, and any
+    later SYN is ignored, so the page is never replaced or served twice.
     """
 
     def __init__(self, config: SenderConfig, variant: Variant, page_bytes: int):
@@ -115,21 +118,20 @@ class HttpServerEndpoint:
                 phase = "closed"
                 break
             elif flags & Flag.SYN:
-                config = self.base_config
-                negotiated = replace(config, mss=min(config.mss, seg.mss_option or config.mss))
-                sender = self.sender = Sender(negotiated, self.variant)
-                sender.ip_id_counter = 1  # the SYN+ACK takes the first ip_id
-                out.append(Segment(0, 0, 0, Flag.SYN | Flag.ACK, 1, negotiated.mss))
-                phase = "reopened" if phase in ("serving", "reopened") else "syn_rcvd"
-                acking = False
+                if phase == "listen":  # one connection: a later SYN is ignored
+                    config = self.base_config
+                    negotiated = replace(config, mss=min(config.mss, seg.mss_option or config.mss))
+                    sender = self.sender = Sender(negotiated, self.variant)
+                    sender.ip_id_counter = 1  # the SYN+ACK takes the first ip_id
+                    out.append(Segment(0, 0, 0, Flag.SYN | Flag.ACK, 1, negotiated.mss))
+                    phase = "syn_rcvd"
             elif seg.len:
                 if phase == "established":  # the request; other payloads are ignored
                     phase, sender.rcv_nxt = "serving", seg.end
                     sender.enqueue_app_data(self.page_bytes)
                     out += sender.pump_transmissions(now)
-            elif flags & ACK and phase in ("syn_rcvd", "reopened"):
-                phase = "established" if phase == "syn_rcvd" else "serving"
-                acking = True
+            elif flags & ACK and phase == "syn_rcvd":
+                phase, acking = "established", True
         self.phase = phase
         return out
 
@@ -146,75 +148,63 @@ class SimWorld:
             scenario.sender_config, scenario.variant, scenario.page_bytes
         )
         self.prober = ProbeSession(scenario.probe_script)
-        # (when, dest, segments) entries, the probe's opening at t=0 first;
-        # each holds all the answers to one delivered batch. Every segment
-        # takes one_way_us and the clock never runs back, so entries are
-        # queued in delivery order: a FIFO is the event queue. No timer
+        # (when, dest, segments) entries, the probe's SYN (sent at t=0)
+        # first; each holds all the answers to one delivered batch. Every
+        # segment takes one_way_us and the clock never runs back, so entries
+        # are queued in delivery order: a FIFO is the event queue. No timer
         # fires between the parts of an entry (see the module docstring).
-        self._queue: deque[tuple[int, str, list[Segment] | None]] = deque(
-            [(0, "start", None)]
+        self._queue: deque[tuple[int, str, list[Segment]]] = deque(
+            [(self.one_way_us, SERVER, self.prober.start(0))]
         )
 
 
 def sim_init(scenario: Scenario) -> SimWorld:
-    """Build a scenario's world (one pending event at t=0)."""
+    """Build a scenario's world, its opening SYN queued."""
     return SimWorld(scenario)
 
 
 def run_to_completion(world: SimWorld):
     """Drain the world; returns (observed trace, TerminationReason).
 
-    The run ends as soon as the prober overflows its event cap, and the cap
-    outranks the close, as in ``classify_trace``.
+    A prober batch that fills the trace to EVENT_CAP events ends the run,
+    and the session's trace is cut to that many. The cap outranks the
+    close, as in ``classify_trace``.
     """
     queue, server, prober = world._queue, world.server, world.prober
-    to_prober, to_server = prober.handle_segment, server.handle_segment
+    to_prober, to_server, trace = prober.handle_segment, server.handle_segment, prober.trace
     one_way, run_deadline = world.one_way_us, world.deadline_us
     drops = world.scenario.ambient_drops
     while True:
-        deadline = server.rto_deadline
-        if queue and (deadline is None or queue[0][0] <= deadline):
+        # The next event: the queue head, or the server's timer if earlier.
+        timer = server.rto_deadline
+        if queue and (timer is None or queue[0][0] <= timer):
             when, dest, segments = queue.popleft()
-            if when > run_deadline:
-                reason = TerminationReason.DEADLINE_EXCEEDED
-                break
-            if when < world.clock:
-                raise InternalError("event queue regressed in time")
-            world.clock = when
-            due = when + one_way
-            if dest == PROBER:
-                out = to_prober(segments, when)
-                if prober.overflowed:  # it stopped at the arrival past the cap
-                    reason = TerminationReason.TRACE_OVERFLOW
-                    break
-                if out:
-                    queue.append((due, SERVER, out))
-                continue
-            if dest == SERVER:
-                out = to_server(segments, when)
-                if drops:
-                    out = [s for s in out if s.ip_id not in drops]
-                if out:
-                    queue.append((due, PROBER, out))
-            else:
-                queue.append((due, SERVER, prober.start(when)))
-            continue
-        if deadline is None:
+        elif timer is not None:
+            when, dest, segments = timer, SERVER, None
+        else:
             reason = (
                 TerminationReason.PROBER_CLOSED
                 if prober.phase == "closed"
                 else TerminationReason.QUIESCENT
             )
             break
-        if deadline > run_deadline:
+        if when > run_deadline:
             reason = TerminationReason.DEADLINE_EXCEEDED
             break
-        if deadline < world.clock:
-            raise InternalError("timer deadline in the past")
-        world.clock = deadline
-        out = server.on_timer(deadline)
-        if drops:
-            out = [s for s in out if s.ip_id not in drops]
+        if when < world.clock:
+            raise InternalError("event before the clock")
+        world.clock = when
+        if dest == PROBER:
+            out, dest = to_prober(segments, when), SERVER
+            if len(trace) >= EVENT_CAP:
+                del trace[EVENT_CAP:]
+                reason = TerminationReason.TRACE_OVERFLOW
+                break
+        else:
+            out = server.on_timer(when) if segments is None else to_server(segments, when)
+            dest = PROBER
+            if drops:
+                out = [s for s in out if s.ip_id not in drops]
         if out:
-            queue.append((deadline + one_way, PROBER, out))
-    return list(prober.trace), reason
+            queue.append((when + one_way, dest, out))
+    return list(trace), reason

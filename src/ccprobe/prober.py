@@ -12,10 +12,10 @@ covers the scripted packet limit the prober emits a final ACK and closes.
 loop over a whole delivered batch that records every arrival, takes in
 data while the probe runs (the common arrival, tested first), answers
 the SYN+ACK with an ACK and the request, and sends the closing reset.
-The session records at most EVENT_CAP events, and every record checks
-the cap: the first event past it sets ``overflowed`` and nothing more is
-recorded, sent or taken in. How a probe ended is not kept here:
-``classifier.classify_trace`` reads it off the trace alone.
+The session records without counting: ``netsim.run_to_completion`` ends
+the run once the trace reaches the event cap and cuts it to the cap.
+How a probe ended is not kept here: ``classifier.classify_trace`` reads
+it off the trace alone.
 """
 
 from bisect import insort
@@ -25,7 +25,7 @@ from .errors import ConfigurationError
 from .traceio import TraceEvent
 from .wire import Flag, Segment, covered_indices
 
-EVENT_CAP = 10_000
+EVENT_CAP = 10_000  # a run ends once its trace holds this many events
 REQUEST_BYTES = 100  # the opaque request; any nonempty payload fetches the page
 
 
@@ -74,7 +74,6 @@ class ProbeSession:
         self.dupacks_sent = 0
         self.snd_off = 0
         self.ip_id_counter = 0
-        self.overflowed = False
         self.trace: list[TraceEvent] = []
 
     def start(self, now: int) -> list[Segment]:
@@ -82,9 +81,6 @@ class ProbeSession:
         if self.phase != "idle":
             return []
         self.phase = "syn_sent"
-        if len(self.trace) >= EVENT_CAP:
-            self.overflowed = True
-            return []
         self.ip_id_counter = 1
         self.trace.append(TraceEvent(now, "tx", "syn", 0, 0, 0, 1))
         return [Segment(0, 0, 0, Flag.SYN, 1, self.script.mss)]
@@ -92,16 +88,13 @@ class ProbeSession:
     def handle_segment(self, segments: list[Segment], now: int) -> list[Segment]:
         """Take in one delivered batch, in order; return every answer to it.
         The connection state lives in locals across the batch."""
-        trace, out, above, ACK = self.trace, [], self._above, Flag.ACK
-        record, pending, mss = trace.append, self.pending_drops, self.script.mss
+        out, above, ACK = [], self._above, Flag.ACK
+        record, pending, mss = self.trace.append, self.pending_drops, self.script.mss
         close_at = self.script.ack_limit_packet * mss
         rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
         dupacks, phase = self.dupacks_sent, self.phase
         established = phase == "established"
         for seg in segments:
-            if len(trace) >= EVENT_CAP:
-                self.overflowed = True  # it answers nothing past the cap
-                break
             start, length = seg.seq, seg.len
             kind = "data" if seg.flags == ACK and length else _segment_kind(seg)
             record(TraceEvent(now, "rx", kind, start, length, seg.ack, seg.ip_id))
@@ -123,9 +116,6 @@ class ProbeSession:
                 if rcv_nxt == previous and end <= rcv_nxt:
                     continue  # arrivals entirely below rcv_nxt stay silent
                 # A new cumulative ACK, or a duplicate.
-                if len(trace) >= EVENT_CAP:
-                    self.overflowed = True
-                    break
                 ip_id += 1
                 record(TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id))
                 out.append(Segment(snd_off, 0, rcv_nxt, ACK, ip_id))
@@ -144,9 +134,6 @@ class ProbeSession:
             else:
                 continue  # every other arrival is only recorded
             for kind, flags, length in sends:
-                if len(trace) >= EVENT_CAP:
-                    self.overflowed = True
-                    break
                 ip_id += 1
                 record(TraceEvent(now, "tx", kind, snd_off, length, rcv_nxt, ip_id))
                 out.append(Segment(snd_off, length, rcv_nxt, flags, ip_id))

@@ -38,8 +38,11 @@ class Segment:
             raise ValueError("negative payload length")
         if flags & Flag.SYN and flags & Flag.RST:
             raise ValueError("SYN and RST are mutually exclusive")
-        if mss_option is not None and not flags & Flag.SYN:
-            raise ValueError("mss_option is only valid on SYN segments")
+        if mss_option is not None:
+            if not flags & Flag.SYN:
+                raise ValueError("mss_option is only valid on SYN segments")
+            if mss_option < 1:
+                raise ValueError("mss_option must be at least 1")
         self.seq = seq
         self.len = len
         self.ack = ack

@@ -23,6 +23,7 @@ from ccprobe import (
     ProbeScript,
     Scenario,
     SenderConfig,
+    TerminationReason,
     Variant,
     classify_trace,
     run_to_completion,
@@ -288,8 +289,8 @@ def test_error_taxonomy(acceptance, default_runs):
             probe_script=ProbeScript(ack_limit_packet=1900),
         )
         world = sim_init(scenario)
-        trace, _ = run_to_completion(world)
-        assert world.prober.overflowed
+        trace, reason = run_to_completion(world)
+        assert reason is TerminationReason.TRACE_OVERFLOW
         assert len(trace) == EVENT_CAP
         report = classify_trace(trace, scenario.probe_script)
         assert report.error == "TraceOverflow"

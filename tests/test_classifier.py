@@ -22,7 +22,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccprobe import ProbeScript, SenderConfig, Variant, classifier, classify_trace
+from ccprobe import (
+    ProbeScript,
+    SenderConfig,
+    TerminationReason,
+    Variant,
+    classifier,
+    classify_trace,
+)
 from ccprobe.classifier import (
     ERROR_INCOMPLETE,
     ERROR_REORDERING,
@@ -482,14 +489,14 @@ OVERFLOWING = dict(
     ],
 )
 def test_trace_rule_agrees_with_session_state(variant, overrides):
-    # The session's own state says how the run ended; the report, built
-    # from the trace alone, must say the same.
+    # The run's reason and the session's phase say how the run ended; the
+    # report, built from the trace alone, must say the same.
     run = run_scenario(variant, **overrides)
-    prober = run.world.prober
+    overflowed = run.reason is TerminationReason.TRACE_OVERFLOW
     report = classify_trace(run.trace, run.scenario.probe_script)
-    assert (report.error == ERROR_TRACE_OVERFLOW) == prober.overflowed
-    if not prober.overflowed:
-        assert (report.error == ERROR_INCOMPLETE) == (prober.phase != "closed")
+    assert (report.error == ERROR_TRACE_OVERFLOW) == overflowed
+    if not overflowed:
+        assert (report.error == ERROR_INCOMPLETE) == (run.world.prober.phase != "closed")
 
 
 # -- timing invariance ---------------------------------------------------------

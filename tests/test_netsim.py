@@ -24,6 +24,7 @@ from ccprobe import (
     run_to_completion,
     sim_init,
 )
+from ccprobe import classifier, netsim
 from ccprobe.netsim import PROBER, SERVER, HttpServerEndpoint
 from ccprobe.prober import EVENT_CAP, ProbeSession
 from ccprobe.sender import Sender
@@ -72,10 +73,14 @@ def test_rtt_must_be_positive():
 
 
 def test_sim_init_schedules_single_opening_event():
+    # The prober's SYN, sent at t=0, is an ordinary entry due at the server
+    # one way later (rtt 100 ms).
     world = sim_init(Scenario(variant=Variant.NEWRENO))
     assert world.clock == 0
-    assert len(world._queue) == 1
-    assert world._queue[0][0] == 0
+    [(when, dest, segments)] = world._queue
+    assert (when, dest) == (50 * MS, SERVER)
+    assert [(seg.flags, seg.mss_option) for seg in segments] == [(Flag.SYN, 100)]
+    assert [(ev.t_us, ev.dir, ev.kind) for ev in world.prober.trace] == [(0, "tx", "syn")]
 
 
 # -- server endpoint ----------------------------------------------------------
@@ -253,31 +258,81 @@ CAPPED = dict(
 
 def test_capped_run_stops_at_the_overflowing_arrival(monkeypatch):
     # The 2,000-packet page acked up to 1,900 fills the 10,000-event cap
-    # long before the prober could close. The run must end right there,
-    # not keep simulating arrivals the prober no longer answers.
-    batches = []  # (now, overflowed before, batch size, trace length before)
+    # long before the prober could close. The run must end right after the
+    # batch that fills it, not keep simulating arrivals.
+    batches = []  # (now, batch size, trace length before, after, rx recorded)
     handle = ProbeSession.handle_segment
 
     def counted(session, segments, now):
-        batches.append((now, session.overflowed, len(segments), len(session.trace)))
-        return handle(session, segments, now)
+        before = len(session.trace)
+        out = handle(session, segments, now)
+        rx = sum(ev.dir == "rx" for ev in session.trace[before:])
+        batches.append((now, len(segments), before, len(session.trace), rx))
+        return out
 
     monkeypatch.setattr(ProbeSession, "handle_segment", counted)
     world = sim_init(Scenario(variant=Variant.NEWRENO, **CAPPED))
     trace, reason = run_to_completion(world)
     assert reason is TerminationReason.TRACE_OVERFLOW
-    assert world.prober.overflowed
+    # The run cut the session's trace to the cap, so both lists agree.
     assert len(trace) == EVENT_CAP
-    # No batch reached the prober after the one that overflowed it, and
-    # the clock stopped at that batch.
-    assert not any(was_over for _, was_over, _, _ in batches)
-    now, _, size, before = batches[-1]
-    assert world.clock == now
-    assert world.clock - trace[-1].t_us <= 10 * MS
-    # The prober stopped mid-batch: it took fewer of the batch's arrivals
-    # than were delivered, each recorded as one rx event.
-    taken = sum(ev.dir == "rx" for ev in trace[before:])
-    assert 0 < taken < size
+    assert world.prober.trace == trace
+    # Every batch before the last left the trace short of the cap; the last
+    # one reached it, no batch followed it, and the clock stopped there.
+    assert all(after < EVENT_CAP for _, _, _, after, _ in batches[:-1])
+    now, size, before, after, rx = batches[-1]
+    assert before < EVENT_CAP <= after
+    assert world.clock == now == trace[-1].t_us
+    # The prober took the whole batch: one rx event per delivered segment.
+    assert rx == size
+
+
+def run_with_cap(monkeypatch, cap: int):
+    """Run the default NewReno scenario with the event cap set to ``cap``.
+    The run loop and ``classify_trace`` read the one shared constant."""
+    monkeypatch.setattr(netsim, "EVENT_CAP", cap)
+    monkeypatch.setattr(classifier, "EVENT_CAP", cap)
+    return run_scenario(Variant.NEWRENO)
+
+
+@pytest.mark.parametrize("cap", [67, 68])
+def test_run_that_fills_the_cap_exactly_is_an_overflow(monkeypatch, cap):
+    # The default NewReno run records 67 events, its closing reset last.
+    # At a cap of 67 the run and classify_trace both call it an overflow;
+    # one event more of room and it closes and gets its label.
+    run = run_with_cap(monkeypatch, cap)
+    assert len(run.trace) == 67
+    report = classify_trace(run.trace, run.scenario.probe_script)
+    if cap == 67:
+        assert run.reason is TerminationReason.TRACE_OVERFLOW
+        assert (report.label, report.error) == (None, "TraceOverflow")
+    else:
+        assert run.reason is TerminationReason.PROBER_CLOSED
+        assert (report.label, report.error) == ("NewReno", None)
+
+
+def test_closing_ack_at_the_cap_sends_no_reset(monkeypatch):
+    # With the closing ACK as the cap-th event, the reset the prober sends
+    # with it is cut from the trace: the trace ends on the ACK, and the cap
+    # outranks the close.
+    run = run_with_cap(monkeypatch, 66)
+    assert run.reason is TerminationReason.TRACE_OVERFLOW
+    assert len(run.trace) == 66
+    assert (run.trace[-1].dir, run.trace[-1].kind, run.trace[-1].ack) == ("tx", "ack", 3000)
+    assert not any(ev.kind == "rst" for ev in run.trace)
+    assert classify_trace(run.trace, run.scenario.probe_script).error == "TraceOverflow"
+
+
+def test_handshake_past_the_cap_sends_nothing(monkeypatch):
+    # A cap of two events holds the SYN and the SYN+ACK alone. The handshake
+    # ACK and the request the SYN+ACK draws are cut from the trace and never
+    # reach the server.
+    run = run_with_cap(monkeypatch, 2)
+    assert run.reason is TerminationReason.TRACE_OVERFLOW
+    assert [(ev.dir, ev.kind) for ev in run.trace] == [("tx", "syn"), ("rx", "synack")]
+    assert run.world.prober.trace == run.trace
+    assert run.world.server.phase == "syn_rcvd"
+    assert run.world.clock == 100 * MS
 
 
 # -- the batched event loop against the per-segment one -------------------------
@@ -300,6 +355,8 @@ def _dispatch_each(world, segments, now, origin):
 
 def run_per_segment(world):
     queue = world._queue
+    when, dest, batch = queue.popleft()  # the opening SYN's entry
+    queue.extend((when, dest, seg) for seg in batch)
     while True:
         deadline = world.server.rto_deadline
         next_time = queue[0][0] if queue else None
@@ -326,9 +383,7 @@ def run_per_segment(world):
         if when < world.clock:
             raise InternalError("event queue regressed in time")
         world.clock = when
-        if kind == "start":
-            _dispatch_each(world, world.prober.start(when), when, PROBER)
-        elif kind == SERVER:
+        if kind == SERVER:
             _dispatch_each(world, world.server.handle_segment([seg], when), when, SERVER)
         else:
             _dispatch_each(world, world.prober.handle_segment([seg], when), when, PROBER)
@@ -438,6 +493,8 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
 # ReferenceServer keeps the endpoint as it was when a pure ACK once
 # established was handled inline and every other arrival but a close went
 # through ``_open``, with ``request_seen`` and ``halted`` beside ``phase``.
+# It takes one SYN, as the endpoint does: a SYN once a sender exists is
+# ignored.
 
 
 class ReferenceServer:
@@ -479,6 +536,8 @@ class ReferenceServer:
 
     def _open(self, seg, now):
         if seg.flags & Flag.SYN:
+            if self.sender is not None:
+                return []
             offered = seg.mss_option or self.base_config.mss
             negotiated = replace(self.base_config, mss=min(self.base_config.mss, offered))
             sender = self.sender = Sender(negotiated, self.variant)
@@ -502,7 +561,7 @@ def folded_phase(reference: ReferenceServer) -> str:
     if reference.halted:
         return "closed"
     if reference.request_seen:
-        return "serving" if reference.phase == "established" else "reopened"
+        return "serving"
     return reference.phase
 
 
@@ -515,7 +574,7 @@ def client_segments(draw) -> Segment:
         draw(st.one_of(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=3100))),
         flags,
         draw(st.integers(min_value=1, max_value=50)),
-        draw(st.one_of(st.none(), st.integers(-1, 1500))) if flags & Flag.SYN else None,
+        draw(st.one_of(st.none(), st.integers(1, 1500))) if flags & Flag.SYN else None,
     )
 
 
@@ -536,7 +595,7 @@ def acks(*values) -> list:
 @example(Variant.RENO, [[SYN, prober_segment(), REQUEST], acks(100, 200), "timer", acks(300)])
 # A pure ACK after the handshake but before the request reaches the sender.
 @example(Variant.RENO, [[SYN], [prober_segment()], acks(100)])
-# A SYN after the request: a fresh sender, and the page is not served again.
+# A SYN after the request is ignored, and the page is not served again.
 @example(Variant.TAHOE, [[SYN, prober_segment(), REQUEST], [SYN], acks(0), [REQUEST], acks(0)])
 # A FIN closes the server mid-transfer and silences its timer.
 @example(Variant.NEWRENO, [[SYN, prober_segment(), REQUEST, prober_segment(Flag.FIN)], "timer"])
@@ -557,3 +616,18 @@ def test_server_loop_matches_helper_path_reference(variant, ops):
         assert (server.sender is None) == (reference.sender is None)
         if server.sender is not None:
             assert vars(server.sender) == vars(reference.sender)
+
+
+def test_syn_after_the_request_is_ignored():
+    # One connection per server: a SYN after the request answers nothing,
+    # and the sender keeps the page in flight. The ACKs that follow move it
+    # on; none of them raises ProtocolError.
+    server = fresh_server()
+    server.handle_segment([SYN, prober_segment(), REQUEST], 0)
+    sender = server.sender
+    assert server.handle_segment([SYN], 10 * MS) == []
+    assert server.sender is sender and server.phase == "serving"
+    assert server.handle_segment([prober_segment()], 20 * MS) == []
+    out = server.handle_segment(acks(100), 30 * MS)
+    assert [(seg.seq, seg.len) for seg in out] == [(200, 100), (300, 100)]
+    assert (sender.snd_una, sender.app_limit) == (100, 3000)

@@ -248,9 +248,10 @@ def test_duplicate_delivery_is_recorded_and_silent():
     ]
 
 
-def test_event_cap_marks_overflow():
-    # Each in-order arrival records itself and its ACK; the ack limit lies
-    # past every arrival, so only the cap can end the recording.
+def test_session_records_past_the_event_cap():
+    # The session records without counting: past EVENT_CAP events it still
+    # records every arrival and answers it. Only the run loop ends a run at
+    # the cap (see the capped-run tests in test_netsim.py).
     session = established_session(
         ProbeScript(drop_packets=frozenset(), ack_limit_packet=EVENT_CAP + 1)
     )
@@ -258,37 +259,9 @@ def test_event_cap_marks_overflow():
         session.handle_segment([data_segment(index, ip_id=index + 1)], index)
         for index in range(1, EVENT_CAP + 1)
     ]
-    assert session.overflowed
-    assert len(session.trace) == EVENT_CAP
-    assert answers[-1] == []  # past the cap the probe answers nothing
+    assert len(session.trace) == 4 + 2 * EVENT_CAP  # the handshake, then rx + ack each
+    assert [seg.ack for seg in answers[-1]] == [EVENT_CAP * MSS]
     assert session.phase == "established"
-
-
-def test_closing_ack_at_the_cap_sends_no_reset():
-    # Stale copies of packet 1 are recorded and not answered; they fill the
-    # trace so that the ACK of packet 25 is its EVENT_CAP-th event.
-    session = established_session(ProbeScript(drop_packets=frozenset()))
-    for index in range(1, 25):
-        session.handle_segment([data_segment(index, ip_id=index + 1)], index)
-    stale = [data_segment(1, ip_id=2)] * (EVENT_CAP - 2 - len(session.trace))
-    out = session.handle_segment(stale + [data_segment(25, ip_id=26)], 25)
-    assert [(seg.flags, seg.ack) for seg in out] == [(Flag.ACK, 2500)]  # no reset
-    assert len(session.trace) == EVENT_CAP
-    assert session.trace[-1].kind == "ack"
-    assert session.overflowed
-
-
-def test_handshake_past_the_cap_records_and_builds_nothing():
-    # EVENT_CAP - 2 arrivals before the SYN+ACK: with the SYN they leave
-    # room for the SYN+ACK alone, not for the ACK and request it draws.
-    session = ProbeSession(ProbeScript())
-    session.start(0)
-    session.handle_segment([data_segment(1, ip_id=2)] * (EVENT_CAP - 2), 1)
-    out = session.handle_segment([synack()], 2)
-    assert out == []
-    assert len(session.trace) == EVENT_CAP
-    assert session.trace[-1].kind == "synack"
-    assert session.overflowed
 
 
 # -- how the probe ended, as classify_trace reads it off the trace -------------
@@ -322,14 +295,16 @@ def test_outcome_completed():
 
 
 def test_outcome_overflow():
-    # The prober closes at packet 25 and then only records; more than
-    # EVENT_CAP arrivals fill the trace, and the cap outranks the close.
+    # The prober closes at packet 25 and then only records; EVENT_CAP
+    # arrivals fill the trace past the cap, and the cap outranks the close,
+    # both on the whole trace and on its first EVENT_CAP events, which are
+    # what a run keeps.
     arrivals = [synack()] + [data_segment(i, ip_id=i + 1) for i in range(1, EVENT_CAP + 1)]
     session = replay(ProbeScript(drop_packets=frozenset()), arrivals)
     assert session.phase == "closed"
-    assert session.overflowed
-    assert len(session.trace) == EVENT_CAP
-    assert classify_trace(session.trace, session.script).error == "TraceOverflow"
+    assert len(session.trace) > EVENT_CAP
+    for trace in (session.trace, session.trace[:EVENT_CAP]):
+        assert classify_trace(trace, session.script).error == "TraceOverflow"
 
 
 # -- receiver properties -------------------------------------------------------
@@ -396,16 +371,11 @@ def test_ack_point_is_the_contiguous_prefix_of_unaligned_arrivals(arrivals):
 # ReferenceProbeSession keeps the session's arrival handling as it was when
 # plain data was handled inline and every other arrival went through
 # helpers that recorded it, answered the SYN+ACK and closed with a reset.
-# One difference is allowed: past the cap the reference still builds the
-# SYN, the handshake's ACK and request, and the closing reset without
-# recording them, where the session under test builds nothing.
+# Neither session counts its events: the run loop alone applies the cap.
 
 
 class ReferenceProbeSession(ProbeSession):
     def _record(self, now, direction, kind, seg):
-        if len(self.trace) >= EVENT_CAP:
-            self.overflowed = True
-            return
         self.trace.append(
             TraceEvent(now, direction, kind, seg.seq, seg.len, seg.ack, seg.ip_id)
         )
@@ -429,9 +399,6 @@ class ReferenceProbeSession(ProbeSession):
         rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
         dupacks, established = self.dupacks_sent, self.phase == "established"
         for seg in segments:
-            if len(trace) >= EVENT_CAP:
-                self.overflowed = True
-                break
             start, length = seg.seq, seg.len
             if established and seg.flags == ACK and length:
                 record(TraceEvent(now, "rx", "data", start, length, seg.ack, seg.ip_id))
@@ -456,9 +423,6 @@ class ReferenceProbeSession(ProbeSession):
                 rcv_nxt = self._reassemble(previous, start, end)
             if rcv_nxt == previous and end <= rcv_nxt:
                 continue
-            if len(trace) >= EVENT_CAP:
-                self.overflowed = True
-                break
             ip_id += 1
             record(TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id))
             out.append(Segment(snd_off, 0, rcv_nxt, ACK, ip_id))
@@ -474,7 +438,7 @@ class ReferenceProbeSession(ProbeSession):
     def _arrive(self, seg, now):
         kind = _segment_kind(seg)
         self._record(now, "rx", kind, seg)
-        if self.overflowed or self.phase == "closed":
+        if self.phase == "closed":
             return []
         if kind == "synack" and self.phase == "syn_sent":
             self.phase = "established"
@@ -490,7 +454,6 @@ class ReferenceProbeSession(ProbeSession):
 # Every flag set a Segment accepts: all but SYN with RST.
 FLAG_SETS = [flags for flags in range(16) if not (flags & Flag.SYN and flags & Flag.RST)]
 SMALL_SCRIPT = ProbeScript(drop_packets=frozenset({2, 3}), ack_limit_packet=4)
-FILLER = TraceEvent(0, "rx", "ack", 0, 0, 0, 0)
 
 
 def any_flags(common: list) -> st.SearchStrategy:
@@ -535,45 +498,29 @@ def synack_data(seq: int) -> Segment:
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    script=SCRIPTS,
-    room=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
-    ops=SCRIPTS.flatmap(probe_ops),
-)
+@given(script=SCRIPTS, ops=SCRIPTS.flatmap(probe_ops))
 # Drops, a dupACK, the repair that closes, and an arrival after the close.
-@example(SMALL_SCRIPT, None, ["start", [synack()], in_order(4), in_order(3, first=2), in_order(1)])
-@example(SMALL_SCRIPT, 3, ["start", [synack()]])  # the request would overflow
-@example(SMALL_SCRIPT, 2, ["start", [synack()]])  # the SYN+ACK fills the trace
-@example(SMALL_SCRIPT, 0, ["start"])  # no room for the SYN
-# The closing ACK is the last event that fits.
-@example(ProbeScript(drop_packets=frozenset()), 54, ["start", [synack()], in_order(25)])
+@example(SMALL_SCRIPT, ["start", [synack()], in_order(4), in_order(3, first=2), in_order(1)])
+@example(ProbeScript(drop_packets=frozenset()), ["start", [synack()], in_order(25)])
 # A SYN+ACK carrying data: before the SYN, as the handshake, while the
 # probe runs and after the close.
 @example(
     SMALL_SCRIPT,
-    None,
     [
         [synack_data(0)], "start", [synack_data(0)], in_order(4),
         [synack_data(400)], in_order(3, first=2), [synack_data(500)],
     ],
 )
-def test_arrival_loop_matches_helper_path_reference(script, room, ops):
+def test_arrival_loop_matches_helper_path_reference(script, ops):
     session, reference = ProbeSession(script), ReferenceProbeSession(script)
-    if room is not None:
-        session.trace += [FILLER] * (EVENT_CAP - room)
-        reference.trace += [FILLER] * (EVENT_CAP - room)
     for now, op in enumerate(ops):
         got, expected = (
             outcome(probe.start, now) if op == "start" else outcome(probe.handle_segment, op, now)
             for probe in (session, reference)
         )
-        if expected[0] == "returned" and reference.overflowed:
-            recorded = {ev.ip_id for ev in reference.trace if ev.dir == "tx"}
-            expected = ("returned", [seg for seg in expected[1] if seg.ip_id in recorded])
         assert got == expected
         assert session.trace == reference.trace
-        assert len(session.trace) <= EVENT_CAP
-        state = ("phase", "rcv_nxt", "dupacks_sent", "overflowed", "pending_drops")
+        state = ("phase", "rcv_nxt", "dupacks_sent", "pending_drops")
         assert [getattr(session, name) for name in state] == [
             getattr(reference, name) for name in state
         ]

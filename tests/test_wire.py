@@ -37,8 +37,10 @@ def test_field_order_matches_positional_construction():
         ((0, -1, 0, Flag.ACK, 1), "negative payload length"),
         ((0, 0, 0, Flag.SYN | Flag.RST, 1), "SYN and RST are mutually exclusive"),
         ((0, 0, 0, Flag.ACK, 1, 100), "mss_option is only valid on SYN segments"),
+        ((0, 0, 0, Flag.SYN, 1, 0), "mss_option must be at least 1"),
+        ((0, 0, 0, Flag.SYN, 1, -100), "mss_option must be at least 1"),
     ],
-    ids=["negative-len", "syn-rst", "mss-without-syn"],
+    ids=["negative-len", "syn-rst", "mss-without-syn", "mss-0", "mss-negative"],
 )
 def test_segment_constructor_checks(args, message):
     with pytest.raises(ValueError, match=message):
@@ -46,8 +48,9 @@ def test_segment_constructor_checks(args, message):
 
 
 # A segment that breaks two rules reports the first in this order: negative
-# length, then SYN with RST, then mss_option without SYN. No segment breaks
-# the last two at once, since one needs SYN and the other its absence.
+# length, then SYN with RST, then mss_option without SYN, then mss_option
+# below 1. No segment breaks SYN with RST and mss_option without SYN at
+# once, since one needs SYN and the other its absence.
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -56,8 +59,14 @@ def test_segment_constructor_checks(args, message):
         ((0, -1, 0, Flag.SYN | Flag.RST, 1, 100), "negative payload length"),
         ((0, 0, 0, Flag.SYN | Flag.RST, 1, 100), "SYN and RST are mutually exclusive"),
         ((0, 0, 0, Flag.RST, 1, 100), "mss_option is only valid on SYN segments"),
+        ((0, -1, 0, Flag.SYN, 1, 0), "negative payload length"),
+        ((0, 0, 0, Flag.SYN | Flag.RST, 1, 0), "SYN and RST are mutually exclusive"),
+        ((0, 0, 0, Flag.ACK, 1, 0), "mss_option is only valid on SYN segments"),
     ],
-    ids=["len-and-syn-rst", "len-and-mss", "len-syn-rst-and-mss", "syn-rst-with-mss", "rst-with-mss"],
+    ids=[
+        "len-and-syn-rst", "len-and-mss", "len-syn-rst-and-mss", "syn-rst-with-mss",
+        "rst-with-mss", "len-and-mss-0", "syn-rst-with-mss-0", "ack-with-mss-0",
+    ],
 )
 def test_segment_reports_the_first_broken_rule(args, message):
     with pytest.raises(ValueError, match=message):
