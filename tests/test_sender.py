@@ -687,3 +687,22 @@ def test_go_back_range_across_the_high_water_mark(una, probe, expected_probe):
         results.append((out, karn_state(sender)))
     assert results[0] == results[1]
     assert results[0][1][:2] == (expected_probe, una + 500)
+
+
+def test_go_back_burst_times_its_first_fresh_segment_end_to_end():
+    # RenoPlus at rtt 400 ms, drops 3 and 7, close after 10. The third
+    # dupACK for 3 brings a go-back burst [200, 900) at 1.4 s: 200-600 are
+    # re-sent and 600, the first fresh segment, is timed. 600 is packet 7
+    # and dropped, so it yields no sample: the RTO stays at 1.2 s (3 x the
+    # 400 ms handshake-era sample), armed by the ACK of 600 at 1.8 s, and 7
+    # is repaired at 3.2 s. Timing the burst's head, a re-sent segment,
+    # would take a second sample from that ACK, cut the RTO to 1.0 s and
+    # repair 7 at 3.0 s.
+    trace, _ = run_to_completion(sim_init(Scenario(
+        variant=Variant.RENO_PLUS,
+        rtt_ms=400,
+        page_bytes=1100,
+        probe_script=ProbeScript(drop_packets=frozenset({3, 7}), ack_limit_packet=10),
+    )))
+    arrivals = [ev.t_us for ev in trace if ev.dir == "rx" and ev.kind == "data" and ev.seq == 600]
+    assert arrivals == [1_600_000, 3_200_000]
