@@ -30,7 +30,6 @@ from .prober import EVENT_CAP, ProbeScript
 from .traceio import TraceEvent
 from .wire import first_index
 
-LABELS = ("Tahoe", "Reno", "NewReno", "NoFastRetransmit", "RenoPlus")
 LABEL_UNCLASSIFIABLE = "Unclassifiable"
 
 ERROR_REORDERING = "Reordering"

@@ -4,7 +4,9 @@ Two endpoints (a page-serving sender and the probe session) exchange
 segments over a symmetric, lossless, infinitely fast link: every segment
 arrives exactly rtt/2 after it was sent, in FIFO order. Time is a virtual
 integer-microsecond clock advanced only by the event queue, so a given
-scenario always produces a bit-identical trace.
+scenario always produces a bit-identical trace. A segment is the
+``TraceEvent`` the prober logs (see ``wire``); it carries no MSS option,
+so ``SimWorld`` caps the server's MSS at the probe script's.
 
 The queue holds one ``(when, dest, segments)`` entry per delivered batch
 that drew any answer. An endpoint takes an entry whole, in one
@@ -20,9 +22,9 @@ delivery order is exactly that of one entry per segment.
 ends a run: at the event cap, at quiescence or at the run deadline.
 
 Each endpoint's ``handle_segment`` is its one arrival path, a loop over
-the batch that tests the common arrival first. The server's one
-``phase`` runs listen -> syn_rcvd -> established -> serving -> closed
-(see ``HttpServerEndpoint``).
+the batch that tests the common arrival first; the server's branches on
+each segment's ``kind``. Its one ``phase`` runs listen -> syn_rcvd ->
+established -> serving -> closed (see ``HttpServerEndpoint``).
 
 An optional ambient-drop list (server ip_ids swallowed by the link)
 exists for robustness testing only; the default link never loses data.
@@ -35,7 +37,8 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigurationError, InternalError
 from .prober import EVENT_CAP, ProbeSession, ProbeScript
 from .sender import Sender, SenderConfig, Variant
-from .wire import US_PER_MS, Flag, Segment
+from .traceio import TraceEvent
+from .wire import US_PER_MS
 
 DEFAULT_RUN_DEADLINE_MS = 30_000
 
@@ -79,8 +82,10 @@ class HttpServerEndpoint:
 
     The HTTP layer is a stub. Any nonempty request triggers the whole
     page; request and response bytes are opaque. The congestion sender is
-    created at SYN time with the negotiated MSS, and the SYN+ACK draws its
-    ip_id from the same per-connection counter the sender uses.
+    created at SYN time with ``config``, and the SYN+ACK draws its ip_id
+    from the same per-connection counter the sender uses. Each segment the
+    server sends is stamped ``rx`` with its arrival time, ``one_way_us``
+    after it leaves.
 
     ``phase`` runs listen -> syn_rcvd -> established -> serving, and a RST
     or FIN in any phase makes it ``closed``, which answers nothing. The
@@ -88,10 +93,11 @@ class HttpServerEndpoint:
     later SYN is ignored, so the page is never replaced or served twice.
     """
 
-    def __init__(self, config: SenderConfig, variant: Variant, page_bytes: int):
-        self.base_config = config
+    def __init__(self, config: SenderConfig, variant: Variant, page_bytes: int, one_way_us: int):
+        self.config = config
         self.variant = variant
         self.page_bytes = page_bytes
+        self.one_way_us = one_way_us
         self.phase = "listen"
         self.sender = None
 
@@ -100,37 +106,35 @@ class HttpServerEndpoint:
         # Only the page puts data in flight, so only ``serving`` arms a timer.
         return self.sender.rto_deadline if self.phase == "serving" else None
 
-    def on_timer(self, now: int) -> list[Segment]:
+    def on_timer(self, now: int) -> list[TraceEvent]:
         if self.phase in ("listen", "closed"):
             return []
         return self.sender.on_rto(now)
 
-    def handle_segment(self, segments: list[Segment], now: int) -> list[Segment]:
+    def handle_segment(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
         """Take in one delivered batch, in order; return every answer to it."""
-        out, sender, phase, ACK = [], self.sender, self.phase, Flag.ACK
+        out, sender, phase = [], self.sender, self.phase
         acking = phase == "established" or phase == "serving"
         for seg in segments:
-            flags = seg.flags
-            # The common arrival first: a pure ACK once established.
-            if acking and flags == ACK and not seg.len:
+            kind = seg.kind
+            # The common arrival first: an ACK once established.
+            if acking and kind == "ack":
                 out += sender.on_ack(seg.ack, now)
-            elif phase == "closed" or flags & (Flag.RST | Flag.FIN):
+            elif phase == "closed" or kind == "rst" or kind == "fin":
                 phase = "closed"
                 break
-            elif flags & Flag.SYN:
+            elif kind == "syn":
                 if phase == "listen":  # one connection: a later SYN is ignored
-                    config = self.base_config
-                    negotiated = replace(config, mss=min(config.mss, seg.mss_option or config.mss))
-                    sender = self.sender = Sender(negotiated, self.variant)
+                    sender = self.sender = Sender(self.config, self.variant, self.one_way_us)
                     sender.ip_id_counter = 1  # the SYN+ACK takes the first ip_id
-                    out.append(Segment(0, 0, 0, Flag.SYN | Flag.ACK, 1, negotiated.mss))
+                    out.append(TraceEvent(now + self.one_way_us, "rx", "synack", 0, 0, 0, 1))
                     phase = "syn_rcvd"
-            elif seg.len:
+            elif kind == "data":
                 if phase == "established":  # the request; other payloads are ignored
-                    phase, sender.rcv_nxt = "serving", seg.end
+                    phase, sender.rcv_nxt = "serving", seg.seq + seg.len
                     sender.enqueue_app_data(self.page_bytes)
                     out += sender.pump_transmissions(now)
-            elif flags & ACK and phase == "syn_rcvd":
+            elif kind == "ack" and phase == "syn_rcvd":
                 phase, acking = "established", True
         self.phase = phase
         return out
@@ -144,16 +148,16 @@ class SimWorld:
         self.clock = 0
         self.one_way_us = scenario.rtt_ms * US_PER_MS // 2
         self.deadline_us = scenario.run_deadline_ms * US_PER_MS
-        self.server = HttpServerEndpoint(
-            scenario.sender_config, scenario.variant, scenario.page_bytes
-        )
-        self.prober = ProbeSession(scenario.probe_script)
+        config, script = scenario.sender_config, scenario.probe_script
+        config = replace(config, mss=min(config.mss, script.mss))
+        self.server = HttpServerEndpoint(config, scenario.variant, scenario.page_bytes, self.one_way_us)
+        self.prober = ProbeSession(script)
         # (when, dest, segments) entries, the probe's SYN (sent at t=0)
         # first; each holds all the answers to one delivered batch. Every
         # segment takes one_way_us and the clock never runs back, so entries
         # are queued in delivery order: a FIFO is the event queue. No timer
         # fires between the parts of an entry (see the module docstring).
-        self._queue: deque[tuple[int, str, list[Segment]]] = deque(
+        self._queue: deque[tuple[int, str, list[TraceEvent]]] = deque(
             [(self.one_way_us, SERVER, self.prober.start(0))]
         )
 

@@ -1,17 +1,20 @@
 """Active prober: a scripted TCP receiver that provokes loss recovery.
 
-The prober opens a connection with a small advertised MSS, requests a
-page, and pretends to lose the first arrival of selected packet numbers
-by simply not acknowledging them (the bytes are recorded but withheld
-from the cumulative ACK until they arrive again). Every out-of-order
+The prober opens a connection, requests a page, and pretends to lose the
+first arrival of selected packet numbers by simply not acknowledging them
+(the bytes are recorded but withheld from the cumulative ACK until they
+arrive again). Its SYN carries no MSS option: the simulator caps the
+server's MSS at the script's, as that option would. Every out-of-order
 arrival is answered with an immediate duplicate ACK, so a fast-retransmit
 sender sees the classic triple-dupACK burst. Once the cumulative ACK
 covers the scripted packet limit the prober emits a final ACK and closes.
 
 ``start`` sends the SYN. ``handle_segment`` is the one arrival path: a
-loop over a whole delivered batch that records every arrival, takes in
-data while the probe runs (the common arrival, tested first), answers
-the SYN+ACK with an ACK and the request, and sends the closing reset.
+loop over a whole delivered batch that appends every arrival to the trace
+as it is (the server's ``rx`` record, stamped with its arrival time),
+takes in data while the probe runs (the common arrival, tested first),
+answers the SYN+ACK with an ACK and the request, and sends the closing
+reset. Each ``tx`` record is built once, appended to the trace and sent.
 The session records without counting: ``netsim.run_to_completion`` ends
 the run once the trace reaches the event cap and cuts it to the cap.
 How a probe ended is not kept here: ``classifier.classify_trace`` reads
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .traceio import TraceEvent
-from .wire import Flag, Segment, covered_indices
+from .wire import covered_indices
 
 EVENT_CAP = 10_000  # a run ends once its trace holds this many events
 REQUEST_BYTES = 100  # the opaque request; any nonempty payload fetches the page
@@ -48,19 +51,6 @@ class ProbeScript:
             raise ConfigurationError("ack_limit_packet must be at least 1")
 
 
-def _segment_kind(seg: Segment) -> str:
-    flags = seg.flags
-    if flags & Flag.SYN:
-        return "synack" if flags & Flag.ACK else "syn"
-    if flags & Flag.RST:
-        return "rst"
-    if flags & Flag.FIN:
-        return "fin"
-    if seg.len > 0:
-        return "data"
-    return "ack"
-
-
 class ProbeSession:
     """State of one probe connection, including its observed trace."""
 
@@ -76,28 +66,28 @@ class ProbeSession:
         self.ip_id_counter = 0
         self.trace: list[TraceEvent] = []
 
-    def start(self, now: int) -> list[Segment]:
-        """Open the probe: send a SYN advertising the script's MSS."""
+    def start(self, now: int) -> list[TraceEvent]:
+        """Open the probe: send the SYN."""
         if self.phase != "idle":
             return []
         self.phase = "syn_sent"
         self.ip_id_counter = 1
-        self.trace.append(TraceEvent(now, "tx", "syn", 0, 0, 0, 1))
-        return [Segment(0, 0, 0, Flag.SYN, 1, self.script.mss)]
+        syn = TraceEvent(now, "tx", "syn", 0, 0, 0, 1)
+        self.trace.append(syn)
+        return [syn]
 
-    def handle_segment(self, segments: list[Segment], now: int) -> list[Segment]:
+    def handle_segment(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
         """Take in one delivered batch, in order; return every answer to it.
         The connection state lives in locals across the batch."""
-        out, above, ACK = [], self._above, Flag.ACK
+        out, above = [], self._above
         record, pending, mss = self.trace.append, self.pending_drops, self.script.mss
         close_at = self.script.ack_limit_packet * mss
         rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
         dupacks, phase = self.dupacks_sent, self.phase
         established = phase == "established"
         for seg in segments:
+            record(seg)
             start, length = seg.seq, seg.len
-            kind = "data" if seg.flags == ACK and length else _segment_kind(seg)
-            record(TraceEvent(now, "rx", kind, start, length, seg.ack, seg.ip_id))
             if established and length:
                 # The common arrival first: data while the probe runs.
                 end = start + length
@@ -117,26 +107,28 @@ class ProbeSession:
                     continue  # arrivals entirely below rcv_nxt stay silent
                 # A new cumulative ACK, or a duplicate.
                 ip_id += 1
-                record(TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id))
-                out.append(Segment(snd_off, 0, rcv_nxt, ACK, ip_id))
+                ack = TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id)
+                record(ack)
+                out.append(ack)
                 if rcv_nxt == previous:
                     dupacks += 1
                     continue
                 if rcv_nxt < close_at:
                     continue
                 # Close with a reset, as TBIT closes its probe connections.
-                phase, established, sends = "closed", False, (("rst", Flag.RST, 0),)
-            elif kind == "synack" and phase == "syn_sent":
+                phase, established, sends = "closed", False, (("rst", 0),)
+            elif seg.kind == "synack" and phase == "syn_sent":
                 # ACK the answer to our SYN and send the request; any
                 # payload the SYN+ACK carries is ignored.
                 phase, established = "established", True
-                sends = (("ack", ACK, 0), ("data", ACK, REQUEST_BYTES))
+                sends = (("ack", 0), ("data", REQUEST_BYTES))
             else:
                 continue  # every other arrival is only recorded
-            for kind, flags, length in sends:
+            for kind, length in sends:
                 ip_id += 1
-                record(TraceEvent(now, "tx", kind, snd_off, length, rcv_nxt, ip_id))
-                out.append(Segment(snd_off, length, rcv_nxt, flags, ip_id))
+                sent = TraceEvent(now, "tx", kind, snd_off, length, rcv_nxt, ip_id)
+                record(sent)
+                out.append(sent)
                 snd_off += length
         self.rcv_nxt, self.ip_id_counter, self.snd_off = rcv_nxt, ip_id, snd_off
         self.dupacks_sent, self.phase = dupacks, phase

@@ -19,17 +19,20 @@ Five congestion-control behaviors sit behind one event-driven sender:
 
 The sender is a pure state machine: time enters as an explicit argument,
 segments leave as return values, and nothing here touches a clock or a
-socket. Every emission, fresh or repeated, is one byte range cut into
-segments, with Karn's RTT-sample rule applied once per range. All times
-are integer virtual microseconds; cwnd/ssthresh are raw byte counts
-(deliberately not rounded to segment multiples).
+socket. Each segment is the ``rx`` ``data`` record the prober will log,
+stamped with its arrival time: the send time plus the link's fixed
+one-way delay, which the simulator hands to the sender. Every emission,
+fresh or repeated, is one byte range cut into segments, with Karn's
+RTT-sample rule applied once per range. All times are integer virtual
+microseconds; cwnd/ssthresh are raw byte counts (deliberately not
+rounded to segment multiples).
 """
 
 import enum
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, InternalError, ProtocolError
-from .wire import Flag, Segment
+from .traceio import TraceEvent
 
 
 class Variant(enum.Enum):
@@ -71,9 +74,10 @@ class SenderConfig:
 class Sender:
     """One direction of a TCP connection: the side that sends the page."""
 
-    def __init__(self, config: SenderConfig, variant: Variant):
+    def __init__(self, config: SenderConfig, variant: Variant, one_way_us: int):
         self.variant = variant
         self.mss = config.mss
+        self.one_way_us = one_way_us  # link delay: a segment's t_us is its arrival
 
         self.snd_una = 0
         self.snd_nxt = 0
@@ -101,7 +105,7 @@ class Sender:
     def flight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    def _emit_range(self, seq: int, end: int, now: int) -> list[Segment]:
+    def _emit_range(self, seq: int, end: int, now: int) -> list[TraceEvent]:
         """Emit [seq, end), end > seq, as segments of one mss and a rest.
         Karn's rule, once per range: the segments that start below
         ``_max_sent`` are re-sent and poison a timed segment they overlap;
@@ -118,13 +122,13 @@ class Sender:
             self._rtt_probe = (fresh, min(fresh + mss, end), now)
         if end > max_sent:
             self._max_sent = end
-        out, ack, ip_id = [], self.rcv_nxt, self.ip_id_counter
+        out, ack, ip_id, t_us = [], self.rcv_nxt, self.ip_id_counter, now + self.one_way_us
         while seq + mss < end:
             ip_id += 1
-            out.append(Segment(seq, mss, ack, Flag.ACK, ip_id))
+            out.append(TraceEvent(t_us, "rx", "data", seq, mss, ack, ip_id))
             seq += mss
         self.ip_id_counter = ip_id + 1
-        out.append(Segment(seq, end - seq, ack, Flag.ACK, ip_id + 1))
+        out.append(TraceEvent(t_us, "rx", "data", seq, end - seq, ack, ip_id + 1))
         return out
 
     # -- operations -----------------------------------------------------
@@ -134,7 +138,7 @@ class Sender:
             raise ValueError("cannot enqueue a negative byte count")
         self.app_limit += nbytes
 
-    def pump_transmissions(self, now: int) -> list[Segment]:
+    def pump_transmissions(self, now: int) -> list[TraceEvent]:
         """Send whatever the window and the application queue allow."""
         # Only the Reno family enters fast recovery, where each duplicate
         # ACK inflates the usable window by one mss.
@@ -150,7 +154,7 @@ class Sender:
             self.rto_deadline = now + self.rto_current
         return self._emit_range(snd_nxt, limit, now)
 
-    def on_ack(self, ack: int, now: int) -> list[Segment]:
+    def on_ack(self, ack: int, now: int) -> list[TraceEvent]:
         snd_una = self.snd_una
         if ack > self.app_limit:
             raise ProtocolError(f"ack {ack} beyond queued data {self.app_limit}")
@@ -191,7 +195,7 @@ class Sender:
         out = self.pump_transmissions(now)
         return repair + out if repair else out
 
-    def on_rto(self, now: int) -> list[Segment]:
+    def on_rto(self, now: int) -> list[TraceEvent]:
         """Retransmission timer expiry: collapse to one segment and go back."""
         if self.rto_deadline is None:
             raise InternalError("on_rto called with no armed timer")
@@ -203,7 +207,7 @@ class Sender:
         out = []
         if self.snd_una < self.app_limit:
             out = self._retransmit_head(now)
-            self.snd_nxt = out[0].end
+            self.snd_nxt = out[0].seq + out[0].len
         self.rto_current = min(2 * self.rto_current, RTO_MAX_US)
         self.rto_deadline = (
             now + self.rto_current if self.snd_nxt > self.snd_una else None
@@ -225,7 +229,7 @@ class Sender:
 
     # -- internals ------------------------------------------------------
 
-    def _retransmit_head(self, now: int) -> list[Segment]:
+    def _retransmit_head(self, now: int) -> list[TraceEvent]:
         snd_una = self.snd_una
         return self._emit_range(snd_una, min(snd_una + self.mss, self.app_limit), now)
 
@@ -240,12 +244,12 @@ class Sender:
             return False
         return self.recover is None or self.snd_una >= self.recover
 
-    def _loss_response(self, now: int) -> list[Segment]:
+    def _loss_response(self, now: int) -> list[TraceEvent]:
         self.ssthresh = max(self.flight // 2, 2 * self.mss)
         if self.variant is Variant.TAHOE:
             self.cwnd = self.mss
             out = self._retransmit_head(now)
-            self.snd_nxt = out[0].end
+            self.snd_nxt = out[0].seq + out[0].len
             self.dupacks = 0
             return out
         if self.variant is Variant.RENO_PLUS:

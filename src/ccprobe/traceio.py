@@ -11,7 +11,8 @@ other text is read line by line through json, with the same events and
 the same errors.
 
 A ``TraceEvent`` is a slotted dataclass: cheap to build, compared by
-value, not hashable, and read-only by convention.
+value, not hashable, and read-only by convention. It is also the segment
+on the simulated link (see ``wire``), so it checks nothing when built.
 """
 
 import json

@@ -1,58 +1,21 @@
-"""Wire-level segment model shared by the sender, simulator and prober.
+"""Link-level helpers shared by the sender, simulator, prober and classifier.
 
 All times are integer virtual microseconds. Sequence numbers are byte
 offsets from the start of each direction's payload stream; the handshake
 consumes no sequence space in this model.
 
-A ``Segment`` is a slotted dataclass: cheap to build, compared by value,
-not hashable. It checks itself in its own ``__init__``, so building one
-costs a single call. Nothing in the package alters a segment after
-building it, and callers should treat it as read-only too.
+A segment on the link is a ``traceio.TraceEvent``, built once by the
+endpoint that sends it: the server stamps its own ``rx`` records with their
+arrival time, the prober its ``tx`` records with the time it sends them,
+and the prober's trace holds those same objects. ``Segment`` is a second
+name for that one record type.
 """
 
-from dataclasses import dataclass
+from .traceio import TraceEvent
 
 US_PER_MS = 1000
 
-
-class Flag:
-    """TCP control bits; a segment's ``flags`` is an int of these ORed."""
-
-    SYN = 1
-    ACK = 2
-    FIN = 4
-    RST = 8
-
-
-@dataclass(slots=True, init=False)
-class Segment:
-    seq: int
-    len: int
-    ack: int
-    flags: int
-    ip_id: int
-    mss_option: int | None = None
-
-    def __init__(self, seq, len, ack, flags, ip_id, mss_option=None):
-        if len < 0:
-            raise ValueError("negative payload length")
-        if flags & Flag.SYN and flags & Flag.RST:
-            raise ValueError("SYN and RST are mutually exclusive")
-        if mss_option is not None:
-            if not flags & Flag.SYN:
-                raise ValueError("mss_option is only valid on SYN segments")
-            if mss_option < 1:
-                raise ValueError("mss_option must be at least 1")
-        self.seq = seq
-        self.len = len
-        self.ack = ack
-        self.flags = flags
-        self.ip_id = ip_id
-        self.mss_option = mss_option
-
-    @property
-    def end(self) -> int:
-        return self.seq + self.len
+Segment = TraceEvent
 
 
 def first_index(seq: int, mss: int) -> int:

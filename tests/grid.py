@@ -80,9 +80,9 @@ class GridRun:
         return self.report.label if self.report.error is None else f"error:{self.report.error}"
 
 
-def run_grid(parts: dict = PARTS) -> Iterator[GridRun]:
+def run_grid() -> Iterator[GridRun]:
     """Simulate and classify every scenario, part by part, in order."""
-    for part, scenarios in parts.items():
+    for part, scenarios in PARTS.items():
         for scenario in scenarios:
             trace, reason = run_to_completion(sim_init(scenario))
             report = classify_trace(trace, scenario.probe_script)

@@ -42,7 +42,7 @@ from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent, emit_plot_points, read_trace
 
 from conftest import MSS, PAGE, delivered_union, run_scenario, rx_data, trace_text, tx_acks
-from test_sender import RoundDriver
+from test_sender import ONE_WAY_US, RoundDriver
 
 MS = 1000
 RTT_US = 100 * MS
@@ -217,7 +217,7 @@ def test_sender_dynamics(acceptance, nodrop_runs):
             # RoundDriver re-runs the same no-drop transfer against the
             # sender alone, asserting flight <= effective window after
             # every single pump and ack it processes.
-            driver = RoundDriver(Sender(SenderConfig(mss=MSS), variant))
+            driver = RoundDriver(Sender(SenderConfig(mss=MSS), variant, ONE_WAY_US))
             driver.sender.enqueue_app_data(PAGE)
             assert driver.run().counts == list(HAND_ROUND_TABLE)
 

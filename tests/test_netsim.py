@@ -6,7 +6,6 @@ rtt/2 link before implementation, then frozen here.
 """
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,24 +27,17 @@ from ccprobe import classifier, netsim
 from ccprobe.netsim import PROBER, SERVER, HttpServerEndpoint
 from ccprobe.prober import EVENT_CAP, ProbeSession
 from ccprobe.sender import Sender
-from ccprobe.wire import Flag, Segment
+from ccprobe.traceio import TraceEvent
 
 from conftest import delivered_union, outcome, run_scenario, rx_data, trace_text, tx_acks
 from test_golden import LONG_PAGE
-from test_prober import any_flags
+from test_prober import any_kind
 
 MS = 1000
 
 
-def prober_segment(flags=Flag.ACK, length=0, ip_id=1, mss_option=None) -> Segment:
-    return Segment(
-        seq=0,
-        len=length,
-        ack=0,
-        flags=flags,
-        ip_id=ip_id,
-        mss_option=mss_option,
-    )
+def prober_segment(kind="ack", length=0, ip_id=1) -> TraceEvent:
+    return TraceEvent(0, "tx", kind, 0, length, 0, ip_id)
 
 
 # -- scenario validation -----------------------------------------------------
@@ -79,59 +71,82 @@ def test_sim_init_schedules_single_opening_event():
     assert world.clock == 0
     [(when, dest, segments)] = world._queue
     assert (when, dest) == (50 * MS, SERVER)
-    assert [(seg.flags, seg.mss_option) for seg in segments] == [(Flag.SYN, 100)]
-    assert [(ev.t_us, ev.dir, ev.kind) for ev in world.prober.trace] == [(0, "tx", "syn")]
+    assert segments == [TraceEvent(0, "tx", "syn", 0, 0, 0, 1)]
+    assert world.prober.trace == segments and world.prober.trace[0] is segments[0]
+
+
+@pytest.mark.parametrize(
+    "server_mss, script_mss, negotiated",
+    [(1460, 100, 100), (50, 100, 50), (1460, 1460, 1460)],
+    ids=["script-smaller", "server-smaller", "equal"],
+)
+def test_server_mss_is_capped_at_the_script_mss(server_mss, script_mss, negotiated):
+    # The world hands the server min(its MSS, the script's), as a SYN's MSS
+    # option would, and the first segment of the page is that long.
+    script = ProbeScript(mss=script_mss)
+    run = run_scenario(
+        Variant.NEWRENO,
+        page_bytes=(script.ack_limit_packet + 1) * script_mss,
+        sender_config=SenderConfig(mss=server_mss),
+        probe_script=script,
+    )
+    assert run.world.server.config == SenderConfig(mss=negotiated)
+    assert run.world.server.sender.mss == negotiated
+    assert rx_data(run.trace)[0].len == negotiated
 
 
 # -- server endpoint ----------------------------------------------------------
 
 
+ONE_WAY_US = 50 * MS
+
+
 def fresh_server(page=3000) -> HttpServerEndpoint:
-    return HttpServerEndpoint(SenderConfig(), Variant.NEWRENO, page)
+    return HttpServerEndpoint(SenderConfig(mss=100), Variant.NEWRENO, page, ONE_WAY_US)
 
 
-def test_syn_answered_with_synack_echoing_smaller_mss():
+def test_syn_answered_with_synack_stamped_with_its_arrival():
     server = fresh_server()
-    out = server.handle_segment([prober_segment(Flag.SYN, mss_option=100)], 0)
-    assert len(out) == 1
-    assert out[0].flags == Flag.SYN | Flag.ACK
-    assert out[0].ack == 0  # the handshake consumes no sequence space
-    assert out[0].mss_option == 100  # min(own 1460, offered 100)
+    out = server.handle_segment([prober_segment("syn")], 10 * MS)
+    # The handshake consumes no sequence space; the SYN+ACK is the record
+    # the prober will log, due one way after it leaves.
+    assert out == [TraceEvent(60 * MS, "rx", "synack", 0, 0, 0, 1)]
     assert server.sender.mss == 100
 
 
 def test_request_triggers_initial_window_of_two():
     server = fresh_server()
-    server.handle_segment([prober_segment(Flag.SYN, mss_option=100)], 0)
-    server.handle_segment([prober_segment(Flag.ACK, ip_id=2)], 50)
-    out = server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=3)], 50)
+    server.handle_segment([prober_segment("syn")], 0)
+    server.handle_segment([prober_segment(ip_id=2)], 50)
+    out = server.handle_segment([prober_segment("data", length=100, ip_id=3)], 50)
     assert [(seg.seq, seg.len) for seg in out] == [(0, 100), (100, 100)]
     assert [seg.ack for seg in out] == [100, 100]  # the request is acked
+    assert {(seg.t_us, seg.dir, seg.kind) for seg in out} == {(50 + ONE_WAY_US, "rx", "data")}
 
 
 def test_payload_before_handshake_or_second_request_is_ignored():
     server = fresh_server()
-    out = server.handle_segment([prober_segment(Flag.ACK, length=100)], 0)
+    out = server.handle_segment([prober_segment("data", length=100)], 0)
     assert out == []
     assert (server.phase, server.sender) == ("listen", None)
-    server.handle_segment([prober_segment(Flag.SYN, mss_option=100)], 0)
-    server.handle_segment([prober_segment(Flag.ACK, ip_id=2)], 50)
-    server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=3)], 50)
+    server.handle_segment([prober_segment("syn")], 0)
+    server.handle_segment([prober_segment(ip_id=2)], 50)
+    server.handle_segment([prober_segment("data", length=100, ip_id=3)], 50)
     sent = (server.sender.snd_una, server.sender.snd_nxt, server.sender.app_limit)
-    out = server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=4)], 60)
+    out = server.handle_segment([prober_segment("data", length=100, ip_id=4)], 60)
     assert out == []
     assert (server.sender.snd_una, server.sender.snd_nxt, server.sender.app_limit) == sent
 
 
 def test_reset_halts_server_forever():
     server = fresh_server()
-    server.handle_segment([prober_segment(Flag.SYN, mss_option=100)], 0)
-    server.handle_segment([prober_segment(Flag.ACK, ip_id=2)], 50)
-    server.handle_segment([prober_segment(Flag.ACK, length=100, ip_id=3)], 50)
-    out = server.handle_segment([prober_segment(Flag.RST, ip_id=4)], 60)
+    server.handle_segment([prober_segment("syn")], 0)
+    server.handle_segment([prober_segment(ip_id=2)], 50)
+    server.handle_segment([prober_segment("data", length=100, ip_id=3)], 50)
+    out = server.handle_segment([prober_segment("rst", ip_id=4)], 60)
     assert out == []
     assert server.phase == "closed"
-    out = server.handle_segment([prober_segment(Flag.ACK, ip_id=5)], 70)
+    out = server.handle_segment([prober_segment(ip_id=5)], 70)
     assert out == []
     assert server.rto_deadline is None  # timer silenced with the endpoint
 
@@ -494,14 +509,16 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
 # established was handled inline and every other arrival but a close went
 # through ``_open``, with ``request_seen`` and ``halted`` beside ``phase``.
 # It takes one SYN, as the endpoint does: a SYN once a sender exists is
-# ignored.
+# ignored. Both branch on the arrival's kind and take their MSS from the
+# config they are given.
 
 
 class ReferenceServer:
-    def __init__(self, config, variant, page_bytes):
-        self.base_config = config
+    def __init__(self, config, variant, page_bytes, one_way_us):
+        self.config = config
         self.variant = variant
         self.page_bytes = page_bytes
+        self.one_way_us = one_way_us
         self.phase = "listen"
         self.sender = None
         self.halted = False
@@ -521,12 +538,12 @@ class ReferenceServer:
     def handle_segment(self, segments, now):
         if self.halted:
             return []
-        out, sender, ACK = [], self.sender, Flag.ACK
+        out, sender = [], self.sender
         established = self.phase == "established"
         for seg in segments:
-            if established and seg.flags == ACK and not seg.len:
+            if established and seg.kind == "ack":
                 out += sender.on_ack(seg.ack, now)
-            elif seg.flags & (Flag.RST | Flag.FIN):
+            elif seg.kind in ("rst", "fin"):
                 self.halted = True
                 break
             else:
@@ -535,23 +552,22 @@ class ReferenceServer:
         return out
 
     def _open(self, seg, now):
-        if seg.flags & Flag.SYN:
+        if seg.kind == "syn":
             if self.sender is not None:
                 return []
-            offered = seg.mss_option or self.base_config.mss
-            negotiated = replace(self.base_config, mss=min(self.base_config.mss, offered))
-            sender = self.sender = Sender(negotiated, self.variant)
+            sender = self.sender = Sender(self.config, self.variant, self.one_way_us)
             sender.ip_id_counter += 1
             self.phase = "syn_rcvd"
-            return [Segment(0, 0, 0, Flag.SYN | Flag.ACK, sender.ip_id_counter, negotiated.mss)]
-        if seg.len > 0:
+            synack = TraceEvent(now + self.one_way_us, "rx", "synack", 0, 0, 0, sender.ip_id_counter)
+            return [synack]
+        if seg.kind == "data":
             if self.phase != "established" or self.request_seen:
                 return []
             self.request_seen = True
-            self.sender.rcv_nxt = seg.end
+            self.sender.rcv_nxt = seg.seq + seg.len
             self.sender.enqueue_app_data(self.page_bytes)
             return self.sender.pump_transmissions(now)
-        if seg.flags & Flag.ACK and self.phase == "syn_rcvd":
+        if seg.kind == "ack" and self.phase == "syn_rcvd":
             self.phase = "established"
         return []
 
@@ -566,42 +582,49 @@ def folded_phase(reference: ReferenceServer) -> str:
 
 
 @st.composite
-def client_segments(draw) -> Segment:
-    flags = draw(any_flags([Flag.ACK, Flag.ACK, Flag.ACK, Flag.SYN]))
-    return Segment(
+def client_segments(draw) -> TraceEvent:
+    """Any kind, with a payload only on data: the records a prober could send."""
+    kind = draw(any_kind(["ack", "ack", "data", "syn"]))
+    payload = st.one_of(st.just(100), st.integers(min_value=1, max_value=300))
+    return TraceEvent(
+        draw(st.integers(min_value=0, max_value=50)),
+        "tx",
+        kind,
         draw(st.integers(min_value=0, max_value=300)),
-        draw(st.one_of(st.just(0), st.just(100), st.integers(min_value=0, max_value=300))),
+        draw(payload) if kind == "data" else 0,
         draw(st.one_of(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=3100))),
-        flags,
         draw(st.integers(min_value=1, max_value=50)),
-        draw(st.one_of(st.none(), st.integers(1, 1500))) if flags & Flag.SYN else None,
     )
 
 
 server_ops = st.lists(
     st.one_of(st.just("timer"), st.lists(client_segments(), min_size=1, max_size=8)), max_size=14
 )
-SYN = prober_segment(Flag.SYN, mss_option=100)
-REQUEST = prober_segment(Flag.ACK, length=100, ip_id=3)
+SYN = prober_segment("syn")
+REQUEST = prober_segment("data", length=100, ip_id=3)
 
 
 def acks(*values) -> list:
-    return [Segment(0, 0, ack, Flag.ACK, 4) for ack in values]
+    return [TraceEvent(0, "tx", "ack", 0, 0, ack, 4) for ack in values]
 
 
 @settings(max_examples=200, deadline=None)
-@given(variant=st.sampled_from(list(Variant)), ops=server_ops)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    mss=st.integers(min_value=1, max_value=1500),
+    ops=server_ops,
+)
 # The handshake and request in one batch, ACKs, a timer fire.
-@example(Variant.RENO, [[SYN, prober_segment(), REQUEST], acks(100, 200), "timer", acks(300)])
+@example(Variant.RENO, 100, [[SYN, prober_segment(), REQUEST], acks(100, 200), "timer", acks(300)])
 # A pure ACK after the handshake but before the request reaches the sender.
-@example(Variant.RENO, [[SYN], [prober_segment()], acks(100)])
+@example(Variant.RENO, 100, [[SYN], [prober_segment()], acks(100)])
 # A SYN after the request is ignored, and the page is not served again.
-@example(Variant.TAHOE, [[SYN, prober_segment(), REQUEST], [SYN], acks(0), [REQUEST], acks(0)])
+@example(Variant.TAHOE, 100, [[SYN, prober_segment(), REQUEST], [SYN], acks(0), [REQUEST], acks(0)])
 # A FIN closes the server mid-transfer and silences its timer.
-@example(Variant.NEWRENO, [[SYN, prober_segment(), REQUEST, prober_segment(Flag.FIN)], "timer"])
-def test_server_loop_matches_helper_path_reference(variant, ops):
-    server = HttpServerEndpoint(SenderConfig(), variant, 3000)
-    reference = ReferenceServer(SenderConfig(), variant, 3000)
+@example(Variant.NEWRENO, 100, [[SYN, prober_segment(), REQUEST, prober_segment("fin")], "timer"])
+def test_server_loop_matches_helper_path_reference(variant, mss, ops):
+    server = HttpServerEndpoint(SenderConfig(mss=mss), variant, 3000, ONE_WAY_US)
+    reference = ReferenceServer(SenderConfig(mss=mss), variant, 3000, ONE_WAY_US)
     for step, op in enumerate(ops, start=1):
         now = step * 10 * MS
         got, expected = (

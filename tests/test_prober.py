@@ -1,42 +1,34 @@
 """Probe session tests: scripted receiver behavior over synthetic arrivals.
 
-Segments are hand-built here; offsets follow the 1-based packet numbering
-where packet k covers bytes [(k-1)*mss, k*mss) at mss=100.
+Arrivals are hand-built ``rx`` records; offsets follow the 1-based packet
+numbering where packet k covers bytes [(k-1)*mss, k*mss) at mss=100. The
+session appends each arrival to its trace as it is, so a test that reads
+arrival times off the trace stamps its records with them.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import ConfigurationError, ProbeScript, classify_trace
-from ccprobe.prober import EVENT_CAP, REQUEST_BYTES, ProbeSession, _segment_kind
-from ccprobe.traceio import TraceEvent
-from ccprobe.wire import Flag, Segment, covered_indices
+from ccprobe.prober import EVENT_CAP, REQUEST_BYTES, ProbeSession
+from ccprobe.traceio import KINDS, TraceEvent
+from ccprobe.wire import covered_indices
 
 from conftest import outcome
 
 MSS = 100
 
 
-def data_segment(index: int, ip_id: int, mss: int = MSS, length: int = None) -> Segment:
-    return Segment(
-        seq=(index - 1) * mss,
-        len=length if length is not None else mss,
-        ack=0,
-        flags=Flag.ACK,
-        ip_id=ip_id,
-    )
+def data_segment(index: int, ip_id: int, mss: int = MSS, length: int = None, t_us: int = 0):
+    length = length if length is not None else mss
+    return TraceEvent(t_us, "rx", "data", (index - 1) * mss, length, 0, ip_id)
 
 
-def synack(mss_option: int = MSS) -> Segment:
-    return Segment(
-        seq=0,
-        len=0,
-        ack=0,
-        flags=Flag.SYN | Flag.ACK,
-        ip_id=1,
-        mss_option=mss_option,
-    )
+def synack() -> TraceEvent:
+    return TraceEvent(0, "rx", "synack", 0, 0, 0, 1)
 
 
 def established_session(script: ProbeScript = None) -> ProbeSession:
@@ -47,11 +39,12 @@ def established_session(script: ProbeScript = None) -> ProbeSession:
 
 
 def replay(script: ProbeScript, arrivals=()) -> ProbeSession:
-    """Start a session and feed it a canned arrival schedule, 1 us apart."""
+    """Start a session and feed it a canned arrival schedule, 1 us apart,
+    each record stamped with its arrival time."""
     session = ProbeSession(script)
     session.start(0)
     for now, seg in enumerate(arrivals, start=1):
-        session.handle_segment([seg], now)
+        session.handle_segment([replace(seg, t_us=now)], now)
     return session
 
 
@@ -86,8 +79,8 @@ def test_script_rejects_bad_values(overrides):
 # -- reassembly ----------------------------------------------------------------
 
 
-def raw_data(seq: int, length: int, ip_id: int = 2) -> Segment:
-    return Segment(seq=seq, len=length, ack=0, flags=Flag.ACK, ip_id=ip_id)
+def raw_data(seq: int, length: int, ip_id: int = 2) -> TraceEvent:
+    return TraceEvent(0, "rx", "data", seq, length, 0, ip_id)
 
 
 def test_reassembly_merges_stored_spans_into_the_ack_point():
@@ -112,33 +105,34 @@ def test_reassembly_merges_stored_spans_into_the_ack_point():
 # -- handshake ---------------------------------------------------------------
 
 
-def test_handshake_sends_syn_with_script_mss():
+def test_handshake_sends_syn_as_its_first_trace_event():
+    # The SYN carries no MSS option: the simulator gives the server the
+    # script's MSS (see test_netsim.py's server MSS tests).
     session = ProbeSession(ProbeScript())
     out = session.start(0)
-    assert len(out) == 1
-    assert out[0].flags & Flag.SYN
-    assert out[0].mss_option == 100
-    first = session.trace[0]
-    assert (first.t_us, first.dir, first.kind) == (0, "tx", "syn")
-
-
-def test_handshake_mss_pass_through():
-    session = ProbeSession(ProbeScript(mss=1460, drop_packets=frozenset(), ack_limit_packet=25))
-    out = session.start(0)
-    assert out[0].mss_option == 1460
+    assert out == [TraceEvent(0, "tx", "syn", 0, 0, 0, 1)]
+    assert out[0] is session.trace[0]
+    assert session.start(1) == [] and len(session.trace) == 1  # one SYN per session
 
 
 def test_synack_triggers_ack_and_request():
     session = ProbeSession(ProbeScript())
     session.start(0)
-    out = session.handle_segment([synack()], 100)
+    arrival = replace(synack(), t_us=100)
+    out = session.handle_segment([arrival], 100)
     assert len(out) == 2
     handshake_ack, request = out
     assert handshake_ack.len == 0
     assert request.len == 100  # default opaque request
     assert session.phase == "established"
-    kinds = [(ev.dir, ev.kind) for ev in session.trace]
-    assert kinds == [("tx", "syn"), ("rx", "synack"), ("tx", "ack"), ("tx", "data")]
+    kinds = [(ev.t_us, ev.dir, ev.kind) for ev in session.trace]
+    assert kinds == [
+        (0, "tx", "syn"), (100, "rx", "synack"), (100, "tx", "ack"), (100, "tx", "data"),
+    ]
+    # One record each: the arrival is logged as delivered, and each answer
+    # is logged and sent as the same object.
+    assert session.trace[1] is arrival
+    assert all(sent is logged for sent, logged in zip(out, session.trace[2:]))
 
 
 # -- data handling ------------------------------------------------------------
@@ -148,9 +142,14 @@ def test_in_order_arrivals_ack_cumulatively():
     session = established_session()
     acks = []
     for index in range(1, 6):
-        out = session.handle_segment([data_segment(index, ip_id=index + 1)], index)
+        arrival = data_segment(index, ip_id=index + 1, t_us=index)
+        out = session.handle_segment([arrival], index)
+        # The arrival is logged as delivered; its ACK is logged and sent as one record.
+        assert session.trace[-2:] == [arrival, *out] and session.trace[-2] is arrival
+        assert out[0] is session.trace[-1]
         acks += [seg.ack for seg in out]
     assert acks == [100, 200, 300, 400, 500]
+    assert session.trace[-1] == TraceEvent(5, "tx", "ack", REQUEST_BYTES, 0, 500, 8)
     assert session.rcv_nxt == 500
 
 
@@ -238,8 +237,8 @@ def test_stale_arrival_below_ack_point_stays_silent():
 
 def test_duplicate_delivery_is_recorded_and_silent():
     session = established_session()
-    session.handle_segment([data_segment(1, ip_id=2)], 1)
-    out = session.handle_segment([data_segment(1, ip_id=2)], 2)
+    session.handle_segment([data_segment(1, ip_id=2, t_us=1)], 1)
+    out = session.handle_segment([data_segment(1, ip_id=2, t_us=2)], 2)
     assert out == []
     assert session.rcv_nxt == 100
     assert [(ev.t_us, ev.ip_id) for ev in session.trace if ev.dir == "rx"][-2:] == [
@@ -328,9 +327,9 @@ def test_acks_monotone_and_never_cover_unseen_bytes(indices):
     for ip_id, index in enumerate(indices, start=2):
         now += 1
         seg = data_segment(index, ip_id=ip_id)
-        observed.update(range(seg.seq, seg.end))
+        observed.update(range(seg.seq, seg.seq + seg.len))
         for out in session.handle_segment([seg], now):
-            if out.flags & Flag.ACK and out.len == 0:
+            if out.kind == "ack":
                 assert out.ack >= last_ack  # cumulative ACK monotonicity
                 last_ack = out.ack
                 # never acknowledge a byte that has not arrived
@@ -375,33 +374,28 @@ def test_ack_point_is_the_contiguous_prefix_of_unaligned_arrivals(arrivals):
 
 
 class ReferenceProbeSession(ProbeSession):
-    def _record(self, now, direction, kind, seg):
-        self.trace.append(
-            TraceEvent(now, direction, kind, seg.seq, seg.len, seg.ack, seg.ip_id)
-        )
-
-    def _send(self, now, kind, flags, length=0, mss_option=None):
+    def _send(self, now, kind, length=0):
         self.ip_id_counter += 1
-        seg = Segment(self.snd_off, length, self.rcv_nxt, flags, self.ip_id_counter, mss_option)
-        self._record(now, "tx", kind, seg)
-        return seg
+        sent = TraceEvent(now, "tx", kind, self.snd_off, length, self.rcv_nxt, self.ip_id_counter)
+        self.trace.append(sent)
+        return sent
 
     def start(self, now):
         if self.phase != "idle":
             return []
         self.phase = "syn_sent"
-        return [self._send(now, "syn", Flag.SYN, mss_option=self.script.mss)]
+        return [self._send(now, "syn")]
 
     def handle_segment(self, segments, now):
-        trace, out, above, ACK = self.trace, [], self._above, Flag.ACK
+        trace, out, above = self.trace, [], self._above
         record, pending, mss = trace.append, self.pending_drops, self.script.mss
         close_at = self.script.ack_limit_packet * mss
         rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
         dupacks, established = self.dupacks_sent, self.phase == "established"
         for seg in segments:
             start, length = seg.seq, seg.len
-            if established and seg.flags == ACK and length:
-                record(TraceEvent(now, "rx", "data", start, length, seg.ack, seg.ip_id))
+            if established and seg.kind == "data" and length:
+                record(seg)
             else:
                 self.rcv_nxt, self.ip_id_counter = rcv_nxt, ip_id
                 answers = self._arrive(seg, now)
@@ -424,26 +418,27 @@ class ReferenceProbeSession(ProbeSession):
             if rcv_nxt == previous and end <= rcv_nxt:
                 continue
             ip_id += 1
-            record(TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id))
-            out.append(Segment(snd_off, 0, rcv_nxt, ACK, ip_id))
+            ack = TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id)
+            record(ack)
+            out.append(ack)
             if rcv_nxt == previous:
                 dupacks += 1
             elif rcv_nxt >= close_at:
                 self.rcv_nxt, self.ip_id_counter, self.phase = rcv_nxt, ip_id, "closed"
-                out.append(self._send(now, "rst", Flag.RST))
+                out.append(self._send(now, "rst"))
                 ip_id, established = self.ip_id_counter, False
         self.rcv_nxt, self.ip_id_counter, self.dupacks_sent = rcv_nxt, ip_id, dupacks
         return out
 
     def _arrive(self, seg, now):
-        kind = _segment_kind(seg)
-        self._record(now, "rx", kind, seg)
+        kind = seg.kind
+        self.trace.append(seg)
         if self.phase == "closed":
             return []
         if kind == "synack" and self.phase == "syn_sent":
             self.phase = "established"
-            handshake_ack = self._send(now, "ack", Flag.ACK)
-            request = self._send(now, "data", Flag.ACK, REQUEST_BYTES)
+            handshake_ack = self._send(now, "ack")
+            request = self._send(now, "data", REQUEST_BYTES)
             self.snd_off = REQUEST_BYTES
             return [handshake_ack, request]
         if not seg.len or self.phase != "established":
@@ -451,33 +446,34 @@ class ReferenceProbeSession(ProbeSession):
         return None
 
 
-# Every flag set a Segment accepts: all but SYN with RST.
-FLAG_SETS = [flags for flags in range(16) if not (flags & Flag.SYN and flags & Flag.RST)]
 SMALL_SCRIPT = ProbeScript(drop_packets=frozenset({2, 3}), ack_limit_packet=4)
 
 
-def any_flags(common: list) -> st.SearchStrategy:
-    """Mostly one of the ``common`` flag sets, and now and then any."""
+def any_kind(common: list) -> st.SearchStrategy:
+    """Mostly one of the ``common`` kinds, and now and then any."""
     return st.integers(0, 9).flatmap(
-        lambda roll: st.sampled_from(FLAG_SETS if roll == 0 else common)
+        lambda roll: st.sampled_from(sorted(KINDS) if roll == 0 else common)
     )
 
 
 @st.composite
-def arrivals(draw, script: ProbeScript) -> Segment:
-    """Any flags; offsets on and next to packet starts up to just past the
-    ack limit, so the drops, their repairs and the close all come up."""
+def arrivals(draw, script: ProbeScript) -> TraceEvent:
+    """Any kind, and any length with it; offsets on and next to packet
+    starts up to just past the ack limit, so the drops, their repairs and
+    the close all come up. The session logs each as it is, whatever its
+    time and direction."""
     mss = script.mss
-    flags = draw(any_flags([Flag.ACK, Flag.ACK, Flag.ACK, Flag.SYN | Flag.ACK]))
+    kind = draw(any_kind(["data", "data", "data", "synack"]))
     index = draw(st.integers(min_value=1, max_value=script.ack_limit_packet + 2))
     seq = max(0, (index - 1) * mss + draw(st.sampled_from([0, 0, 0, -1, 1, mss // 2])))
-    return Segment(
+    return TraceEvent(
+        draw(st.integers(min_value=0, max_value=50)),
+        "rx",
+        kind,
         seq,
         draw(st.one_of(st.just(mss), st.integers(min_value=0, max_value=300))),
         draw(st.integers(min_value=0, max_value=200)),
-        flags,
         draw(st.integers(min_value=1, max_value=50)),
-        draw(st.one_of(st.none(), st.integers(1, 1500))) if flags & Flag.SYN else None,
     )
 
 
@@ -493,8 +489,8 @@ def in_order(packets, first=1) -> list:
     return [data_segment(index, ip_id=index + 1) for index in range(first, packets + 1)]
 
 
-def synack_data(seq: int) -> Segment:
-    return Segment(seq, 100, 0, Flag.SYN | Flag.ACK, 1, MSS)
+def synack_data(seq: int) -> TraceEvent:
+    return TraceEvent(0, "rx", "synack", seq, 100, 0, 1)
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,16 +26,17 @@ from ccprobe import (
 )
 from ccprobe import netsim
 from ccprobe.sender import RTO_INITIAL_US, RTO_MAX_US, Sender
-from ccprobe.wire import Flag, Segment
+from ccprobe.traceio import TraceEvent
 
 MSS = 100
 CFG = SenderConfig(mss=MSS)
 US_PER_MS = 1000
 RTT_US = 100 * US_PER_MS
+ONE_WAY_US = RTT_US // 2  # the link delay the simulator would hand the sender
 
 
 def make_sender(variant=Variant.RENO, page=3000, config=CFG) -> Sender:
-    sender = Sender(config, variant)
+    sender = Sender(config, variant, ONE_WAY_US)
     sender.enqueue_app_data(page)
     return sender
 
@@ -103,7 +104,7 @@ class RoundDriver:
 
 
 def test_init_defaults():
-    sender = Sender(CFG, Variant.RENO)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
     assert sender.cwnd == 200
     assert sender.snd_una == 0
     assert sender.snd_nxt == 0
@@ -114,8 +115,8 @@ def test_init_defaults():
 
 
 def test_init_variant_independent():
-    reno = Sender(CFG, Variant.RENO)
-    tahoe = Sender(CFG, Variant.TAHOE)
+    reno = Sender(CFG, Variant.RENO, ONE_WAY_US)
+    tahoe = Sender(CFG, Variant.TAHOE, ONE_WAY_US)
     fields = ("snd_una", "snd_nxt", "cwnd", "ssthresh", "dupacks")
     assert [getattr(reno, f) for f in fields] == [getattr(tahoe, f) for f in fields]
     assert reno.variant is not tahoe.variant
@@ -123,9 +124,9 @@ def test_init_variant_independent():
 
 def test_init_rejects_bad_config():
     with pytest.raises(ConfigurationError):
-        Sender(SenderConfig(mss=0), Variant.RENO)
+        Sender(SenderConfig(mss=0), Variant.RENO, ONE_WAY_US)
     with pytest.raises(ConfigurationError):
-        Sender(SenderConfig(initial_cwnd=0), Variant.RENO)
+        Sender(SenderConfig(initial_cwnd=0), Variant.RENO, ONE_WAY_US)
 
 
 def test_variant_parse():
@@ -139,7 +140,7 @@ def test_variant_parse():
 
 
 def test_enqueue_accumulates_and_rejects_negative():
-    sender = Sender(CFG, Variant.RENO)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
     sender.enqueue_app_data(3000)
     assert sender.app_limit == 3000
     sender.enqueue_app_data(0)
@@ -150,7 +151,7 @@ def test_enqueue_accumulates_and_rejects_negative():
 
 def test_short_final_segment():
     # 250 bytes at mss=100 segments as 100, 100, 50.
-    sender = Sender(SenderConfig(mss=100, initial_cwnd=4), Variant.RENO)
+    sender = Sender(SenderConfig(mss=100, initial_cwnd=4), Variant.RENO, ONE_WAY_US)
     sender.enqueue_app_data(250)
     lengths = [seg.len for seg in sender.pump_transmissions(0)]
     assert lengths == [100, 100, 50]
@@ -382,7 +383,7 @@ def test_rto_clears_recovery_state():
 
 
 def test_first_rtt_sample_clamps_to_floor():
-    sender = Sender(CFG, Variant.RENO)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
     sender.update_rtt(100_000)
     assert sender.srtt == 100_000.0
     assert sender.rttvar == 50_000.0
@@ -390,7 +391,7 @@ def test_first_rtt_sample_clamps_to_floor():
 
 
 def test_second_identical_sample_shrinks_variance():
-    sender = Sender(CFG, Variant.RENO)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
     sender.update_rtt(100_000)
     sender.update_rtt(100_000)
     assert sender.srtt == 100_000.0
@@ -398,7 +399,7 @@ def test_second_identical_sample_shrinks_variance():
 
 
 def test_nonpositive_sample_ignored():
-    sender = Sender(CFG, Variant.RENO)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
     sender.update_rtt(0)
     sender.update_rtt(-5)
     assert sender.srtt is None
@@ -409,7 +410,7 @@ def test_karn_sample_taken_through_ack_clock():
     # A full no-loss round trip produces a sample equal to the ACK delay.
     sender = make_sender(page=200)
     segs = sender.pump_transmissions(0)
-    sender.on_ack(segs[0].end, 80_000)
+    sender.on_ack(segs[0].seq + segs[0].len, 80_000)
     assert sender.srtt == 80_000.0
 
 
@@ -536,7 +537,7 @@ def test_deterministic_replay():
 # below the high-water mark, or else starts timing if nothing is timed.
 
 
-def reference_emit(sender: Sender, seq: int, length: int, now: int) -> Segment:
+def reference_emit(sender: Sender, seq: int, length: int, now: int) -> TraceEvent:
     if seq < sender._max_sent:
         if sender._rtt_probe is not None:
             start, end, _ = sender._rtt_probe
@@ -547,13 +548,15 @@ def reference_emit(sender: Sender, seq: int, length: int, now: int) -> Segment:
     if seq + length > sender._max_sent:
         sender._max_sent = seq + length
     sender.ip_id_counter += 1
-    return Segment(seq, length, sender.rcv_nxt, Flag.ACK, sender.ip_id_counter)
+    return TraceEvent(
+        now + sender.one_way_us, "rx", "data", seq, length, sender.rcv_nxt, sender.ip_id_counter
+    )
 
 
 class PerSegmentSender(Sender):
     """The sender with per-segment emission in its pump and its repairs."""
 
-    def pump_transmissions(self, now: int) -> list[Segment]:
+    def pump_transmissions(self, now: int) -> list[TraceEvent]:
         out = []
         mss, snd_nxt = self.mss, self.snd_nxt
         limit = min(self.app_limit, self.snd_una + usable_window(self))
@@ -566,7 +569,7 @@ class PerSegmentSender(Sender):
             self.rto_deadline = now + self.rto_current
         return out
 
-    def _emit_range(self, seq: int, end: int, now: int) -> list[Segment]:
+    def _emit_range(self, seq: int, end: int, now: int) -> list[TraceEvent]:
         out = []
         while seq < end:
             length = min(self.mss, end - seq)
@@ -586,12 +589,12 @@ class ShadowedSender(Sender):
     """The sender under test. Each outside call is repeated on a
     ``PerSegmentSender`` twin, and the two must agree after it."""
 
-    def __init__(self, config: SenderConfig, variant: Variant):
-        super().__init__(config, variant)
-        self.twin = PerSegmentSender(config, variant)
+    def __init__(self, config: SenderConfig, variant: Variant, one_way_us: int):
+        super().__init__(config, variant, one_way_us)
+        self.twin = PerSegmentSender(config, variant, one_way_us)
         self.nested = False
 
-    def _checked(self, name: str, *args) -> list[Segment]:
+    def _checked(self, name: str, *args) -> list[TraceEvent]:
         if self.nested:  # a call from inside the sender itself
             return getattr(Sender, name)(self, *args)
         twin = self.twin
@@ -678,7 +681,7 @@ def test_go_back_range_across_the_high_water_mark(una, probe, expected_probe):
     # it are re-sent, the last straddling it, and 300 starts the fresh data.
     results = []
     for cls in (Sender, PerSegmentSender):
-        sender = cls(CFG, Variant.TAHOE)
+        sender = cls(CFG, Variant.TAHOE, ONE_WAY_US)
         sender.enqueue_app_data(3000)
         sender.snd_una = sender.snd_nxt = una
         sender.cwnd, sender._max_sent, sender._rtt_probe = 500, 250, probe
@@ -689,20 +692,36 @@ def test_go_back_range_across_the_high_water_mark(una, probe, expected_probe):
     assert results[0][1][:2] == (expected_probe, una + 500)
 
 
-def test_go_back_burst_times_its_first_fresh_segment_end_to_end():
-    # RenoPlus at rtt 400 ms, drops 3 and 7, close after 10. The third
-    # dupACK for 3 brings a go-back burst [200, 900) at 1.4 s: 200-600 are
-    # re-sent and 600, the first fresh segment, is timed. 600 is packet 7
-    # and dropped, so it yields no sample: the RTO stays at 1.2 s (3 x the
-    # 400 ms handshake-era sample), armed by the ACK of 600 at 1.8 s, and 7
-    # is repaired at 3.2 s. Timing the burst's head, a re-sent segment,
-    # would take a second sample from that ACK, cut the RTO to 1.0 s and
-    # repair 7 at 3.0 s.
+@pytest.mark.parametrize(
+    "rtt_ms, page, cwnd, drops, ack_limit, repair_seq, arrivals",
+    [
+        # The third dupACK for 3 brings a go-back burst [200, 900) at 1.4 s:
+        # 200-600 are re-sent and 600, the first fresh segment, is timed. 600
+        # is packet 7 and dropped, so it yields no sample: the RTO stays at
+        # 1.2 s (3 x the 400 ms sample of the first flight), armed by the
+        # ACK of 600 at 1.8 s, and 7 is repaired at 3.2 s. Timing the burst's
+        # head, a re-sent segment, would take a second sample from that ACK,
+        # cut the RTO to 1.0 s and repair 7 at 3.0 s.
+        (400, 1100, 2, {3, 7}, 10, 600, [1_600_000, 3_200_000]),
+        # A go-back burst re-sends the timed segment behind its head. Karn's
+        # rule drops that sample; poisoning only a timed head would keep it,
+        # take a 568 ms (two round trip) sample from its ACK, and repair 7 at
+        # 2,449.5 ms instead of 2,420 ms.
+        (284, 3440, 3, {2, 7, 14}, 26, 600, [1_136_000, 2_420_000]),
+    ],
+    ids=["fresh-segment-timed", "re-sent-timed-segment-poisoned"],
+)
+def test_go_back_burst_keeps_karns_rule_end_to_end(
+    rtt_ms, page, cwnd, drops, ack_limit, repair_seq, arrivals
+):
+    # RenoPlus runs where a go-back burst runs on into fresh data: the repair
+    # of a scripted drop lands when the RTO that Karn's rule leaves says.
     trace, _ = run_to_completion(sim_init(Scenario(
         variant=Variant.RENO_PLUS,
-        rtt_ms=400,
-        page_bytes=1100,
-        probe_script=ProbeScript(drop_packets=frozenset({3, 7}), ack_limit_packet=10),
+        rtt_ms=rtt_ms,
+        page_bytes=page,
+        sender_config=SenderConfig(initial_cwnd=cwnd),
+        probe_script=ProbeScript(drop_packets=frozenset(drops), ack_limit_packet=ack_limit),
     )))
-    arrivals = [ev.t_us for ev in trace if ev.dir == "rx" and ev.kind == "data" and ev.seq == 600]
-    assert arrivals == [1_600_000, 3_200_000]
+    data = [ev.t_us for ev in trace if ev.dir == "rx" and ev.kind == "data" and ev.seq == repair_seq]
+    assert data == arrivals
