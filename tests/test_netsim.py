@@ -159,6 +159,29 @@ def test_all_default_runs_close_via_prober(default_runs):
         assert run.reason is TerminationReason.PROBER_CLOSED
 
 
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_trace_holds_each_record_that_crossed_the_link(variant):
+    # One record per segment: the trace's tx events are the very objects the
+    # server received, its rx events the ones the server sent, in link order.
+    # The link is lossless and the run drains its queue, so nothing is left out.
+    world = sim_init(Scenario(variant=variant))
+    received, sent = [], []
+    for name in ("handle_segment", "on_timer"):
+        def logged(*args, method=getattr(world.server, name)):
+            if len(args) == 2:
+                received.extend(args[0])
+            out = method(*args)
+            sent.extend(out)
+            return out
+
+        setattr(world.server, name, logged)
+    trace, reason = run_to_completion(world)
+    assert reason is TerminationReason.PROBER_CLOSED
+    assert [id(ev) for ev in trace if ev.dir == "tx"] == list(map(id, received))
+    assert [id(ev) for ev in trace if ev.dir == "rx"] == list(map(id, sent))
+    assert len(set(map(id, trace))) == len(trace)
+
+
 def test_handshake_and_first_round_timing(default_runs):
     # SYN at 0, SYN+ACK one full rtt later, first data after two.
     trace = default_runs[Variant.NEWRENO].trace

@@ -112,6 +112,26 @@ def test_malformed_second_line_rejected(text):
     assert "line 2" in str(excinfo.value)
 
 
+# What a segment on the link once refused to carry, a record cannot carry
+# into a trace either: no flag combination but the six kinds, no MSS option
+# key, no negative length.
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        (bad_line(kind="data", len=-1), "len must be nonnegative"),
+        (bad_line(kind="syn+rst"), "kind must be one of"),
+        (bad_line(kind="ack", mss_option=100), "expected exactly the keys"),
+        (bad_line(mss_option=0), "expected exactly the keys"),
+        (bad_line(mss_option=-100), "expected exactly the keys"),
+    ],
+    ids=["negative-len", "syn-rst", "mss-without-syn", "mss-0", "mss-negative"],
+)
+def test_trace_rejects_what_a_segment_could_not_carry(line, reason):
+    with pytest.raises(TraceParseError, match=reason) as excinfo:
+        read_trace(SYN_LINE + "\n" + line + "\n")
+    assert excinfo.value.line_no == 2
+
+
 def test_unsorted_timestamps_rejected():
     text = bad_line(t_us=10) + "\n" + bad_line(t_us=5)
     with pytest.raises(TraceOrderError):
