@@ -23,8 +23,10 @@ ends a run: at the event cap, at quiescence or at the run deadline.
 
 Each endpoint's ``handle_segment`` is its one arrival path, a loop over
 the batch that tests the common arrival first; the server's branches on
-each segment's ``kind``. Its one ``phase`` runs listen -> syn_rcvd ->
-established -> serving -> closed (see ``HttpServerEndpoint``).
+each segment's ``kind`` and hands the ACK numbers of the batch to the
+sender's ``on_ack`` in one call. Its one ``phase`` runs listen ->
+syn_rcvd -> established -> serving -> closed (see
+``HttpServerEndpoint``).
 
 An optional ambient-drop list (server ip_ids swallowed by the link)
 exists for robustness testing only; the default link never loses data.
@@ -91,6 +93,11 @@ class HttpServerEndpoint:
     or FIN in any phase makes it ``closed``, which answers nothing. The
     server opens one connection: only ``listen`` takes a SYN, and any
     later SYN is ignored, so the page is never replaced or served twice.
+
+    Once established, the server collects the ACK numbers of a batch and
+    hands them to ``Sender.on_ack`` in one call, in order. Any other
+    arrival first hands over the ACKs before it, so a RST or FIN still
+    ends the batch where it stands.
     """
 
     def __init__(self, config: SenderConfig, variant: Variant, page_bytes: int, one_way_us: int):
@@ -113,14 +120,19 @@ class HttpServerEndpoint:
 
     def handle_segment(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
         """Take in one delivered batch, in order; return every answer to it."""
-        out, sender, phase = [], self.sender, self.phase
+        out, acks, sender, phase = [], [], self.sender, self.phase
         acking = phase == "established" or phase == "serving"
         for seg in segments:
             kind = seg.kind
-            # The common arrival first: an ACK once established.
+            # The common arrival first: an ACK once established, held for
+            # the sender until the batch or a run of ACKs ends.
             if acking and kind == "ack":
-                out += sender.on_ack(seg.ack, now)
-            elif phase == "closed" or kind == "rst" or kind == "fin":
+                acks.append(seg.ack)
+                continue
+            if acks:
+                out += sender.on_ack(acks, now)
+                acks = []
+            if phase == "closed" or kind == "rst" or kind == "fin":
                 phase = "closed"
                 break
             elif kind == "syn":
@@ -136,6 +148,8 @@ class HttpServerEndpoint:
                     out += sender.pump_transmissions(now)
             elif kind == "ack" and phase == "syn_rcvd":
                 phase, acking = "established", True
+        if acks:
+            out += sender.on_ack(acks, now)
         self.phase = phase
         return out
 

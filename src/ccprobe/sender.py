@@ -21,11 +21,18 @@ The sender is a pure state machine: time enters as an explicit argument,
 segments leave as return values, and nothing here touches a clock or a
 socket. Each segment is the ``rx`` ``data`` record the prober will log,
 stamped with its arrival time: the send time plus the link's fixed
-one-way delay, which the simulator hands to the sender. Every emission,
-fresh or repeated, is one byte range cut into segments, with Karn's
-RTT-sample rule applied once per range. All times are integer virtual
-microseconds; cwnd/ssthresh are raw byte counts (deliberately not
-rounded to segment multiples).
+one-way delay, which the simulator hands to the sender. Each call computes
+that time once, so all it sends shares one ``t_us`` object. Every
+emission, fresh or repeated, is one byte range cut into segments by
+``_cut``, with Karn's RTT-sample rule applied once per range.
+
+``on_ack`` takes the ACK numbers of one delivered batch in one call, its
+state in locals across the batch; only the rare branches (the loss
+response, an ACK in recovery, an RTT sample, a re-sent range) write it
+back and go through the helpers. It and ``pump_transmissions`` send up to
+one limit, ``_send_limit``: the window's edge, capped at the queued data.
+All times are integer virtual microseconds; cwnd/ssthresh are raw byte
+counts (deliberately not rounded to segment multiples).
 """
 
 import enum
@@ -105,11 +112,11 @@ class Sender:
     def flight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    def _emit_range(self, seq: int, end: int, now: int) -> list[TraceEvent]:
-        """Emit [seq, end), end > seq, as segments of one mss and a rest.
-        Karn's rule, once per range: the segments that start below
-        ``_max_sent`` are re-sent and poison a timed segment they overlap;
-        the first fresh one is timed if nothing is."""
+    def _emit_range(self, seq: int, end: int, now: int, t_us: int) -> list[TraceEvent]:
+        """Emit [seq, end), end > seq, stamped ``t_us``. Karn's rule, once
+        per range: the segments that start below ``_max_sent`` are re-sent
+        and poison a timed segment they overlap; the first fresh one is
+        timed if nothing is."""
         mss, max_sent = self.mss, self._max_sent
         fresh = seq
         if seq < max_sent:
@@ -122,13 +129,8 @@ class Sender:
             self._rtt_probe = (fresh, min(fresh + mss, end), now)
         if end > max_sent:
             self._max_sent = end
-        out, ack, ip_id, t_us = [], self.rcv_nxt, self.ip_id_counter, now + self.one_way_us
-        while seq + mss < end:
-            ip_id += 1
-            out.append(TraceEvent(t_us, "rx", "data", seq, mss, ack, ip_id))
-            seq += mss
-        self.ip_id_counter = ip_id + 1
-        out.append(TraceEvent(t_us, "rx", "data", seq, end - seq, ack, ip_id + 1))
+        out = []
+        self.ip_id_counter = _cut(out, seq, end, mss, t_us, self.rcv_nxt, self.ip_id_counter)
         return out
 
     # -- operations -----------------------------------------------------
@@ -143,57 +145,86 @@ class Sender:
         # Only the Reno family enters fast recovery, where each duplicate
         # ACK inflates the usable window by one mss.
         window = self.cwnd + self.dupacks * self.mss if self.in_fast_recovery else self.cwnd
-        snd_nxt, limit = self.snd_nxt, self.snd_una + window
-        if limit > self.app_limit:
-            limit = self.app_limit
+        snd_nxt, limit = self.snd_nxt, _send_limit(self.snd_una, window, self.app_limit)
         if snd_nxt >= limit:
             # The timer is armed whenever data is in flight, so it stands.
             return []
         self.snd_nxt = limit
         if self.rto_deadline is None:
             self.rto_deadline = now + self.rto_current
-        return self._emit_range(snd_nxt, limit, now)
+        return self._emit_range(snd_nxt, limit, now, now + self.one_way_us)
 
-    def on_ack(self, ack: int, now: int) -> list[TraceEvent]:
-        snd_una = self.snd_una
-        if ack > self.app_limit:
-            raise ProtocolError(f"ack {ack} beyond queued data {self.app_limit}")
-        if ack <= snd_una:
-            if ack < snd_una or self.snd_nxt <= snd_una:
-                return []  # stale, or a duplicate with nothing in flight
-            self.dupacks += 1
-            out = []
-            if self.dupacks == DUPACK_THRESHOLD and self._may_enter_loss_response():
-                out = self._loss_response(now)
-            return out + self.pump_transmissions(now)
-
-        probe = self._rtt_probe
-        if probe is not None and ack >= probe[1]:
-            self._rtt_probe = None
-            self.update_rtt(now - probe[2])
-        self.snd_una = ack
-        if self.snd_nxt < ack:
-            # The peer acknowledged data we forgot about after a go-back.
-            self.snd_nxt = ack
-        self.dupacks = 0
-        cwnd, mss, repair = self.cwnd, self.mss, None
-        # The common case first: a new ACK outside recovery.
-        if not self.in_fast_recovery:
-            if cwnd < self.ssthresh:
-                self.cwnd = cwnd + mss  # slow start: one segment per new ACK
+    def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
+        """Take the ACK numbers of one delivered batch, in order; return
+        every segment sent in answer. An ACK beyond the queued data raises
+        ``ProtocolError``, the state left as the ACKs before it left it."""
+        mss, app_limit, rcv_nxt = self.mss, self.app_limit, self.rcv_nxt
+        snd_una, snd_nxt, cwnd, ssthresh = self.snd_una, self.snd_nxt, self.cwnd, self.ssthresh
+        dupacks, in_recovery, rto_deadline = self.dupacks, self.in_fast_recovery, self.rto_deadline
+        max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
+        out, t_us, rto_at, beyond = [], now + self.one_way_us, now + self.rto_current, None
+        for ack in acks:
+            if ack > snd_una:
+                if ack > app_limit:
+                    beyond = ack
+                    break
+                if probe is not None and ack >= probe[1]:
+                    self.update_rtt(now - probe[2])
+                    probe, rto_at = None, now + self.rto_current
+                # The common case first: a new ACK outside recovery.
+                if not in_recovery:
+                    # Slow start adds one segment per new ACK, congestion
+                    # avoidance mss * mss / cwnd bytes.
+                    cwnd += mss if cwnd < ssthresh else mss * mss // cwnd
+                elif self.variant is Variant.NEWRENO and ack < self.recover:
+                    # Partial ACK: repair the next hole, deflate by the amount
+                    # acknowledged, stay in recovery.
+                    self.snd_una = ack
+                    self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
+                    out += self._retransmit_head(now, t_us)
+                    max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
+                    cwnd = max(cwnd - (ack - snd_una), 0) + mss
+                else:
+                    in_recovery, cwnd = False, ssthresh
+                snd_una, dupacks = ack, 0
+                if snd_nxt < ack:
+                    # The peer acknowledged data we forgot about after a go-back.
+                    snd_nxt = ack
+                rto_deadline = rto_at if snd_nxt > ack else None
+            elif ack < snd_una or snd_nxt <= snd_una:
+                continue  # stale, or a duplicate with nothing in flight
             else:
-                self.cwnd = cwnd + mss * mss // cwnd
-        elif self.variant is Variant.NEWRENO and ack < self.recover:
-            # Partial ACK: repair the next hole, deflate by the amount
-            # acknowledged, stay in recovery.
-            repair = self._retransmit_head(now)
-            self.cwnd = max(cwnd - (ack - snd_una), 0) + mss
-        else:
-            self.in_fast_recovery = False
-            self.cwnd = self.ssthresh
-        self.rto_deadline = now + self.rto_current if self.snd_nxt > ack else None
-        out = self.pump_transmissions(now)
-        return repair + out if repair else out
+                dupacks += 1
+                if dupacks == DUPACK_THRESHOLD:
+                    self.snd_una, self.snd_nxt, self.cwnd, self.dupacks = snd_una, snd_nxt, cwnd, dupacks
+                    self.in_fast_recovery = in_recovery
+                    self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
+                    if self._may_enter_loss_response():
+                        out += self._loss_response(now, t_us)
+                    snd_nxt, cwnd, ssthresh, dupacks = self.snd_nxt, self.cwnd, self.ssthresh, self.dupacks
+                    in_recovery = self.in_fast_recovery
+                    max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
+            # Send what the window now allows, as pump_transmissions does.
+            limit = _send_limit(snd_una, cwnd + dupacks * mss if in_recovery else cwnd, app_limit)
+            if snd_nxt < limit:
+                if rto_deadline is None:
+                    rto_deadline = rto_at
+                if snd_nxt < max_sent:
+                    self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
+                    out += self._emit_range(snd_nxt, limit, now, t_us)
+                    max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
+                else:
+                    # Fresh data only: time its first segment if nothing is.
+                    if probe is None:
+                        probe = (snd_nxt, min(snd_nxt + mss, limit), now)
+                    max_sent, ip_id = limit, _cut(out, snd_nxt, limit, mss, t_us, rcv_nxt, ip_id)
+                snd_nxt = limit
+        self.snd_una, self.snd_nxt, self.cwnd, self.dupacks = snd_una, snd_nxt, cwnd, dupacks
+        self.in_fast_recovery, self.rto_deadline = in_recovery, rto_deadline
+        self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
+        if beyond is not None:
+            raise ProtocolError(f"ack {beyond} beyond queued data {app_limit}")
+        return out
 
     def on_rto(self, now: int) -> list[TraceEvent]:
         """Retransmission timer expiry: collapse to one segment and go back."""
@@ -206,7 +237,7 @@ class Sender:
         self.snd_nxt = self.snd_una
         out = []
         if self.snd_una < self.app_limit:
-            out = self._retransmit_head(now)
+            out = self._retransmit_head(now, now + self.one_way_us)
             self.snd_nxt = out[0].seq + out[0].len
         self.rto_current = min(2 * self.rto_current, RTO_MAX_US)
         self.rto_deadline = (
@@ -229,9 +260,9 @@ class Sender:
 
     # -- internals ------------------------------------------------------
 
-    def _retransmit_head(self, now: int) -> list[TraceEvent]:
+    def _retransmit_head(self, now: int, t_us: int) -> list[TraceEvent]:
         snd_una = self.snd_una
-        return self._emit_range(snd_una, min(snd_una + self.mss, self.app_limit), now)
+        return self._emit_range(snd_una, min(snd_una + self.mss, self.app_limit), now, t_us)
 
     def _may_enter_loss_response(self) -> bool:
         if self.variant is Variant.NO_FAST_RETRANSMIT:
@@ -244,11 +275,11 @@ class Sender:
             return False
         return self.recover is None or self.snd_una >= self.recover
 
-    def _loss_response(self, now: int) -> list[TraceEvent]:
+    def _loss_response(self, now: int, t_us: int) -> list[TraceEvent]:
         self.ssthresh = max(self.flight // 2, 2 * self.mss)
         if self.variant is Variant.TAHOE:
             self.cwnd = self.mss
-            out = self._retransmit_head(now)
+            out = self._retransmit_head(now, t_us)
             self.snd_nxt = out[0].seq + out[0].len
             self.dupacks = 0
             return out
@@ -259,8 +290,26 @@ class Sender:
             self.recover = self.snd_nxt
             self.snd_nxt = self.snd_una
             return []
-        out = self._retransmit_head(now)
+        out = self._retransmit_head(now, t_us)
         self.cwnd = self.ssthresh + DUPACK_THRESHOLD * self.mss
         self.in_fast_recovery = True
         self.recover = self.snd_nxt
         return out
+
+
+def _send_limit(snd_una: int, window: int, app_limit: int) -> int:
+    """The send rule: the window's edge, capped at the queued data."""
+    limit = snd_una + window
+    return limit if limit < app_limit else app_limit
+
+
+def _cut(out: list, seq: int, end: int, mss: int, t_us: int, ack: int, ip_id: int) -> int:
+    """Append [seq, end), end > seq, to ``out`` as ``rx`` ``data`` records
+    of one mss and a rest, numbered on from ``ip_id``; return the last ip_id."""
+    while seq + mss < end:
+        ip_id += 1
+        out.append(TraceEvent(t_us, "rx", "data", seq, mss, ack, ip_id))
+        seq += mss
+    ip_id += 1
+    out.append(TraceEvent(t_us, "rx", "data", seq, end - seq, ack, ip_id))
+    return ip_id

@@ -182,6 +182,26 @@ def test_trace_holds_each_record_that_crossed_the_link(variant):
     assert len(set(map(id, trace))) == len(trace)
 
 
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_each_server_answer_stamps_its_data_with_one_time(variant):
+    # The sender computes an answer's arrival time once and stamps every
+    # record of it with that one int, re-sends and the timer's repair
+    # included, so a held trace keeps one t_us object per answer at most.
+    world = sim_init(Scenario(variant=variant, **LONG_PAGE))
+    answers = [0]
+    for name in ("handle_segment", "on_timer"):
+        def counted(*args, method=getattr(world.server, name)):
+            out = method(*args)
+            answers[0] += bool(out)
+            return out
+
+        setattr(world.server, name, counted)
+    trace, reason = run_to_completion(world)
+    assert reason is TerminationReason.PROBER_CLOSED
+    data = rx_data(trace)
+    assert len({id(ev.t_us) for ev in data}) <= answers[0] < len(data)
+
+
 def test_handshake_and_first_round_timing(default_runs):
     # SYN at 0, SYN+ACK one full rtt later, first data after two.
     trace = default_runs[Variant.NEWRENO].trace
@@ -483,8 +503,10 @@ def test_batched_loop_matches_per_segment_loop(scenario):
 # -- the entry points the benchmark's tracer wraps ------------------------------
 # bench/tracing.py wraps these class attributes to time each layer and to
 # count the golden "timers" and per-layer calls. Each endpoint takes a whole
-# delivered batch in one call, so every segment must still pass through its
-# endpoint's handle_segment, and every timer fire through on_timer.
+# delivered batch in one call, and the server hands the sender the ACK
+# numbers of a batch in one call, so every segment must still pass through
+# its endpoint's handle_segment, every ACK number through the sender's
+# on_ack, and every timer fire through on_timer.
 
 
 def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
@@ -509,7 +531,7 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
     wrap(ProbeSession, "handle_segment", lambda args: len(args[0]))
     wrap(HttpServerEndpoint, "handle_segment", lambda args: len(args[0]))
     wrap(HttpServerEndpoint, "on_timer", lambda args: 1)
-    wrap(Sender, "on_ack", lambda args: 1)
+    wrap(Sender, "on_ack", lambda args: len(args[0]))
     wrap(Sender, "on_rto", lambda args: 0 if inside_timer[0] else 1)
     timers = 0
     for overrides in ({}, LONG_PAGE):
@@ -520,7 +542,8 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
             directions = Counter(ev.dir for ev in run.trace)
             assert seen["handle_segment", "ProbeSession"] == directions["rx"]
             assert seen["handle_segment", "HttpServerEndpoint"] == directions["tx"]
-            # Every prober ACK but the handshake's reaches the sender.
+            # Every prober ACK but the handshake's reaches the sender, as one
+            # ACK number of a batch.
             assert seen["on_ack", "Sender"] == len(tx_acks(run.trace)) - 1
             assert seen["on_rto", "Sender"] == 0  # no timer fire bypasses on_timer
             timers += seen["on_timer", "HttpServerEndpoint"]
@@ -529,8 +552,9 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
 
 # -- the server's one loop against the endpoint with a helper path ---------------
 # ReferenceServer keeps the endpoint as it was when a pure ACK once
-# established was handled inline and every other arrival but a close went
-# through ``_open``, with ``request_seen`` and ``halted`` beside ``phase``.
+# established was handed to the sender in a call of its own and every other
+# arrival but a close went through ``_open``, with ``request_seen`` and
+# ``halted`` beside ``phase``.
 # It takes one SYN, as the endpoint does: a SYN once a sender exists is
 # ignored. Both branch on the arrival's kind and take their MSS from the
 # config they are given.
@@ -565,7 +589,7 @@ class ReferenceServer:
         established = self.phase == "established"
         for seg in segments:
             if established and seg.kind == "ack":
-                out += sender.on_ack(seg.ack, now)
+                out += sender.on_ack([seg.ack], now)
             elif seg.kind in ("rst", "fin"):
                 self.halted = True
                 break
