@@ -22,14 +22,15 @@ segments leave as return values, and nothing here touches a clock or a
 socket. Each segment is the ``rx`` ``data`` record the prober will log,
 stamped with its arrival time: the send time plus the link's fixed
 one-way delay, which the simulator hands to the sender. Each call computes
-that time once, so all it sends shares one ``t_us`` object. Every
-emission, fresh or repeated, is one byte range cut into segments by
-``_cut``, with Karn's RTT-sample rule applied once per range.
+that time once, so all it sends shares one ``t_us`` object. Every byte
+range sent, fresh or repeated, goes through one function, ``_send``: it
+applies Karn's RTT-sample rule once for the range and cuts the range into
+segments.
 
 ``on_ack`` takes the ACK numbers of one delivered batch in one call, its
-state in locals across the batch; only the rare branches (the loss
-response, an ACK in recovery, an RTT sample, a re-sent range) write it
-back and go through the helpers. It and ``pump_transmissions`` send up to
+state in locals across the batch: the third duplicate's loss response and
+NewReno's partial ACK are branches on those locals, and the state is
+written back once, at the end. It and ``pump_transmissions`` send up to
 one limit, ``_send_limit``: the window's edge, capped at the queued data.
 All times are integer virtual microseconds; cwnd/ssthresh are raw byte
 counts (deliberately not rounded to segment multiples).
@@ -106,34 +107,9 @@ class Sender:
         self._max_sent = 0  # high water of seq+len ever emitted
         self._rtt_probe = None  # (start, end, emitted_at); Karn-tracked segment
 
-    # -- plumbing -------------------------------------------------------
-
     @property
     def flight(self) -> int:
         return self.snd_nxt - self.snd_una
-
-    def _emit_range(self, seq: int, end: int, now: int, t_us: int) -> list[TraceEvent]:
-        """Emit [seq, end), end > seq, stamped ``t_us``. Karn's rule, once
-        per range: the segments that start below ``_max_sent`` are re-sent
-        and poison a timed segment they overlap; the first fresh one is
-        timed if nothing is."""
-        mss, max_sent = self.mss, self._max_sent
-        fresh = seq
-        if seq < max_sent:
-            # Fresh data begins with the first segment at or past max_sent.
-            fresh = min(end, max_sent + (seq - max_sent) % mss)
-            probe = self._rtt_probe
-            if probe is not None and seq < probe[1] and probe[0] < fresh:
-                self._rtt_probe = None
-        if fresh < end and self._rtt_probe is None:
-            self._rtt_probe = (fresh, min(fresh + mss, end), now)
-        if end > max_sent:
-            self._max_sent = end
-        out = []
-        self.ip_id_counter = _cut(out, seq, end, mss, t_us, self.rcv_nxt, self.ip_id_counter)
-        return out
-
-    # -- operations -----------------------------------------------------
 
     def enqueue_app_data(self, nbytes: int) -> None:
         if nbytes < 0:
@@ -152,20 +128,26 @@ class Sender:
         self.snd_nxt = limit
         if self.rto_deadline is None:
             self.rto_deadline = now + self.rto_current
-        return self._emit_range(snd_nxt, limit, now, now + self.one_way_us)
+        out = []
+        self.ip_id_counter, self._max_sent, self._rtt_probe = _send(
+            out, snd_nxt, limit, self.mss, now, now + self.one_way_us, self.rcv_nxt,
+            self.ip_id_counter, self._max_sent, self._rtt_probe,
+        )
+        return out
 
     def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
         """Take the ACK numbers of one delivered batch, in order; return
-        every segment sent in answer. An ACK beyond the queued data raises
+        every segment sent in answer. An ACK beyond the data sent raises
         ``ProtocolError``, the state left as the ACKs before it left it."""
-        mss, app_limit, rcv_nxt = self.mss, self.app_limit, self.rcv_nxt
+        mss, app_limit, rcv_nxt, variant = self.mss, self.app_limit, self.rcv_nxt, self.variant
         snd_una, snd_nxt, cwnd, ssthresh = self.snd_una, self.snd_nxt, self.cwnd, self.ssthresh
-        dupacks, in_recovery, rto_deadline = self.dupacks, self.in_fast_recovery, self.rto_deadline
+        dupacks, in_recovery, recover = self.dupacks, self.in_fast_recovery, self.recover
+        rto_deadline = self.rto_deadline
         max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
         out, t_us, rto_at, beyond = [], now + self.one_way_us, now + self.rto_current, None
         for ack in acks:
             if ack > snd_una:
-                if ack > app_limit:
+                if ack > max_sent:
                     beyond = ack
                     break
                 if probe is not None and ack >= probe[1]:
@@ -176,13 +158,13 @@ class Sender:
                     # Slow start adds one segment per new ACK, congestion
                     # avoidance mss * mss / cwnd bytes.
                     cwnd += mss if cwnd < ssthresh else mss * mss // cwnd
-                elif self.variant is Variant.NEWRENO and ack < self.recover:
+                elif variant is Variant.NEWRENO and ack < recover:
                     # Partial ACK: repair the next hole, deflate by the amount
                     # acknowledged, stay in recovery.
-                    self.snd_una = ack
-                    self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
-                    out += self._retransmit_head(now, t_us)
-                    max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
+                    ip_id, max_sent, probe = _send(
+                        out, ack, min(ack + mss, app_limit), mss, now, t_us, rcv_nxt,
+                        ip_id, max_sent, probe,
+                    )
                     cwnd = max(cwnd - (ack - snd_una), 0) + mss
                 else:
                     in_recovery, cwnd = False, ssthresh
@@ -195,54 +177,63 @@ class Sender:
                 continue  # stale, or a duplicate with nothing in flight
             else:
                 dupacks += 1
-                if dupacks == DUPACK_THRESHOLD:
-                    self.snd_una, self.snd_nxt, self.cwnd, self.dupacks = snd_una, snd_nxt, cwnd, dupacks
-                    self.in_fast_recovery = in_recovery
-                    self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
-                    if self._may_enter_loss_response():
-                        out += self._loss_response(now, t_us)
-                    snd_nxt, cwnd, ssthresh, dupacks = self.snd_nxt, self.cwnd, self.ssthresh, self.dupacks
-                    in_recovery = self.in_fast_recovery
-                    max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
+                if dupacks != DUPACK_THRESHOLD or variant is Variant.NO_FAST_RETRANSMIT:
+                    pass  # below the threshold, or a variant that never acts on it
+                elif variant is Variant.TAHOE:
+                    # Collapse to one segment, re-send the head and go back:
+                    # the send below goes on from just past it.
+                    ssthresh, cwnd, dupacks = max((snd_nxt - snd_una) // 2, 2 * mss), mss, 0
+                    snd_nxt = min(snd_una + mss, app_limit)
+                    ip_id, max_sent, probe = _send(
+                        out, snd_una, snd_nxt, mss, now, t_us, rcv_nxt, ip_id, max_sent, probe
+                    )
+                elif not in_recovery and (recover is None or snd_una >= recover):
+                    # The Reno family. The guard keeps a stale dupACK burst
+                    # for data below the last recovery point from firing again.
+                    ssthresh = max((snd_nxt - snd_una) // 2, 2 * mss)
+                    in_recovery, recover = True, snd_nxt
+                    if variant is Variant.RENO_PLUS:
+                        # Window left alone; the send below goes back to
+                        # snd_una inside the inflated window (go-back burst).
+                        snd_nxt = snd_una
+                    else:
+                        ip_id, max_sent, probe = _send(
+                            out, snd_una, min(snd_una + mss, app_limit), mss, now, t_us, rcv_nxt,
+                            ip_id, max_sent, probe,
+                        )
+                        cwnd = ssthresh + DUPACK_THRESHOLD * mss
             # Send what the window now allows, as pump_transmissions does.
             limit = _send_limit(snd_una, cwnd + dupacks * mss if in_recovery else cwnd, app_limit)
             if snd_nxt < limit:
                 if rto_deadline is None:
                     rto_deadline = rto_at
-                if snd_nxt < max_sent:
-                    self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
-                    out += self._emit_range(snd_nxt, limit, now, t_us)
-                    max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
-                else:
-                    # Fresh data only: time its first segment if nothing is.
-                    if probe is None:
-                        probe = (snd_nxt, min(snd_nxt + mss, limit), now)
-                    max_sent, ip_id = limit, _cut(out, snd_nxt, limit, mss, t_us, rcv_nxt, ip_id)
+                ip_id, max_sent, probe = _send(
+                    out, snd_nxt, limit, mss, now, t_us, rcv_nxt, ip_id, max_sent, probe
+                )
                 snd_nxt = limit
-        self.snd_una, self.snd_nxt, self.cwnd, self.dupacks = snd_una, snd_nxt, cwnd, dupacks
-        self.in_fast_recovery, self.rto_deadline = in_recovery, rto_deadline
+        self.snd_una, self.snd_nxt, self.cwnd, self.ssthresh = snd_una, snd_nxt, cwnd, ssthresh
+        self.dupacks, self.in_fast_recovery, self.recover = dupacks, in_recovery, recover
+        self.rto_deadline = rto_deadline
         self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
         if beyond is not None:
-            raise ProtocolError(f"ack {beyond} beyond queued data {app_limit}")
+            raise ProtocolError(f"ack {beyond} beyond sent data {max_sent}")
         return out
 
     def on_rto(self, now: int) -> list[TraceEvent]:
         """Retransmission timer expiry: collapse to one segment and go back."""
         if self.rto_deadline is None:
             raise InternalError("on_rto called with no armed timer")
-        self.ssthresh = max(self.flight // 2, 2 * self.mss)
-        self.cwnd = self.mss
-        self.in_fast_recovery = False
-        self.dupacks = 0
-        self.snd_nxt = self.snd_una
-        out = []
-        if self.snd_una < self.app_limit:
-            out = self._retransmit_head(now, now + self.one_way_us)
-            self.snd_nxt = out[0].seq + out[0].len
+        snd_una, mss, out = self.snd_una, self.mss, []
+        self.ssthresh = max(self.flight // 2, 2 * mss)
+        self.cwnd, self.in_fast_recovery, self.dupacks = mss, False, 0
+        self.snd_nxt = min(snd_una + mss, self.app_limit)
+        if self.snd_nxt > snd_una:
+            self.ip_id_counter, self._max_sent, self._rtt_probe = _send(
+                out, snd_una, self.snd_nxt, mss, now, now + self.one_way_us, self.rcv_nxt,
+                self.ip_id_counter, self._max_sent, self._rtt_probe,
+            )
         self.rto_current = min(2 * self.rto_current, RTO_MAX_US)
-        self.rto_deadline = (
-            now + self.rto_current if self.snd_nxt > self.snd_una else None
-        )
+        self.rto_deadline = now + self.rto_current if self.snd_nxt > snd_una else None
         return out
 
     def update_rtt(self, sample_us: int) -> None:
@@ -258,44 +249,6 @@ class Sender:
         candidate = int(self.srtt + 4.0 * self.rttvar)
         self.rto_current = min(max(candidate, RTO_MIN_US), RTO_MAX_US)
 
-    # -- internals ------------------------------------------------------
-
-    def _retransmit_head(self, now: int, t_us: int) -> list[TraceEvent]:
-        snd_una = self.snd_una
-        return self._emit_range(snd_una, min(snd_una + self.mss, self.app_limit), now, t_us)
-
-    def _may_enter_loss_response(self) -> bool:
-        if self.variant is Variant.NO_FAST_RETRANSMIT:
-            return False
-        if self.variant is Variant.TAHOE:
-            return True
-        # Reno-family re-entry guard: a stale dupACK burst for data below the
-        # previous recovery point must not trigger a second fast retransmit.
-        if self.in_fast_recovery:
-            return False
-        return self.recover is None or self.snd_una >= self.recover
-
-    def _loss_response(self, now: int, t_us: int) -> list[TraceEvent]:
-        self.ssthresh = max(self.flight // 2, 2 * self.mss)
-        if self.variant is Variant.TAHOE:
-            self.cwnd = self.mss
-            out = self._retransmit_head(now, t_us)
-            self.snd_nxt = out[0].seq + out[0].len
-            self.dupacks = 0
-            return out
-        if self.variant is Variant.RENO_PLUS:
-            # Window left alone; the caller's pump re-sends forward from
-            # snd_una inside the inflated window (go-back burst).
-            self.in_fast_recovery = True
-            self.recover = self.snd_nxt
-            self.snd_nxt = self.snd_una
-            return []
-        out = self._retransmit_head(now, t_us)
-        self.cwnd = self.ssthresh + DUPACK_THRESHOLD * self.mss
-        self.in_fast_recovery = True
-        self.recover = self.snd_nxt
-        return out
-
 
 def _send_limit(snd_una: int, window: int, app_limit: int) -> int:
     """The send rule: the window's edge, capped at the queued data."""
@@ -303,13 +256,28 @@ def _send_limit(snd_una: int, window: int, app_limit: int) -> int:
     return limit if limit < app_limit else app_limit
 
 
-def _cut(out: list, seq: int, end: int, mss: int, t_us: int, ack: int, ip_id: int) -> int:
-    """Append [seq, end), end > seq, to ``out`` as ``rx`` ``data`` records
-    of one mss and a rest, numbered on from ``ip_id``; return the last ip_id."""
+def _send(out: list, seq: int, end: int, mss: int, now: int, t_us: int, ack: int,
+          ip_id: int, max_sent: int, probe) -> tuple:
+    """Send [seq, end), end > seq, at ``now``: append it to ``out`` as ``rx``
+    ``data`` records of one mss and a rest, stamped ``t_us`` and numbered on
+    from ``ip_id``; return the new ``(ip_id, max_sent, probe)``. Karn's rule,
+    once for the range: the segments that start below ``max_sent`` are
+    re-sent and poison a timed segment they overlap; the first fresh one is
+    timed if nothing is."""
+    fresh = seq
+    if seq < max_sent:
+        # Fresh data begins with the first segment at or past max_sent.
+        fresh = min(end, max_sent + (seq - max_sent) % mss)
+        if probe is not None and seq < probe[1] and probe[0] < fresh:
+            probe = None
+    if fresh < end and probe is None:
+        probe = (fresh, min(fresh + mss, end), now)
+    if end > max_sent:
+        max_sent = end
     while seq + mss < end:
         ip_id += 1
         out.append(TraceEvent(t_us, "rx", "data", seq, mss, ack, ip_id))
         seq += mss
     ip_id += 1
     out.append(TraceEvent(t_us, "rx", "data", seq, end - seq, ack, ip_id))
-    return ip_id
+    return ip_id, max_sent, probe

@@ -322,8 +322,21 @@ def test_ack_regression_ignored_not_fatal():
 def test_ack_beyond_app_limit_rejected():
     sender = make_sender(page=500)
     sender.pump_transmissions(0)
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="^ack 600 beyond sent data 200$"):
         sender.on_ack([600], RTT_US)
+
+
+def test_ack_beyond_sent_data_rejected_within_the_queue():
+    # Bytes 0-200 are sent of 3,000 queued: an ACK of 2,500 acknowledges
+    # bytes never sent. It is refused, and nothing moves: no segment is
+    # sent and no RTT sample is taken.
+    sender = make_sender(Variant.RENO, page=3000)
+    sender.pump_transmissions(0)
+    before = dict(vars(sender))
+    with pytest.raises(ProtocolError, match="^ack 2500 beyond sent data 200$"):
+        sender.on_ack([2500], 100_000)
+    assert vars(sender) == before
+    assert sender.srtt is None
 
 
 def test_ack_beyond_app_limit_mid_batch_is_named():
@@ -333,7 +346,7 @@ def test_ack_beyond_app_limit_mid_batch_is_named():
     for each in (sender, expected):
         each.pump_transmissions(0)
     expected.on_ack([100], RTT_US)
-    with pytest.raises(ProtocolError, match="^ack 600 beyond queued data 500$"):
+    with pytest.raises(ProtocolError, match="^ack 600 beyond sent data 400$"):
         sender.on_ack([100, 600, 200], RTT_US)
     assert vars(sender) == vars(expected)
     assert sender.snd_una == 100
@@ -546,11 +559,14 @@ def test_deterministic_replay():
 
 
 # -- the batch sender against a per-ACK, per-segment reference -----------------
-# The sender takes a whole ACK batch in one call and emits a byte range in one
+# The sender takes a whole ACK batch in one call and sends a byte range in one
 # call, applying Karn's rule once for it. The reference below is what it
-# replaced: each ACK taken in its own call, and each segment emitted on its
-# own, poisoning an overlapping timed segment when it starts below the
-# high-water mark, or else starting timing if nothing is timed.
+# replaced, kept here whole so that it shares no code with the sender beyond
+# the window and RTT arithmetic of ``Sender``: each ACK taken in its own call,
+# the loss response, the head retransmission and the timer in helpers of
+# their own, and each segment emitted on its own, poisoning an overlapping
+# timed segment when it starts below the high-water mark, or else starting
+# timing if nothing is timed.
 
 
 def reference_emit(sender: Sender, seq: int, length: int, now: int) -> TraceEvent:
@@ -569,18 +585,18 @@ def reference_emit(sender: Sender, seq: int, length: int, now: int) -> TraceEven
     )
 
 
-def reference_on_ack(sender: Sender, ack: int, now: int) -> list[TraceEvent]:
+def reference_on_ack(sender: "PerSegmentSender", ack: int, now: int) -> list[TraceEvent]:
     """One ACK, as the sender took it before it took batches."""
-    snd_una, t_us = sender.snd_una, now + sender.one_way_us
-    if ack > sender.app_limit:
-        raise ProtocolError(f"ack {ack} beyond queued data {sender.app_limit}")
+    snd_una = sender.snd_una
+    if ack > sender._max_sent:
+        raise ProtocolError(f"ack {ack} beyond sent data {sender._max_sent}")
     if ack <= snd_una:
         if ack < snd_una or sender.snd_nxt <= snd_una:
             return []  # stale, or a duplicate with nothing in flight
         sender.dupacks += 1
         out = []
-        if sender.dupacks == DUPACK_THRESHOLD and sender._may_enter_loss_response():
-            out = sender._loss_response(now, t_us)
+        if sender.dupacks == DUPACK_THRESHOLD and sender.may_enter_loss_response():
+            out = sender.loss_response(now)
         return out + sender.pump_transmissions(now)
     probe = sender._rtt_probe
     if probe is not None and ack >= probe[1]:
@@ -594,7 +610,7 @@ def reference_on_ack(sender: Sender, ack: int, now: int) -> list[TraceEvent]:
     if not sender.in_fast_recovery:
         sender.cwnd = cwnd + mss if cwnd < sender.ssthresh else cwnd + mss * mss // cwnd
     elif sender.variant is Variant.NEWRENO and ack < sender.recover:
-        repair = sender._retransmit_head(now, t_us)
+        repair = sender.retransmit_head(now)
         sender.cwnd = max(cwnd - (ack - snd_una), 0) + mss
     else:
         sender.in_fast_recovery = False
@@ -604,7 +620,8 @@ def reference_on_ack(sender: Sender, ack: int, now: int) -> list[TraceEvent]:
 
 
 class PerSegmentSender(Sender):
-    """The sender with per-ACK calls and per-segment emission."""
+    """The sender with per-ACK calls, per-segment emission and the loss
+    response, head retransmission and timer in helpers of their own."""
 
     def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
         out = []
@@ -625,12 +642,56 @@ class PerSegmentSender(Sender):
             self.rto_deadline = now + self.rto_current
         return out
 
-    def _emit_range(self, seq: int, end: int, now: int, t_us: int) -> list[TraceEvent]:
+    def on_rto(self, now: int) -> list[TraceEvent]:
+        if self.rto_deadline is None:
+            raise InternalError("on_rto called with no armed timer")
+        self.ssthresh = max(self.flight // 2, 2 * self.mss)
+        self.cwnd = self.mss
+        self.in_fast_recovery = False
+        self.dupacks = 0
+        self.snd_nxt = self.snd_una
         out = []
-        while seq < end:
-            length = min(self.mss, end - seq)
-            out.append(reference_emit(self, seq, length, now))
-            seq += length
+        if self.snd_una < self.app_limit:
+            out = self.retransmit_head(now)
+            self.snd_nxt = out[0].seq + out[0].len
+        self.rto_current = min(2 * self.rto_current, RTO_MAX_US)
+        self.rto_deadline = now + self.rto_current if self.snd_nxt > self.snd_una else None
+        return out
+
+    def retransmit_head(self, now: int) -> list[TraceEvent]:
+        seq = self.snd_una
+        return [reference_emit(self, seq, min(self.mss, self.app_limit - seq), now)]
+
+    def may_enter_loss_response(self) -> bool:
+        if self.variant is Variant.NO_FAST_RETRANSMIT:
+            return False
+        if self.variant is Variant.TAHOE:
+            return True
+        # Reno-family re-entry guard: a stale dupACK burst for data below the
+        # previous recovery point must not trigger a second fast retransmit.
+        if self.in_fast_recovery:
+            return False
+        return self.recover is None or self.snd_una >= self.recover
+
+    def loss_response(self, now: int) -> list[TraceEvent]:
+        self.ssthresh = max(self.flight // 2, 2 * self.mss)
+        if self.variant is Variant.TAHOE:
+            self.cwnd = self.mss
+            out = self.retransmit_head(now)
+            self.snd_nxt = out[0].seq + out[0].len
+            self.dupacks = 0
+            return out
+        if self.variant is Variant.RENO_PLUS:
+            # Window left alone; the caller's pump re-sends forward from
+            # snd_una inside the inflated window (go-back burst).
+            self.in_fast_recovery = True
+            self.recover = self.snd_nxt
+            self.snd_nxt = self.snd_una
+            return []
+        out = self.retransmit_head(now)
+        self.cwnd = self.ssthresh + DUPACK_THRESHOLD * self.mss
+        self.in_fast_recovery = True
+        self.recover = self.snd_nxt
         return out
 
 
@@ -722,16 +783,24 @@ def test_range_emitter_matches_per_segment_karn_reference(scenario):
 
 
 # -- a batch against the same ACKs one call each ----------------------------------
-# The batch keeps the sender's state in locals and writes it back around the
-# loss response, a partial ACK, an RTT sample and a go-back range. Fed the
-# same ACKs one per call, the sender loads and stores its state around each,
-# so a field the batch fails to reload after a helper, for the ACKs behind
-# it, shows up as a different trace or state. The first property drives the
-# sender by hand through states a probe never reaches, such as a new ACK
-# behind the third duplicate in one batch, and also holds the batch to the
-# per-ACK reference there; the second runs whole probes.
+# The batch keeps the sender's state in locals and writes it back once, at
+# its end. Fed the same ACKs one per call, the sender loads and stores its
+# state around each, so a field left out of the write-back, or a local that a
+# branch fails to update for the ACKs behind it, shows up as a different
+# trace or state. The first property drives the sender by hand through states
+# a probe never reaches, such as a new ACK behind the third duplicate in one
+# batch, and also holds the batch to the per-ACK reference there; the second
+# runs whole probes.
 
 ACK_STEPS = st.sampled_from([0, 0, 0, 50, 100, 100, 200, -100])  # 0: a duplicate
+
+
+def answer(sender: Sender, acks: list[int], now: int):
+    """What ``sender.on_ack`` returns, or the text of the ``ProtocolError`` it raises."""
+    try:
+        return sender.on_ack(acks, now)
+    except ProtocolError as error:
+        return str(error)
 
 
 @settings(max_examples=300, deadline=None)
@@ -740,11 +809,30 @@ ACK_STEPS = st.sampled_from([0, 0, 0, 50, 100, 100, 200, -100])  # 0: a duplicat
     cwnd=st.integers(min_value=1, max_value=4),
     ops=st.lists(st.one_of(st.just("rto"), st.lists(ACK_STEPS, min_size=1, max_size=12)), max_size=20),
 )
+# Each branch of the loss response and of recovery, reached by hand. Four
+# segments out, the first one timed: three duplicates of 0 fire the loss
+# response, whose re-sent head poisons the timed segment. NewReno takes the
+# ACK of 100 behind them as partial and repairs 100; Reno leaves recovery on
+# it, and three more duplicates of 100, below recover (400), must not fire
+# again.
+@example(variant=Variant.TAHOE, cwnd=4, ops=[[0, 0, 0]])  # collapse, re-send 0
+@example(variant=Variant.NEWRENO, cwnd=4, ops=[[0, 0, 0, 100]])
+@example(variant=Variant.RENO, cwnd=4, ops=[[0, 0, 0, 100, 0, 0, 0]])
+# Two segments out, an ACK of 100 opens the window to 400, and three
+# duplicates of 100 follow.
+@example(variant=Variant.RENO_PLUS, cwnd=2, ops=[[100, 0, 0, 0]])  # go-back burst 100-700
+@example(variant=Variant.NO_FAST_RETRANSMIT, cwnd=2, ops=[[100, 0, 0, 0]])  # third ignored
+# The timer re-sends 0-100; the ACK of 100 then goes back over 100-300.
+@example(variant=Variant.RENO, cwnd=4, ops=["rto", [100]])
+# An ACK of 200 with 0-100 sent is refused; the duplicates of 0 then fire.
+@example(variant=Variant.RENO, cwnd=1, ops=[[200], [0, 0, 0]])
 def test_any_ack_batch_matches_the_same_acks_one_call_each(variant, cwnd, ops):
     config = SenderConfig(mss=MSS, initial_cwnd=cwnd)
-    batched, split = make_sender(variant, config=config), make_sender(variant, config=config)
+    batched = make_sender(variant, config=config)
+    split = SplitSender(config, variant, ONE_WAY_US)
     reference = PerSegmentSender(config, variant, ONE_WAY_US)
-    reference.enqueue_app_data(batched.app_limit)
+    for each in (split, reference):
+        each.enqueue_app_data(batched.app_limit)
     now, ack = 0, 0
     out = batched.pump_transmissions(now)
     assert out == split.pump_transmissions(now) == reference.pump_transmissions(now)
@@ -760,11 +848,13 @@ def test_any_ack_batch_matches_the_same_acks_one_call_each(variant, cwnd, ops):
         for step in op:
             ack = min(max(ack + step, 0), batched.app_limit)
             acks.append(ack)
-        one_each = []
-        for each in acks:
-            one_each += split.on_ack([each], now)
-        assert batched.on_ack(acks, now) == one_each == reference.on_ack(acks, now)
+        # An ACK beyond the data sent raises the same error in all three and
+        # leaves them equal; the peer then acknowledges on from snd_una.
+        out = answer(batched, acks, now)
+        assert out == answer(split, acks, now) == answer(reference, acks, now)
         assert vars(batched) == vars(split) == vars(reference)
+        if isinstance(out, str):
+            ack = batched.snd_una
 
 
 class SplitSender(Sender):
