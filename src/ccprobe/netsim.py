@@ -34,7 +34,7 @@ exists for robustness testing only; the default link never loses data.
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, InternalError
 from .prober import EVENT_CAP, ProbeSession, ProbeScript
@@ -163,7 +163,7 @@ class SimWorld:
         self.one_way_us = scenario.rtt_ms * US_PER_MS // 2
         self.deadline_us = scenario.run_deadline_ms * US_PER_MS
         config, script = scenario.sender_config, scenario.probe_script
-        config = replace(config, mss=min(config.mss, script.mss))
+        config = SenderConfig(min(config.mss, script.mss), config.initial_cwnd)
         self.server = HttpServerEndpoint(config, scenario.variant, scenario.page_bytes, self.one_way_us)
         self.prober = ProbeSession(script)
         # (when, dest, segments) entries, the probe's SYN (sent at t=0)

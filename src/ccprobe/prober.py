@@ -15,18 +15,22 @@ as it is (the server's ``rx`` record, stamped with its arrival time),
 takes in data while the probe runs (the common arrival, tested first),
 answers the SYN+ACK with an ACK and the request, and sends the closing
 reset. Each ``tx`` record is built once, appended to the trace and sent.
-The session records without counting: ``netsim.run_to_completion`` ends
-the run once the trace reaches the event cap and cuts it to the cap.
-How a probe ended is not kept here: ``classifier.classify_trace`` reads
-it off the trace alone.
+Data that ends at or below the first byte of the lowest pending drop
+skips the drop check with one comparison. The bytes held above
+``rcv_nxt`` are coalesced spans: data that starts at the top span's end
+extends it in place, and ``_reassemble`` runs only for data that opens a
+span or reaches ``rcv_nxt``. The session does not count its events:
+``netsim.run_to_completion`` ends the run once the trace reaches the
+event cap and cuts it to the cap. How a probe ended is not kept here:
+``classifier.classify_trace`` reads it off the trace alone.
 """
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 
 from .errors import ConfigurationError
 from .traceio import TraceEvent
-from .wire import covered_indices
 
 EVENT_CAP = 10_000  # a run ends once its trace holds this many events
 REQUEST_BYTES = 100  # the opaque request; any nonempty payload fetches the page
@@ -56,10 +60,9 @@ class ProbeSession:
 
     def __init__(self, script: ProbeScript):
         self.script = script
-
         self.phase = "idle"  # idle -> syn_sent -> established -> closed
         self.rcv_nxt = 0  # every byte below it has arrived
-        self._above: list[tuple[int, int]] = []  # sorted spans past rcv_nxt
+        self._above: list[tuple[int, int]] = []  # sorted, coalesced spans past rcv_nxt
         self.pending_drops = set(script.drop_packets)  # pretend-loss, one-shot
         self.dupacks_sent = 0
         self.snd_off = 0
@@ -82,6 +85,7 @@ class ProbeSession:
         out, above = [], self._above
         record, pending, mss = self.trace.append, self.pending_drops, self.script.mss
         close_at = self.script.ack_limit_packet * mss
+        drop_from = (min(pending) - 1) * mss if pending else inf
         rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
         dupacks, phase = self.dupacks_sent, self.phase
         established = phase == "established"
@@ -91,16 +95,18 @@ class ProbeSession:
             if established and length:
                 # The common arrival first: data while the probe runs.
                 end = start + length
-                if pending:
-                    to_drop = pending.intersection(covered_indices(start, length, mss))
+                if end > drop_from:  # past the first byte of the lowest drop
+                    to_drop = pending.intersection(range(start // mss + 1, (end - 1) // mss + 2))
                     if to_drop:
-                        # Pretend loss: record the arrival, acknowledge nothing. The
-                        # drop is one-shot; a retransmitted copy will be honored.
+                        # Pretend loss: no ACK. The drop is one-shot: a later copy is honored.
                         pending -= to_drop
+                        drop_from = (min(pending) - 1) * mss if pending else inf
                         continue
                 previous = rcv_nxt
                 if start <= previous < end and not above:
                     rcv_nxt = end  # in order, nothing stored past it
+                elif above and start == above[-1][1]:
+                    above[-1] = (above[-1][0], end)  # extends the top span
                 else:
                     rcv_nxt = self._reassemble(previous, start, end)
                 if rcv_nxt == previous and end <= rcv_nxt:
@@ -135,18 +141,18 @@ class ProbeSession:
         return out
 
     def _reassemble(self, rcv_nxt: int, start: int, end: int) -> int:
-        """Take in the bytes [start, end) and return the new ``rcv_nxt``:
-        store them above it, or advance it through them and every stored
-        span that overlaps or touches them."""
+        """Join [start, end) with the stored spans it overlaps or touches; return
+        ``rcv_nxt`` advanced through the join if it reaches it, else store it."""
         spans = self._above
+        first = last = bisect_left(spans, (start,))
+        if first and spans[first - 1][1] >= start:
+            first = last = first - 1
+            start = spans[first][0]
+        while last < len(spans) and spans[last][0] <= end:
+            end = max(end, spans[last][1])
+            last += 1
         if start > rcv_nxt:
-            insort(spans, (start, end))
+            spans[first:last] = [(start, end)]
             return rcv_nxt
-        joined = 0
-        for span_start, span_end in spans:
-            if span_start > end:
-                break
-            end = max(end, span_end)
-            joined += 1
-        del spans[:joined]
+        del spans[:last]  # every span starts above rcv_nxt, so first == 0
         return max(rcv_nxt, end)

@@ -1,4 +1,4 @@
-"""Link-level helpers shared by the sender, simulator, prober and classifier.
+"""Link-level helpers shared by the simulator and the classifier.
 
 All times are integer virtual microseconds. Sequence numbers are byte
 offsets from the start of each direction's payload stream; the handshake
@@ -22,9 +22,3 @@ def first_index(seq: int, mss: int) -> int:
     """1-based packet number of the byte at offset ``seq``."""
     return seq // mss + 1
 
-
-def covered_indices(seq: int, length: int, mss: int) -> range:
-    """1-based packet numbers a payload [seq, seq+length) touches."""
-    if length <= 0:
-        return range(0)
-    return range(seq // mss + 1, (seq + length - 1) // mss + 2)

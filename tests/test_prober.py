@@ -6,6 +6,7 @@ session appends each arrival to its trace as it is, so a test that reads
 arrival times off the trace stamps its records with them.
 """
 
+from bisect import insort
 from dataclasses import replace
 
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from ccprobe import ConfigurationError, ProbeScript, classify_trace
 from ccprobe.prober import EVENT_CAP, REQUEST_BYTES, ProbeSession
 from ccprobe.traceio import KINDS, TraceEvent
-from ccprobe.wire import covered_indices
 
 from conftest import outcome
 
@@ -100,6 +100,17 @@ def test_reassembly_merges_stored_spans_into_the_ack_point():
     assert acks(50, 100) == []  # a stale copy below rcv_nxt stays silent
     assert session.rcv_nxt == 750
     assert [ev.dir for ev in session.trace].count("rx") == 10  # every arrival recorded
+
+
+def test_held_data_stays_in_coalesced_spans():
+    # Packets 1-25 in one batch: 13 and 16 are dropped, so 14-15 and 17-25
+    # are held as one span each, not as one span per arrival.
+    session = established_session()
+    session.handle_segment([data_segment(k, ip_id=k + 1) for k in range(1, 26)], 1)
+    assert session.rcv_nxt == 1200
+    assert session._above == [(1300, 1500), (1600, 2500)]
+    assert session.dupacks_sent == 11
+    assert session.pending_drops == set()
 
 
 # -- handshake ---------------------------------------------------------------
@@ -309,6 +320,17 @@ def test_outcome_overflow():
 # -- receiver properties -------------------------------------------------------
 
 
+def coalesced(spans: list) -> list:
+    """Sorted spans with every overlapping or touching pair joined."""
+    out = []
+    for start, end in sorted(spans):
+        if out and start <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end))
+        else:
+            out.append((start, end))
+    return out
+
+
 def contiguous_prefix(received: set[int]) -> int:
     """Brute force: the first byte offset not in ``received``."""
     end = 0
@@ -360,6 +382,8 @@ def test_ack_point_is_the_contiguous_prefix_of_unaligned_arrivals(arrivals):
         out = session.handle_segment([raw_data(seq, length, ip_id=now + 1)], now)
         received.update(range(seq, seq + length))
         assert session.rcv_nxt == contiguous_prefix(received)
+        # The bytes held above the ack point, as coalesced spans.
+        assert session._above == coalesced([(b, b + 1) for b in received if b > session.rcv_nxt])
         if session.rcv_nxt > previous or seq + length > session.rcv_nxt:
             assert [seg.ack for seg in out] == [session.rcv_nxt]  # new ACK or dupACK
         else:
@@ -371,9 +395,24 @@ def test_ack_point_is_the_contiguous_prefix_of_unaligned_arrivals(arrivals):
 # plain data was handled inline and every other arrival went through
 # helpers that recorded it, answered the SYN+ACK and closed with a reset.
 # Neither session counts its events: the run loop alone applies the cap.
+# Its drop check and its reassembly are its own, so it shares no code with
+# the session beyond the script and the starting state: every arrival is
+# checked against the packets it touches, and every out-of-order arrival
+# stores a span of its own, joined to the ack point only when reached.
+
+
+def covered_indices(seq: int, length: int, mss: int) -> range:
+    """1-based packet numbers a payload [seq, seq+length) touches."""
+    if length <= 0:
+        return range(0)
+    return range(seq // mss + 1, (seq + length - 1) // mss + 2)
 
 
 class ReferenceProbeSession(ProbeSession):
+    def __init__(self, script):
+        super().__init__(script)
+        self.spans = []  # one per stored arrival, sorted; they may overlap
+
     def _send(self, now, kind, length=0):
         self.ip_id_counter += 1
         sent = TraceEvent(now, "tx", kind, self.snd_off, length, self.rcv_nxt, self.ip_id_counter)
@@ -387,7 +426,7 @@ class ReferenceProbeSession(ProbeSession):
         return [self._send(now, "syn")]
 
     def handle_segment(self, segments, now):
-        trace, out, above = self.trace, [], self._above
+        trace, out, above = self.trace, [], self.spans
         record, pending, mss = trace.append, self.pending_drops, self.script.mss
         close_at = self.script.ack_limit_packet * mss
         rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
@@ -414,7 +453,7 @@ class ReferenceProbeSession(ProbeSession):
             if start <= previous < end and not above:
                 rcv_nxt = end
             else:
-                rcv_nxt = self._reassemble(previous, start, end)
+                rcv_nxt = self.reassemble(previous, start, end)
             if rcv_nxt == previous and end <= rcv_nxt:
                 continue
             ip_id += 1
@@ -429,6 +468,20 @@ class ReferenceProbeSession(ProbeSession):
                 ip_id, established = self.ip_id_counter, False
         self.rcv_nxt, self.ip_id_counter, self.dupacks_sent = rcv_nxt, ip_id, dupacks
         return out
+
+    def reassemble(self, rcv_nxt, start, end):
+        spans = self.spans
+        if start > rcv_nxt:
+            insort(spans, (start, end))
+            return rcv_nxt
+        joined = 0
+        for span_start, span_end in spans:
+            if span_start > end:
+                break
+            end = max(end, span_end)
+            joined += 1
+        del spans[:joined]
+        return max(rcv_nxt, end)
 
     def _arrive(self, seg, now):
         kind = seg.kind
@@ -447,6 +500,9 @@ class ReferenceProbeSession(ProbeSession):
 
 
 SMALL_SCRIPT = ProbeScript(drop_packets=frozenset({2, 3}), ack_limit_packet=4)
+# Three drops: spending the lowest leaves two, so the next lowest sets where
+# the drop check starts.
+THREE_DROPS = ProbeScript(drop_packets=frozenset({2, 4, 5}), ack_limit_packet=6)
 
 
 def any_kind(common: list) -> st.SearchStrategy:
@@ -482,7 +538,7 @@ def probe_ops(script: ProbeScript) -> st.SearchStrategy:
     return st.lists(st.one_of(st.just("start"), batches), max_size=16)
 
 
-SCRIPTS = st.shared(st.sampled_from([ProbeScript(), SMALL_SCRIPT]), key="script")
+SCRIPTS = st.shared(st.sampled_from([ProbeScript(), SMALL_SCRIPT, THREE_DROPS]), key="script")
 
 
 def in_order(packets, first=1) -> list:
@@ -498,6 +554,7 @@ def synack_data(seq: int) -> TraceEvent:
 # Drops, a dupACK, the repair that closes, and an arrival after the close.
 @example(SMALL_SCRIPT, ["start", [synack()], in_order(4), in_order(3, first=2), in_order(1)])
 @example(ProbeScript(drop_packets=frozenset()), ["start", [synack()], in_order(25)])
+@example(THREE_DROPS, ["start", [synack()], in_order(6), in_order(5, first=2)])
 # A SYN+ACK carrying data: before the SYN, as the handshake, while the
 # probe runs and after the close.
 @example(
@@ -520,5 +577,6 @@ def test_arrival_loop_matches_helper_path_reference(script, ops):
         assert [getattr(session, name) for name in state] == [
             getattr(reference, name) for name in state
         ]
+        assert session._above == coalesced(reference.spans)
         if got[0] == "raised":
             break
