@@ -150,26 +150,22 @@ def detect_reordering(trace: list[TraceEvent]) -> int | None:
     return broken[1] if broken is not None and broken[0] == ERROR_REORDERING else None
 
 
-def classify(features: FeatureVector) -> ClassificationReport:
+def classify(features: FeatureVector) -> str:
     """Ordered decision table; exactly one label per input."""
     f = features
-
-    def labeled(label):
-        return ClassificationReport(label=label, error=None, features=f)
-
     if f.retx13 == RETX_TIMEOUT:
-        return labeled("NoFastRetransmit")
+        return "NoFastRetransmit"
     if f.retx13 == RETX_NONE:
-        return labeled(LABEL_UNCLASSIFIABLE)
+        return LABEL_UNCLASSIFIABLE
     if f.extra_retx_between_13_and_16:
-        return labeled("RenoPlus")
+        return "RenoPlus"
     if f.unnecessary_retx17:
-        return labeled("Tahoe")
+        return "Tahoe"
     if f.retx16 == RETX_TIMEOUT:
-        return labeled("Reno")
+        return "Reno"
     if f.retx16 == RETX_FAST and f.retransmission_count == 2:
-        return labeled("NewReno")
-    return labeled(LABEL_UNCLASSIFIABLE)
+        return "NewReno"
+    return LABEL_UNCLASSIFIABLE
 
 
 def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[FeatureVector, list]:
@@ -250,6 +246,4 @@ def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> Classificati
         features, evidence = extract_features(trace, script)
     except _Unjudgeable as exc:
         return _error_row(*exc.args)
-    report = classify(features)
-    report.evidence = evidence
-    return report
+    return ClassificationReport(classify(features), None, features, evidence)

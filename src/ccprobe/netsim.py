@@ -6,7 +6,8 @@ arrives exactly rtt/2 after it was sent, in FIFO order. Time is a virtual
 integer-microsecond clock advanced only by the event queue, so a given
 scenario always produces a bit-identical trace. A segment is the
 ``TraceEvent`` the prober logs (see ``wire``); it carries no MSS option,
-so ``SimWorld`` caps the server's MSS at the probe script's.
+so ``SimWorld`` builds the server's one ``Sender`` with its MSS capped at
+the probe script's, and hands it to the endpoint.
 
 The queue holds one ``(when, dest, segments)`` entry per delivered batch
 that drew any answer. An endpoint takes an entry whole, in one
@@ -26,7 +27,9 @@ the batch that tests the common arrival first; the server's branches on
 each segment's ``kind`` and hands the ACK numbers of the batch to the
 sender's ``on_ack`` in one call. Its one ``phase`` runs listen ->
 syn_rcvd -> established -> serving -> closed (see
-``HttpServerEndpoint``).
+``HttpServerEndpoint``). The sender alone holds the retransmission timer:
+only the page arms it, and a close disarms it, so the loop reads the
+sender's ``rto_deadline`` and nothing else.
 
 An optional ambient-drop list (server ip_ids swallowed by the link)
 exists for robustness testing only; the default link never loses data.
@@ -84,13 +87,16 @@ class HttpServerEndpoint:
 
     The HTTP layer is a stub. Any nonempty request triggers the whole
     page; request and response bytes are opaque. The congestion sender is
-    created at SYN time with ``config``, and the SYN+ACK draws its ip_id
+    built with the world and handed in, and the SYN+ACK draws its ip_id
     from the same per-connection counter the sender uses. Each segment the
-    server sends is stamped ``rx`` with its arrival time, ``one_way_us``
-    after it leaves.
+    server sends is stamped ``rx`` with its arrival time, the sender's
+    ``one_way_us`` after it leaves.
 
     ``phase`` runs listen -> syn_rcvd -> established -> serving, and a RST
-    or FIN in any phase makes it ``closed``, which answers nothing. The
+    or FIN in any phase makes it ``closed``, which answers nothing and
+    disarms the sender's timer. Only the page arms that timer, so
+    ``on_timer`` is the sender's ``on_rto``, and a fire with no timer armed
+    raises ``InternalError`` in any phase. The
     server opens one connection: only ``listen`` takes a SYN, and any
     later SYN is ignored, so the page is never replaced or served twice.
 
@@ -100,22 +106,12 @@ class HttpServerEndpoint:
     ends the batch where it stands.
     """
 
-    def __init__(self, config: SenderConfig, variant: Variant, page_bytes: int, one_way_us: int):
-        self.config = config
-        self.variant = variant
+    def __init__(self, sender: Sender, page_bytes: int):
+        self.sender = sender
         self.page_bytes = page_bytes
-        self.one_way_us = one_way_us
         self.phase = "listen"
-        self.sender = None
-
-    @property
-    def rto_deadline(self):
-        # Only the page puts data in flight, so only ``serving`` arms a timer.
-        return self.sender.rto_deadline if self.phase == "serving" else None
 
     def on_timer(self, now: int) -> list[TraceEvent]:
-        if self.phase in ("listen", "closed"):
-            return []
         return self.sender.on_rto(now)
 
     def handle_segment(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
@@ -133,13 +129,12 @@ class HttpServerEndpoint:
                 out += sender.on_ack(acks, now)
                 acks = []
             if phase == "closed" or kind == "rst" or kind == "fin":
-                phase = "closed"
+                phase, sender.rto_deadline = "closed", None
                 break
             elif kind == "syn":
                 if phase == "listen":  # one connection: a later SYN is ignored
-                    sender = self.sender = Sender(self.config, self.variant, self.one_way_us)
                     sender.ip_id_counter = 1  # the SYN+ACK takes the first ip_id
-                    out.append(TraceEvent(now + self.one_way_us, "rx", "synack", 0, 0, 0, 1))
+                    out.append(TraceEvent(now + sender.one_way_us, "rx", "synack", 0, 0, 0, 1))
                     phase = "syn_rcvd"
             elif kind == "data":
                 if phase == "established":  # the request; other payloads are ignored
@@ -164,7 +159,8 @@ class SimWorld:
         self.deadline_us = scenario.run_deadline_ms * US_PER_MS
         config, script = scenario.sender_config, scenario.probe_script
         config = SenderConfig(min(config.mss, script.mss), config.initial_cwnd)
-        self.server = HttpServerEndpoint(config, scenario.variant, scenario.page_bytes, self.one_way_us)
+        sender = Sender(config, scenario.variant, self.one_way_us)
+        self.server = HttpServerEndpoint(sender, scenario.page_bytes)
         self.prober = ProbeSession(script)
         # (when, dest, segments) entries, the probe's SYN (sent at t=0)
         # first; each holds all the answers to one delivered batch. Every
@@ -189,12 +185,13 @@ def run_to_completion(world: SimWorld):
     close, as in ``classify_trace``.
     """
     queue, server, prober = world._queue, world.server, world.prober
+    sender = server.sender
     to_prober, to_server, trace = prober.handle_segment, server.handle_segment, prober.trace
     one_way, run_deadline = world.one_way_us, world.deadline_us
     drops = world.scenario.ambient_drops
     while True:
         # The next event: the queue head, or the server's timer if earlier.
-        timer = server.rto_deadline
+        timer = sender.rto_deadline
         if queue and (timer is None or queue[0][0] <= timer):
             when, dest, segments = queue.popleft()
         elif timer is not None:

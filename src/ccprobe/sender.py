@@ -180,13 +180,10 @@ class Sender:
                 if dupacks != DUPACK_THRESHOLD or variant is Variant.NO_FAST_RETRANSMIT:
                     pass  # below the threshold, or a variant that never acts on it
                 elif variant is Variant.TAHOE:
-                    # Collapse to one segment, re-send the head and go back:
-                    # the send below goes on from just past it.
+                    # Collapse to one segment and go back: the send below
+                    # re-sends the head from snd_una.
                     ssthresh, cwnd, dupacks = max((snd_nxt - snd_una) // 2, 2 * mss), mss, 0
-                    snd_nxt = min(snd_una + mss, app_limit)
-                    ip_id, max_sent, probe = _send(
-                        out, snd_una, snd_nxt, mss, now, t_us, rcv_nxt, ip_id, max_sent, probe
-                    )
+                    snd_nxt = snd_una
                 elif not in_recovery and (recover is None or snd_una >= recover):
                     # The Reno family. The guard keeps a stale dupACK burst
                     # for data below the last recovery point from firing again.

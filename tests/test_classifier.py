@@ -317,21 +317,20 @@ def features(**kw) -> FeatureVector:
 
 
 DECISION_ROWS = [
-    (features(retx13=RETX_TIMEOUT), "NoFastRetransmit", None),
-    (features(retx13=RETX_NONE), LABEL_UNCLASSIFIABLE, None),
-    (features(extra_retx_between_13_and_16=True), "RenoPlus", None),
-    (features(unnecessary_retx17=True), "Tahoe", None),
-    (features(retx16=RETX_TIMEOUT), "Reno", None),
-    (features(retransmission_count=2), "NewReno", None),
-    (features(retransmission_count=3), LABEL_UNCLASSIFIABLE, None),
-    (features(retx16=RETX_NONE), LABEL_UNCLASSIFIABLE, None),
+    (features(retx13=RETX_TIMEOUT), "NoFastRetransmit"),
+    (features(retx13=RETX_NONE), LABEL_UNCLASSIFIABLE),
+    (features(extra_retx_between_13_and_16=True), "RenoPlus"),
+    (features(unnecessary_retx17=True), "Tahoe"),
+    (features(retx16=RETX_TIMEOUT), "Reno"),
+    (features(retransmission_count=2), "NewReno"),
+    (features(retransmission_count=3), LABEL_UNCLASSIFIABLE),
+    (features(retx16=RETX_NONE), LABEL_UNCLASSIFIABLE),
 ]
 
 
-@pytest.mark.parametrize("vector,label,error", DECISION_ROWS)
-def test_decision_table_row(vector, label, error):
-    report = classify(vector)
-    assert (report.label, report.error) == (label, error)
+@pytest.mark.parametrize("vector,label", DECISION_ROWS)
+def test_decision_table_row(vector, label):
+    assert classify(vector) == label
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -358,9 +357,7 @@ def test_reordering_outranks_every_label(default_runs, variant):
     )
 )
 def test_decision_table_is_total(vector):
-    report = classify(vector)
-    assert report.error is None
-    assert report.label in {v.value for v in Variant} | {LABEL_UNCLASSIFIABLE}
+    assert classify(vector) in {v.value for v in Variant} | {LABEL_UNCLASSIFIABLE}
 
 
 # -- end to end ----------------------------------------------------------------
@@ -619,9 +616,7 @@ def reference_report(trace, script) -> ClassificationReport | None:
                     (r.event_index, f"packet {follower} arrived again after being ack-covered")
                 )
                 break
-    report = classify(feats)
-    report.evidence = evidence
-    return report
+    return ClassificationReport(classify(feats), None, feats, evidence)
 
 
 def test_touching_arrivals_do_not_overlap():

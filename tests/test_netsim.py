@@ -90,7 +90,6 @@ def test_server_mss_is_capped_at_the_script_mss(server_mss, script_mss, negotiat
         sender_config=SenderConfig(mss=server_mss),
         probe_script=script,
     )
-    assert run.world.server.config == SenderConfig(mss=negotiated)
     assert run.world.server.sender.mss == negotiated
     assert rx_data(run.trace)[0].len == negotiated
 
@@ -102,7 +101,7 @@ ONE_WAY_US = 50 * MS
 
 
 def fresh_server(page=3000) -> HttpServerEndpoint:
-    return HttpServerEndpoint(SenderConfig(mss=100), Variant.NEWRENO, page, ONE_WAY_US)
+    return HttpServerEndpoint(Sender(SenderConfig(mss=100), Variant.NEWRENO, ONE_WAY_US), page)
 
 
 def test_syn_answered_with_synack_stamped_with_its_arrival():
@@ -126,9 +125,10 @@ def test_request_triggers_initial_window_of_two():
 
 def test_payload_before_handshake_or_second_request_is_ignored():
     server = fresh_server()
+    untouched = vars(server.sender).copy()
     out = server.handle_segment([prober_segment("data", length=100)], 0)
     assert out == []
-    assert (server.phase, server.sender) == ("listen", None)
+    assert server.phase == "listen" and vars(server.sender) == untouched
     server.handle_segment([prober_segment("syn")], 0)
     server.handle_segment([prober_segment(ip_id=2)], 50)
     server.handle_segment([prober_segment("data", length=100, ip_id=3)], 50)
@@ -148,7 +148,7 @@ def test_reset_halts_server_forever():
     assert server.phase == "closed"
     out = server.handle_segment([prober_segment(ip_id=5)], 70)
     assert out == []
-    assert server.rto_deadline is None  # timer silenced with the endpoint
+    assert server.sender.rto_deadline is None  # timer silenced with the endpoint
 
 
 # -- full runs ----------------------------------------------------------------
@@ -157,6 +157,15 @@ def test_reset_halts_server_forever():
 def test_all_default_runs_close_via_prober(default_runs):
     for run in default_runs.values():
         assert run.reason is TerminationReason.PROBER_CLOSED
+
+
+def test_every_default_run_ends_with_the_timer_disarmed(default_runs):
+    # The prober's close reaches the server and disarms the sender's timer,
+    # also where data is still in flight then (Tahoe, NoFastRetransmit and
+    # RenoPlus), so the sender's own deadline is the run loop's one gate.
+    for variant, run in default_runs.items():
+        assert run.world.server.phase == "closed", variant
+        assert run.world.server.sender.rto_deadline is None, variant
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -416,7 +425,7 @@ def run_per_segment(world):
     when, dest, batch = queue.popleft()  # the opening SYN's entry
     queue.extend((when, dest, seg) for seg in batch)
     while True:
-        deadline = world.server.rto_deadline
+        deadline = world.server.sender.rto_deadline
         next_time = queue[0][0] if queue else None
         if next_time is None and deadline is None:
             reason = (
@@ -555,31 +564,21 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
 # established was handed to the sender in a call of its own and every other
 # arrival but a close went through ``_open``, with ``request_seen`` and
 # ``halted`` beside ``phase``.
-# It takes one SYN, as the endpoint does: a SYN once a sender exists is
-# ignored. Both branch on the arrival's kind and take their MSS from the
-# config they are given.
+# It takes one SYN, as the endpoint does: a SYN once out of ``listen`` is
+# ignored. Both are built with a sender of their own, branch on the
+# arrival's kind, and disarm the sender's timer when they halt, so a timer
+# fire with none armed raises in either.
 
 
 class ReferenceServer:
-    def __init__(self, config, variant, page_bytes, one_way_us):
-        self.config = config
-        self.variant = variant
+    def __init__(self, sender, page_bytes):
+        self.sender = sender
         self.page_bytes = page_bytes
-        self.one_way_us = one_way_us
         self.phase = "listen"
-        self.sender = None
         self.halted = False
         self.request_seen = False
 
-    @property
-    def rto_deadline(self):
-        if self.halted or self.sender is None:
-            return None
-        return self.sender.rto_deadline
-
     def on_timer(self, now):
-        if self.halted or self.sender is None:
-            return []
         return self.sender.on_rto(now)
 
     def handle_segment(self, segments, now):
@@ -591,21 +590,21 @@ class ReferenceServer:
             if established and seg.kind == "ack":
                 out += sender.on_ack([seg.ack], now)
             elif seg.kind in ("rst", "fin"):
-                self.halted = True
+                self.halted, sender.rto_deadline = True, None
                 break
             else:
                 out += self._open(seg, now)
-                sender, established = self.sender, self.phase == "established"
+                established = self.phase == "established"
         return out
 
     def _open(self, seg, now):
         if seg.kind == "syn":
-            if self.sender is not None:
+            if self.phase != "listen":
                 return []
-            sender = self.sender = Sender(self.config, self.variant, self.one_way_us)
+            sender = self.sender
             sender.ip_id_counter += 1
             self.phase = "syn_rcvd"
-            synack = TraceEvent(now + self.one_way_us, "rx", "synack", 0, 0, 0, sender.ip_id_counter)
+            synack = TraceEvent(now + sender.one_way_us, "rx", "synack", 0, 0, 0, sender.ip_id_counter)
             return [synack]
         if seg.kind == "data":
             if self.phase != "established" or self.request_seen:
@@ -670,8 +669,9 @@ def acks(*values) -> list:
 # A FIN closes the server mid-transfer and silences its timer.
 @example(Variant.NEWRENO, 100, [[SYN, prober_segment(), REQUEST, prober_segment("fin")], "timer"])
 def test_server_loop_matches_helper_path_reference(variant, mss, ops):
-    server = HttpServerEndpoint(SenderConfig(mss=mss), variant, 3000, ONE_WAY_US)
-    reference = ReferenceServer(SenderConfig(mss=mss), variant, 3000, ONE_WAY_US)
+    config = SenderConfig(mss=mss)
+    server = HttpServerEndpoint(Sender(config, variant, ONE_WAY_US), 3000)
+    reference = ReferenceServer(Sender(config, variant, ONE_WAY_US), 3000)
     for step, op in enumerate(ops, start=1):
         now = step * 10 * MS
         got, expected = (
@@ -682,10 +682,7 @@ def test_server_loop_matches_helper_path_reference(variant, mss, ops):
         if got[0] == "raised":
             break
         assert server.phase == folded_phase(reference)
-        assert server.rto_deadline == reference.rto_deadline
-        assert (server.sender is None) == (reference.sender is None)
-        if server.sender is not None:
-            assert vars(server.sender) == vars(reference.sender)
+        assert vars(server.sender) == vars(reference.sender)
 
 
 def test_syn_after_the_request_is_ignored():
@@ -701,3 +698,15 @@ def test_syn_after_the_request_is_ignored():
     out = server.handle_segment(acks(100), 30 * MS)
     assert [(seg.seq, seg.len) for seg in out] == [(200, 100), (300, 100)]
     assert (sender.snd_una, sender.app_limit) == (100, 3000)
+
+
+def test_timer_fire_with_no_timer_armed_raises():
+    # Only the page arms the sender's timer, and a close disarms it: the run
+    # loop never fires it unarmed, so such a fire is a bug in any phase.
+    server = fresh_server()
+    with pytest.raises(InternalError):
+        server.on_timer(0)
+    server.handle_segment([SYN, prober_segment(), REQUEST, prober_segment("fin")], 10 * MS)
+    assert server.phase == "closed"
+    with pytest.raises(InternalError):
+        server.on_timer(20 * MS)
