@@ -5,7 +5,9 @@ probe script that produced it); no sender or session state is consulted,
 and only the trace of a finished probe gets a label. The trace yields a
 small feature vector -- how the two scripted losses were repaired and
 whether anything else was retransmitted between or after them -- and an
-ordered decision table maps the features to a label.
+ordered decision table maps the features to a label. One walk over the
+retransmissions, which are in trace order, finds each drop's first
+repair and the repeats of the packet after the last drop.
 
 As TBIT does, a trace is judged only if its path was clean. The server
 numbers its segments from one per-connection ip_id counter, starting at
@@ -28,7 +30,6 @@ from dataclasses import asdict, dataclass, field
 
 from .prober import EVENT_CAP, ProbeScript
 from .traceio import TraceEvent
-from .wire import first_index
 
 LABEL_UNCLASSIFIABLE = "Unclassifiable"
 
@@ -93,11 +94,12 @@ class RetxEvent:
 
 def estimate_rtt(trace: list[TraceEvent]) -> int | None:
     """Round trip from SYN -> SYN+ACK, or None without a handshake."""
-    syn_t = next((ev.t_us for ev in trace if ev.dir == "tx" and ev.kind == "syn"), None)
-    if syn_t is not None:
-        for ev in trace:
-            if ev.dir == "rx" and ev.kind == "synack" and ev.t_us >= syn_t:
-                return ev.t_us - syn_t
+    for syn in trace:
+        if syn.dir == "tx" and syn.kind == "syn":
+            for ev in trace:
+                if ev.dir == "rx" and ev.kind == "synack" and ev.t_us >= syn.t_us:
+                    return ev.t_us - syn.t_us
+            return None
     return None
 
 
@@ -132,7 +134,7 @@ def _coverage_pass(
         if start < high:
             gap = ev.t_us - last_data_t if last_data_t is not None else 0
             kind = RETX_TIMEOUT if gap > limit else RETX_FAST
-            retxs.append(RetxEvent(first_index(start, mss), ev.t_us, kind, position))
+            retxs.append(RetxEvent(start // mss + 1, ev.t_us, kind, position))
         end = start + ev.len
         if end > high:
             high = end
@@ -174,54 +176,53 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
     if rtt is None:
         raise _Unjudgeable(ERROR_INCOMPLETE, [])
 
-    drops = sorted(script.drop_packets)
-    first_drop = drops[0] if drops else None
-    last_drop = drops[-1] if drops else None
-    follower = last_drop + 1 if last_drop is not None else None
-
     retxs, broken = _coverage_pass(trace, rtt, script.mss)
     if broken is not None:
         error, position, note = broken
         raise _Unjudgeable(error, [(position, note)])
     evidence = [
-        (retx.event_index, f"retransmission of packet {retx.index} ({retx.kind})")
-        for retx in retxs
+        (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
     ]
-
-    def first_retx(index):
-        return next((r for r in retxs if r.index == index), None)
-
     features = FeatureVector(rtt_est=rtt, retransmission_count=len(retxs))
-    r13 = first_retx(first_drop) if first_drop is not None else None
-    r16 = first_retx(last_drop) if last_drop is not None else None
-    if r13 is not None:
-        features.retx13 = r13.kind
+    drops = sorted(script.drop_packets)
+    if not drops:
+        return features, evidence
+    first_drop, last_drop, follower = drops[0], drops[-1], drops[-1] + 1
+    # One walk over the retransmissions, which are in trace order: where
+    # each drop is first repaired, and the follower's repeats.
+    at13, at16, repeats = None, None, []
+    for position, r in enumerate(retxs):
+        if r.index == follower:
+            repeats.append(r)
+            continue
+        if r.index == first_drop and at13 is None:
+            at13 = position
+        if r.index == last_drop and at16 is None:
+            at16 = position
+    if at13 is not None:
+        features.retx13 = retxs[at13].kind
         # A repair kind for the second drop is only meaningful once the
         # first drop was seen repaired.
-        if r16 is not None:
-            features.retx16 = r16.kind
-            features.extra_retx_between_13_and_16 = any(
-                r.index not in (first_drop, last_drop)
-                and r13.event_index < r.event_index < r16.event_index
-                for r in retxs
-            )
-    repeats = [r for r in retxs if r.index == follower]
+        if at16 is not None:
+            features.retx16 = retxs[at16].kind
+            for r in retxs[at13 + 1:at16]:
+                if r.index != first_drop and r.index != last_drop:
+                    features.extra_retx_between_13_and_16 = True
+                    break
     if repeats:
+        # A repeat after the first ACK that covers the follower was
+        # unnecessary; only an ACK before the last repeat can precede one.
         follower_end = follower * script.mss
-        acked_at = next(
-            (
-                position
-                for position, ev in enumerate(trace)
-                if ev.dir == "tx" and ev.kind == "ack" and ev.ack >= follower_end
-            ),
-            len(trace),
-        )
-        r = next((r for r in repeats if acked_at < r.event_index), None)
-        if r is not None:
-            features.unnecessary_retx17 = True
-            evidence.append(
-                (r.event_index, f"packet {follower} arrived again after being ack-covered")
-            )
+        for acked_at, ev in enumerate(trace[:repeats[-1].event_index]):
+            if ev.dir == "tx" and ev.kind == "ack" and ev.ack >= follower_end:
+                for r in repeats:
+                    if acked_at < r.event_index:
+                        break
+                features.unnecessary_retx17 = True
+                evidence.append(
+                    (r.event_index, f"packet {follower} arrived again after being ack-covered")
+                )
+                break
     return features, evidence
 
 
@@ -240,7 +241,10 @@ def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> Classificati
     if len(trace) >= EVENT_CAP:
         return _error_row(ERROR_TRACE_OVERFLOW, [])
     # The prober's close sits within a few hundred events of the end.
-    if not any(ev.dir == "tx" and ev.kind in ("rst", "fin") for ev in reversed(trace)):
+    for ev in reversed(trace):
+        if ev.dir == "tx" and ev.kind in ("rst", "fin"):
+            break
+    else:
         return _error_row(ERROR_INCOMPLETE, [])
     try:
         features, evidence = extract_features(trace, script)

@@ -43,8 +43,8 @@ from .errors import ConfigurationError, InternalError
 from .prober import EVENT_CAP, ProbeSession, ProbeScript
 from .sender import Sender, SenderConfig, Variant
 from .traceio import TraceEvent
-from .wire import US_PER_MS
 
+US_PER_MS = 1000  # times are integer virtual microseconds
 DEFAULT_RUN_DEADLINE_MS = 30_000
 
 SERVER = "server"

@@ -15,8 +15,10 @@ as it is (the server's ``rx`` record, stamped with its arrival time),
 takes in data while the probe runs (the common arrival, tested first),
 answers the SYN+ACK with an ACK and the request, and sends the closing
 reset. Each ``tx`` record is built once, appended to the trace and sent.
-Data that ends at or below the first byte of the lowest pending drop
-skips the drop check with one comparison. The bytes held above
+The close point and the first byte of the lowest pending drop are
+session state, the latter moved only when a drop is spent: data that
+ends at or below it skips the drop check with one comparison. A copy
+wholly below ``rcv_nxt`` stays silent at once. The bytes held above
 ``rcv_nxt`` are coalesced spans: data that starts at the top span's end
 extends it in place, and ``_reassemble`` runs only for data that opens a
 span or reaches ``rcv_nxt``. The session does not count its events:
@@ -64,6 +66,9 @@ class ProbeSession:
         self.rcv_nxt = 0  # every byte below it has arrived
         self._above: list[tuple[int, int]] = []  # sorted, coalesced spans past rcv_nxt
         self.pending_drops = set(script.drop_packets)  # pretend-loss, one-shot
+        drops, mss = script.drop_packets, script.mss
+        self._drop_from = (min(drops) - 1) * mss if drops else inf  # the lowest drop's first byte
+        self._close_at = script.ack_limit_packet * mss
         self.dupacks_sent = 0
         self.snd_off = 0
         self.ip_id_counter = 0
@@ -84,8 +89,7 @@ class ProbeSession:
         The connection state lives in locals across the batch."""
         out, above = [], self._above
         record, pending, mss = self.trace.append, self.pending_drops, self.script.mss
-        close_at = self.script.ack_limit_packet * mss
-        drop_from = (min(pending) - 1) * mss if pending else inf
+        drop_from, close_at = self._drop_from, self._close_at
         rcv_nxt, ip_id, snd_off = self.rcv_nxt, self.ip_id_counter, self.snd_off
         dupacks, phase = self.dupacks_sent, self.phase
         established = phase == "established"
@@ -100,17 +104,17 @@ class ProbeSession:
                     if to_drop:
                         # Pretend loss: no ACK. The drop is one-shot: a later copy is honored.
                         pending -= to_drop
-                        drop_from = (min(pending) - 1) * mss if pending else inf
+                        self._drop_from = drop_from = (min(pending) - 1) * mss if pending else inf
                         continue
                 previous = rcv_nxt
-                if start <= previous < end and not above:
+                if end <= previous:
+                    continue  # arrivals entirely below rcv_nxt stay silent
+                if start <= previous and not above:
                     rcv_nxt = end  # in order, nothing stored past it
                 elif above and start == above[-1][1]:
                     above[-1] = (above[-1][0], end)  # extends the top span
                 else:
                     rcv_nxt = self._reassemble(previous, start, end)
-                if rcv_nxt == previous and end <= rcv_nxt:
-                    continue  # arrivals entirely below rcv_nxt stay silent
                 # A new cumulative ACK, or a duplicate.
                 ip_id += 1
                 ack = TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id)

@@ -237,14 +237,15 @@ class Sender:
         """Fold one round-trip sample into srtt/rttvar and recompute the RTO."""
         if sample_us <= 0:
             return
-        if self.srtt is None:
-            self.srtt = float(sample_us)
-            self.rttvar = sample_us / 2.0
+        srtt, rttvar = self.srtt, self.rttvar
+        if srtt is None:
+            srtt, rttvar = float(sample_us), sample_us / 2.0
         else:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - sample_us)
-            self.srtt = 0.875 * self.srtt + 0.125 * sample_us
-        candidate = int(self.srtt + 4.0 * self.rttvar)
-        self.rto_current = min(max(candidate, RTO_MIN_US), RTO_MAX_US)
+            rttvar = 0.75 * rttvar + 0.25 * abs(srtt - sample_us)
+            srtt = 0.875 * srtt + 0.125 * sample_us
+        self.srtt, self.rttvar = srtt, rttvar
+        rto = int(srtt + 4.0 * rttvar)
+        self.rto_current = RTO_MIN_US if rto < RTO_MIN_US else RTO_MAX_US if rto > RTO_MAX_US else rto
 
 
 def _send_limit(snd_una: int, window: int, app_limit: int) -> int:

@@ -1,24 +1,14 @@
-"""Link-level helpers shared by the simulator and the classifier.
+"""The segment on the simulated link, by a second name.
 
-All times are integer virtual microseconds. Sequence numbers are byte
-offsets from the start of each direction's payload stream; the handshake
-consumes no sequence space in this model.
-
-A segment on the link is a ``traceio.TraceEvent``, built once by the
-endpoint that sends it: the server stamps its own ``rx`` records with their
-arrival time, the prober its ``tx`` records with the time it sends them,
-and the prober's trace holds those same objects. ``Segment`` is a second
-name for that one record type.
+A segment is a ``traceio.TraceEvent``, built once by the endpoint that
+sends it: the server stamps its ``rx`` records with their arrival time,
+the prober its ``tx`` records with their send time, and the prober's
+trace holds those same objects. Its ``seq`` is a byte offset from the
+start of its direction's payload stream; the handshake takes no sequence
+space. ``Segment`` names the record type for the benchmark's tracer,
+which counts record builds through it.
 """
 
 from .traceio import TraceEvent
 
-US_PER_MS = 1000
-
 Segment = TraceEvent
-
-
-def first_index(seq: int, mss: int) -> int:
-    """1-based packet number of the byte at offset ``seq``."""
-    return seq // mss + 1
-

@@ -52,7 +52,6 @@ from ccprobe.classifier import (
 from ccprobe.prober import EVENT_CAP
 from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
-from ccprobe.wire import first_index
 
 from conftest import delivered_union, run_scenario
 
@@ -539,6 +538,11 @@ def test_report_dict_serializes_evidence_as_pairs(default_runs):
 # error row naming the reference's first break.
 
 
+def first_index(seq: int, mss: int) -> int:
+    """1-based packet number of the byte at offset ``seq``."""
+    return seq // mss + 1
+
+
 def overlap(a: TraceEvent, b: TraceEvent) -> bool:
     return a.seq < b.seq + b.len and b.seq < a.seq + a.len
 
@@ -710,6 +714,32 @@ def tx_ack(t_ms, ack) -> TraceEvent:
 @example(HANDSHAKE + [rx(200, 0, 2), rx(300, 0, 3, 50), rx(400, 60, 4, 10)], SCRIPT)
 # Packet 17 repaired, then ack-covered: the covering ack comes too late.
 @example(HANDSHAKE + [rx(200, 0, 2, 1700), rx(300, 1600, 3), tx_ack(300, 1700)], SCRIPT)
+# The second drop repaired before the first.
+@example(HANDSHAKE + [rx(200, 0, 2, 1700), rx(300, 1500, 3), rx(400, 1200, 4)], SCRIPT)
+# A third packet retransmitted between the two repairs.
+@example(
+    HANDSHAKE + [rx(200, 0, 2, 1700), rx(300, 1200, 3), rx(310, 1300, 4), rx(320, 1500, 5)],
+    SCRIPT,
+)
+# Each drop repaired twice, a third packet next to the later repair: only
+# the first repair of each drop bounds the window.
+@example(
+    HANDSHAKE + [rx(200, 0, 2, 1700), rx(300, 1200, 3), rx(310, 1400, 4), rx(320, 1200, 5),
+                 rx(330, 1500, 6)],
+    SCRIPT,
+)
+@example(
+    HANDSHAKE + [rx(200, 0, 2, 1700), rx(300, 1200, 3), rx(310, 1500, 4), rx(320, 1400, 5),
+                 rx(330, 1500, 6)],
+    SCRIPT,
+)
+# Packet 17 repeated both before and after the ack that covers it.
+@example(
+    HANDSHAKE + [rx(200, 0, 2, 1700), rx(300, 1600, 3), tx_ack(300, 1700), rx(400, 1600, 4)],
+    SCRIPT,
+)
+# Packet 17 repeated with no ack covering it at all.
+@example(HANDSHAKE + [rx(200, 0, 2, 1700), rx(300, 1600, 3), tx_ack(300, 1600)], SCRIPT)
 # One arrival starting exactly at the end of the bytes seen touches them
 # (fresh, no repair); one a byte below overlaps them (a repair); one past a
 # gap breaks the path, and a later fill of the gap with the skipped ip_id

@@ -246,6 +246,30 @@ def test_stale_arrival_below_ack_point_stays_silent():
     assert session.rcv_nxt == 300
 
 
+def test_copy_wholly_below_ack_point_skips_reassembly(monkeypatch):
+    # A go-back copy (Tahoe's and RenoPlus's) of bytes below rcv_nxt stores
+    # nothing and moves nothing, so it never reaches the span join, whether
+    # or not a span is held above rcv_nxt.
+    calls = []
+    reassemble = ProbeSession._reassemble
+
+    def counted(self, *args):
+        calls.append(args)
+        return reassemble(self, *args)
+
+    monkeypatch.setattr(ProbeSession, "_reassemble", counted)
+    session = established_session()
+    session.handle_segment(in_order(12), 1)
+    copies = in_order(12) + [data_segment(5, ip_id=20, length=50)]
+    assert session.handle_segment(copies, 2) == []
+    # Packet 13 is dropped and packet 14 opens a span: one join.
+    session.handle_segment([data_segment(13, ip_id=14), data_segment(14, ip_id=15)], 3)
+    assert len(calls) == 1
+    assert session.handle_segment(copies, 4) == []
+    assert len(calls) == 1
+    assert (session.rcv_nxt, session._above) == (1200, [(1300, 1400)])
+
+
 def test_duplicate_delivery_is_recorded_and_silent():
     session = established_session()
     session.handle_segment([data_segment(1, ip_id=2, t_us=1)], 1)
@@ -555,6 +579,13 @@ def synack_data(seq: int) -> TraceEvent:
 @example(SMALL_SCRIPT, ["start", [synack()], in_order(4), in_order(3, first=2), in_order(1)])
 @example(ProbeScript(drop_packets=frozenset()), ["start", [synack()], in_order(25)])
 @example(THREE_DROPS, ["start", [synack()], in_order(6), in_order(5, first=2)])
+# A go-back copy of bytes below rcv_nxt while packet 14 is held above it.
+@example(ProbeScript(), ["start", [synack()], in_order(14), in_order(5)])
+# The second drop comes a batch after the first: the drop bound carries over.
+@example(
+    ProbeScript(),
+    ["start", [synack()], in_order(13), in_order(17, first=14), in_order(25, first=13)],
+)
 # A SYN+ACK carrying data: before the SYN, as the handshake, while the
 # probe runs and after the close.
 @example(

@@ -25,7 +25,7 @@ from ccprobe import (
     sim_init,
 )
 from ccprobe import netsim
-from ccprobe.sender import DUPACK_THRESHOLD, RTO_INITIAL_US, RTO_MAX_US, Sender
+from ccprobe.sender import DUPACK_THRESHOLD, RTO_INITIAL_US, RTO_MAX_US, RTO_MIN_US, Sender
 from ccprobe.traceio import TraceEvent
 
 from conftest import trace_text
@@ -432,6 +432,41 @@ def test_nonpositive_sample_ignored():
     sender.update_rtt(-5)
     assert sender.srtt is None
     assert sender.rto_current == RTO_INITIAL_US
+
+
+# RFC 6298 section 2: alpha = 1/8, beta = 1/4 and K = 4. The RTO is kept in
+# whole microseconds (truncated), raised to RTO_MIN_US and capped at RTO_MAX_US.
+ALPHA, BETA, K = 1 / 8, 1 / 4, 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=0),
+            st.integers(min_value=1, max_value=2_000),
+            st.integers(min_value=1, max_value=40_000_000),
+        ),
+        max_size=40,
+    )
+)
+@example([0, -5, 100_000, 0, 100_000])  # only positive samples are taken
+@example([1, 300_000, 1, 1, 1])  # raised to the floor
+@example([30_000_000, 1, 40_000_000, 40_000_000])  # capped
+def test_rtt_estimate_follows_rfc_6298(samples):
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
+    srtt = rttvar = None
+    rto = RTO_INITIAL_US
+    for r in samples:
+        sender.update_rtt(r)
+        if r > 0:
+            if srtt is None:
+                srtt, rttvar = r, r / 2
+            else:
+                rttvar = (1 - BETA) * rttvar + BETA * abs(srtt - r)
+                srtt = (1 - ALPHA) * srtt + ALPHA * r
+            rto = min(max(int(srtt + K * rttvar), RTO_MIN_US), RTO_MAX_US)
+        assert (sender.srtt, sender.rttvar, sender.rto_current) == (srtt, rttvar, rto)
 
 
 def test_karn_sample_taken_through_ack_clock():
