@@ -16,6 +16,7 @@ classify exits 3 on and matrix counts as "other".
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .prober import ProbeScript
 from .sender import Variant
 from .traceio import read_trace, write_plot_points, write_trace
 
-VARIANT_CHOICES = tuple(v.value.lower() for v in Variant)
+VARIANTS = {v.value.lower(): v for v in Variant}  # the --variant choices
 SWEEP_RTTS_MS = (10, 50, 100, 200, 500)
 
 
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("sim", help="run one scenario and write its trace")
-    p_sim.add_argument("--variant", required=True, choices=VARIANT_CHOICES)
+    p_sim.add_argument("--variant", required=True, choices=VARIANTS)
     _add_scenario_flags(p_sim)
     p_sim.add_argument("--out", required=True, help="trace output path (JSONL)")
 
@@ -103,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sim(args) -> int:
-    variant = Variant.parse(args.variant)
-    world = sim_init(_build_scenario(args, variant))
+    world = sim_init(_build_scenario(args, VARIANTS[args.variant]))
     trace, reason = run_to_completion(world)
     write_trace(trace, args.out)
     print(reason.value)
@@ -118,26 +118,18 @@ def cmd_classify(args) -> int:
     return 0 if report.error is None else 3
 
 
-def _matrix_runs(args):
-    rtts = SWEEP_RTTS_MS if args.rtt_sweep else (args.rtt_ms,)
-    for rtt_ms in rtts:
-        for variant in Variant:
-            yield rtt_ms, variant
-
-
 def cmd_matrix(args) -> int:
     labels = [v.value for v in Variant]
     columns = labels + ["other"]
     counts = {actual: {col: 0 for col in columns} for actual in labels}
+    rtts = SWEEP_RTTS_MS if args.rtt_sweep else (args.rtt_ms,)
     started = time.monotonic()
-    runs = 0
-    for rtt_ms, variant in _matrix_runs(args):
+    for rtt_ms, variant in itertools.product(rtts, Variant):
         scenario = _build_scenario(args, variant, rtt_ms=rtt_ms)
         trace, _ = run_to_completion(sim_init(scenario))
         report = classify_trace(trace, scenario.probe_script)
         predicted = report.label if report.label in labels else "other"
         counts[variant.value][predicted] += 1
-        runs += 1
     elapsed = time.monotonic() - started
 
     width = max(len(name) for name in columns + labels) + 2
@@ -145,11 +137,9 @@ def cmd_matrix(args) -> int:
     for actual in labels:
         row = counts[actual]
         print(actual.ljust(width) + "".join(str(row[col]).rjust(width) for col in columns))
-    identity = all(
-        counts[actual][col] == (0 if col != actual else counts[actual][actual])
-        for actual in labels
-        for col in columns
-    ) and all(counts[actual][actual] > 0 for actual in labels)
+    # Every variant runs at least once, so a row that is all diagonal is never empty.
+    identity = all(counts[actual][actual] == sum(counts[actual].values()) for actual in labels)
+    runs = len(rtts) * len(labels)
     print(f"runs={runs} elapsed={elapsed:.3f}s identity={'yes' if identity else 'no'}")
     return 0 if identity else 1
 

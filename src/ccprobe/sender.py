@@ -32,6 +32,8 @@ state in locals across the batch: the third duplicate's loss response and
 NewReno's partial ACK are branches on those locals, and the state is
 written back once, at the end. It and ``pump_transmissions`` send up to
 one limit, ``_send_limit``: the window's edge, capped at the queued data.
+``on_rto`` sends through ``pump_transmissions`` too: once the window is one
+segment and ``snd_nxt`` is back at ``snd_una``, that limit is the head.
 All times are integer virtual microseconds; cwnd/ssthresh are raw byte
 counts (deliberately not rounded to segment multiples).
 """
@@ -49,13 +51,6 @@ class Variant(enum.Enum):
     NEWRENO = "NewReno"
     NO_FAST_RETRANSMIT = "NoFastRetransmit"
     RENO_PLUS = "RenoPlus"
-
-    @classmethod
-    def parse(cls, name: str) -> "Variant":
-        for variant in cls:
-            if variant.value.lower() == name.lower():
-                return variant
-        raise ConfigurationError(f"unknown variant: {name!r}")
 
 
 DUPACK_THRESHOLD = 3  # duplicate ACKs that signal a loss (RFC 5681)
@@ -95,7 +90,7 @@ class Sender:
         self.ssthresh = INITIAL_SSTHRESH
         self.dupacks = 0
         self.in_fast_recovery = False
-        self.recover = None  # high-water mark of the last loss response
+        self.recover = 0  # high-water mark of the last loss response (RFC 6582)
 
         self.rto_current = RTO_INITIAL_US
         self.rto_deadline = None
@@ -184,7 +179,7 @@ class Sender:
                     # re-sends the head from snd_una.
                     ssthresh, cwnd, dupacks = max((snd_nxt - snd_una) // 2, 2 * mss), mss, 0
                     snd_nxt = snd_una
-                elif not in_recovery and (recover is None or snd_una >= recover):
+                elif not in_recovery and snd_una >= recover:
                     # The Reno family. The guard keeps a stale dupACK burst
                     # for data below the last recovery point from firing again.
                     ssthresh = max((snd_nxt - snd_una) // 2, 2 * mss)
@@ -217,21 +212,17 @@ class Sender:
         return out
 
     def on_rto(self, now: int) -> list[TraceEvent]:
-        """Retransmission timer expiry: collapse to one segment and go back."""
+        """Retransmission timer expiry: collapse to one segment, back the
+        timer off and go back to ``snd_una``; the window's send then
+        re-sends the head and re-arms the timer at the backed-off RTO
+        (RFC 6298 section 5.4-5.6)."""
         if self.rto_deadline is None:
             raise InternalError("on_rto called with no armed timer")
-        snd_una, mss, out = self.snd_una, self.mss, []
-        self.ssthresh = max(self.flight // 2, 2 * mss)
-        self.cwnd, self.in_fast_recovery, self.dupacks = mss, False, 0
-        self.snd_nxt = min(snd_una + mss, self.app_limit)
-        if self.snd_nxt > snd_una:
-            self.ip_id_counter, self._max_sent, self._rtt_probe = _send(
-                out, snd_una, self.snd_nxt, mss, now, now + self.one_way_us, self.rcv_nxt,
-                self.ip_id_counter, self._max_sent, self._rtt_probe,
-            )
+        self.ssthresh = max(self.flight // 2, 2 * self.mss)
+        self.cwnd, self.in_fast_recovery, self.dupacks = self.mss, False, 0
+        self.snd_nxt, self.rto_deadline = self.snd_una, None
         self.rto_current = min(2 * self.rto_current, RTO_MAX_US)
-        self.rto_deadline = now + self.rto_current if self.snd_nxt > snd_una else None
-        return out
+        return self.pump_transmissions(now)
 
     def update_rtt(self, sample_us: int) -> None:
         """Fold one round-trip sample into srtt/rttvar and recompute the RTO."""

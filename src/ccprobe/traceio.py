@@ -55,7 +55,8 @@ class TraceEvent:
 
 
 def write_trace(trace: list[TraceEvent], sink) -> None:
-    """Write one JSON object per event to a file object or path.
+    """Write one JSON object per event to a file object or a path (a
+    ``str`` or ``Path``; unlike in ``read_trace``, a ``str`` is a path).
 
     With int and str fields, each line is what json.dumps(...,
     separators=(",", ":")) makes of the fields in _FIELDS order, built
@@ -128,7 +129,9 @@ def _read_lines(text: str) -> list[TraceEvent]:
 
 
 def read_trace(source) -> list[TraceEvent]:
-    """Parse a trace from a file object, path, or string of JSONL."""
+    """Parse a trace from a file object, a ``Path``, or a ``str`` that
+    holds the JSONL text itself: a ``str`` is never taken as a path, so
+    ``read_trace("x.jsonl")`` raises ``TraceParseError`` on line 1."""
     if isinstance(source, Path):
         text = source.read_text(encoding="utf-8")
     elif isinstance(source, str):
@@ -159,7 +162,8 @@ def emit_plot_points(trace: list[TraceEvent]) -> list[tuple[int, int, str]]:
 
 
 def write_plot_points(trace: list[TraceEvent], sink) -> None:
-    """Write plot points as CSV with a t_us,y,marker header."""
+    """Write plot points as CSV with a t_us,y,marker header to a file
+    object or a path (a ``str`` or ``Path``, as in ``write_trace``)."""
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8") as fp:
             write_plot_points(trace, fp)

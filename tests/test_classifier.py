@@ -29,6 +29,9 @@ from ccprobe import (
     Variant,
     classifier,
     classify_trace,
+    netsim,
+    traceio,
+    wire,
 )
 from ccprobe.classifier import (
     ERROR_INCOMPLETE,
@@ -49,11 +52,11 @@ from ccprobe.classifier import (
     estimate_rtt,
     extract_features,
 )
-from ccprobe.prober import EVENT_CAP
+from ccprobe.prober import EVENT_CAP, ProbeSession
 from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 
-from conftest import delivered_union, run_scenario
+from conftest import delivered_union, run_scenario, tx_acks
 
 MS = 1000
 SCRIPT = ProbeScript()
@@ -788,12 +791,42 @@ def test_features_come_from_one_coverage_pass(default_runs, monkeypatch):
         assert len(calls) == 1, variant
 
 
+# Every (owner, name) pair the benchmark's tracer patches, in every run.
+TRACED = [
+    (netsim, "sim_init"),
+    (netsim, "run_to_completion"),
+    (netsim.HttpServerEndpoint, "handle_segment"),
+    (netsim.HttpServerEndpoint, "on_timer"),
+    (Sender, "on_ack"),
+    (Sender, "pump_transmissions"),
+    (Sender, "on_rto"),
+    (ProbeSession, "start"),
+    (ProbeSession, "handle_segment"),
+    (classifier, "classify_trace"),
+    (classifier, "extract_features"),
+    (classifier, "detect_retransmissions"),
+    (classifier, "detect_reordering"),
+    (traceio, "write_trace"),
+    (traceio, "read_trace"),
+    (traceio, "emit_plot_points"),
+    (wire.Segment, "__init__"),
+]
+
+
 @pytest.mark.parametrize(
-    "name", ["classify_trace", "extract_features", "detect_retransmissions", "detect_reordering"]
+    "owner, name", TRACED, ids=[f"{owner.__name__}.{name}" for owner, name in TRACED]
 )
-def test_scans_stay_module_functions(name):
-    # Benchmark tracing wraps each of these through the module's namespace.
-    assert inspect.isfunction(vars(classifier)[name])
+def test_traced_names_stay_functions_of_their_owner(owner, name):
+    # The tracer replaces each through its owner's own namespace.
+    assert inspect.isfunction(vars(owner)[name])
+
+
+def test_session_counts_the_dupacks_it_sends(default_runs):
+    # The benchmark's tracer reads this count off the world after each run.
+    run = default_runs[Variant.RENO]
+    dupacks = tx_acks(run.trace)
+    dupacks = sum(cur.ack == prev.ack for prev, cur in zip(dupacks, dupacks[1:]))
+    assert run.world.prober.dupacks_sent == dupacks > 0
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)

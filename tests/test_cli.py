@@ -45,9 +45,29 @@ def test_sim_writes_trace_and_reports_close(tmp_path, capsys):
     assert json.loads(lines[0])["kind"] == "syn"
 
 
-def test_sim_rejects_unknown_variant(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "spelling, label",
+    [
+        ("tahoe", "Tahoe"),
+        ("reno", "Reno"),
+        ("newreno", "NewReno"),
+        ("nofastretransmit", "NoFastRetransmit"),
+        ("renoplus", "RenoPlus"),
+    ],
+)
+def test_sim_variant_spelling_selects_its_variant(tmp_path, capsys, spelling, label):
+    path = tmp_path / "trace.jsonl"
+    assert run_cli(capsys, "sim", "--variant", spelling, "--out", str(path))[0] == 0
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 0
+    assert json.loads(stdout)["label"] == label
+
+
+@pytest.mark.parametrize("spelling", ["vegas", "NoFastRetransmit"])
+def test_sim_rejects_unknown_variant(tmp_path, capsys, spelling):
+    # The choices are the lowercase names only.
     code, _, err = run_cli(
-        capsys, "sim", "--variant", "vegas", "--out", str(tmp_path / "t.jsonl")
+        capsys, "sim", "--variant", spelling, "--out", str(tmp_path / "t.jsonl")
     )
     assert code == 2
     assert "invalid choice" in err
