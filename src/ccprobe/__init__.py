@@ -6,15 +6,7 @@ trace alone.
 """
 
 from .classifier import ClassificationReport, classify_trace
-from .errors import (
-    CcprobeError,
-    ConfigurationError,
-    InternalError,
-    ProtocolError,
-    TraceIOError,
-    TraceOrderError,
-    TraceParseError,
-)
+from .errors import CcprobeError, ConfigurationError, InternalError, TraceParseError
 from .netsim import Scenario, TerminationReason, run_to_completion, sim_init
 from .prober import ProbeScript
 from .sender import SenderConfig, Variant
@@ -34,13 +26,10 @@ __all__ = [
     "ConfigurationError",
     "InternalError",
     "ProbeScript",
-    "ProtocolError",
     "Scenario",
     "SenderConfig",
     "TerminationReason",
     "TraceEvent",
-    "TraceIOError",
-    "TraceOrderError",
     "TraceParseError",
     "Variant",
     "classify_trace",

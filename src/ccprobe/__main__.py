@@ -1,3 +1,6 @@
-from .cli import console_main
+import sys
 
-console_main()
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,10 @@ clean path every data arrival carries the next ip_id and starts at or
 below the high-water mark ``high``: the bytes seen form one prefix
 [0, high). One scan checks both. At the first arrival that fails, the trace gets an
 error row naming it: ``Reordering`` when its ip_id runs backwards or a
-later arrival carries a lower one, ``UnexpectedLoss`` otherwise.
+later arrival carries a lower one, ``UnexpectedLoss`` otherwise. A clean
+path's first repeat of a packet below the first scripted drop, which the
+prober never refused, means a timer fired before any loss (a round trip
+above the 1 s initial RTO): a ``SpuriousTimeout`` row names it.
 
 On a clean path an arrival overlaps earlier ones, all of lower ip_id,
 exactly when it starts below ``high``: that is a retransmission. It is
@@ -37,6 +40,7 @@ ERROR_REORDERING = "Reordering"
 ERROR_UNEXPECTED_LOSS = "UnexpectedLoss"
 ERROR_TRACE_OVERFLOW = "TraceOverflow"
 ERROR_INCOMPLETE = "Incomplete"
+ERROR_SPURIOUS_TIMEOUT = "SpuriousTimeout"
 
 RETX_NONE = "none"
 RETX_FAST = "fast"
@@ -180,11 +184,15 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
     if broken is not None:
         error, position, note = broken
         raise _Unjudgeable(error, [(position, note)])
+    drops = sorted(script.drop_packets)
+    for r in retxs:  # a repeat of a packet the prober never refused
+        if not drops or r.index < drops[0]:
+            note = f"retransmission of packet {r.index} before any scripted loss"
+            raise _Unjudgeable(ERROR_SPURIOUS_TIMEOUT, [(r.event_index, note)])
     evidence = [
         (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
     ]
     features = FeatureVector(rtt_est=rtt, retransmission_count=len(retxs))
-    drops = sorted(script.drop_packets)
     if not drops:
         return features, evidence
     first_drop, last_drop, follower = drops[0], drops[-1], drops[-1] + 1
@@ -236,7 +244,9 @@ def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> Classificati
     Only a finished probe gets a label. A trace of EVENT_CAP events or more
     is a TraceOverflow error row, and a trace in which the prober never
     sent ``rst`` or ``fin``, or that lacks the handshake, is an Incomplete
-    one. A path break is a Reordering or UnexpectedLoss row naming it.
+    one. A path break is a Reordering or UnexpectedLoss row naming it, and
+    a retransmission of a packet below the first scripted drop (of any
+    packet, with no drop) is a SpuriousTimeout row naming it.
     """
     if len(trace) >= EVENT_CAP:
         return _error_row(ERROR_TRACE_OVERFLOW, [])

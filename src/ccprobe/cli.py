@@ -7,8 +7,10 @@ Subcommands:
   plot      convert a trace to time/sequence plot points (CSV)
 
 Exit codes: 0 success (and matrix identity), 1 matrix mismatch or
-non-closing run, 2 usage/config/IO errors, 3 classification error row,
-141 stdout closed by its reader (as a shell reports death by SIGPIPE).
+non-closing run, 2 usage, config, trace, file or internal errors, 3
+classification error row, 141 stdout closed by its reader (as a shell
+reports death by SIGPIPE). ``main`` is the one entry point: the
+``ccprobe`` script and ``python -m ccprobe`` exit with what it returns.
 
 classify and matrix judge a run only by its trace, through
 ``classify_trace``: a capped or unclosed run gets an error row, which
@@ -24,7 +26,7 @@ import time
 from pathlib import Path
 
 from .classifier import classify_trace
-from .errors import CcprobeError, ConfigurationError, TraceIOError
+from .errors import CcprobeError, ConfigurationError, TraceParseError
 from .netsim import Scenario, TerminationReason, run_to_completion, sim_init
 from .prober import ProbeScript
 from .sender import Variant
@@ -171,17 +173,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
-    except (ConfigurationError, TraceIOError, OSError) as exc:
+    except (ConfigurationError, TraceParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CcprobeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
 
-
-def console_main() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each subclass of ``CcprobeError`` is one failure a caller handles
+differently: a bad configuration, a bad trace file, or a broken program.
+"""
 
 
 class CcprobeError(Exception):
@@ -9,25 +13,13 @@ class ConfigurationError(CcprobeError):
     """A config object or scenario violates its invariants."""
 
 
-class ProtocolError(CcprobeError):
-    """An endpoint was driven outside its contract."""
-
-
 class InternalError(CcprobeError):
-    """Impossible state reached (timer misuse, event-queue corruption)."""
+    """A broken program: a peer outside its contract, a misused timer, a clock run back."""
 
 
-class TraceIOError(CcprobeError):
-    """Base class for trace (de)serialization failures."""
-
-
-class TraceParseError(TraceIOError):
-    """A trace line could not be parsed; carries the 1-based line number."""
+class TraceParseError(CcprobeError):
+    """A trace line does not parse or is out of time order; carries its 1-based number."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
-
-
-class TraceOrderError(TraceIOError):
-    """Parsed events are not sorted by timestamp."""

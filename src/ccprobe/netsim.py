@@ -138,8 +138,8 @@ class HttpServerEndpoint:
                     phase = "syn_rcvd"
             elif kind == "data":
                 if phase == "established":  # the request; other payloads are ignored
-                    phase, sender.rcv_nxt = "serving", seg.seq + seg.len
-                    sender.enqueue_app_data(self.page_bytes)
+                    phase = "serving"
+                    sender.rcv_nxt, sender.app_limit = seg.seq + seg.len, self.page_bytes
                     out += sender.pump_transmissions(now)
             elif kind == "ack" and phase == "syn_rcvd":
                 phase, acking = "established", True

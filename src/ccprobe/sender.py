@@ -25,13 +25,14 @@ one-way delay, which the simulator hands to the sender. Each call computes
 that time once, so all it sends shares one ``t_us`` object. Every byte
 range sent, fresh or repeated, goes through one function, ``_send``: it
 applies Karn's RTT-sample rule once for the range and cuts the range into
-segments.
+segments. The owner sets ``app_limit``, the end of the data to send, and
+``rcv_nxt``; an ACK beyond the data sent raises ``InternalError``.
 
 ``on_ack`` takes the ACK numbers of one delivered batch in one call, its
 state in locals across the batch: the third duplicate's loss response and
 NewReno's partial ACK are branches on those locals, and the state is
 written back once, at the end. It and ``pump_transmissions`` send up to
-one limit, ``_send_limit``: the window's edge, capped at the queued data.
+one limit, ``_send_limit``: the window's edge, capped at ``app_limit``.
 ``on_rto`` sends through ``pump_transmissions`` too: once the window is one
 segment and ``snd_nxt`` is back at ``snd_una``, that limit is the head.
 All times are integer virtual microseconds; cwnd/ssthresh are raw byte
@@ -41,7 +42,7 @@ counts (deliberately not rounded to segment multiples).
 import enum
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, InternalError, ProtocolError
+from .errors import ConfigurationError, InternalError
 from .traceio import TraceEvent
 
 
@@ -85,7 +86,7 @@ class Sender:
         self.snd_una = 0
         self.snd_nxt = 0
         self.rcv_nxt = 0  # the peer's stream, acked on every segment we emit
-        self.app_limit = 0  # end of queued application data
+        self.app_limit = 0  # end of the page: the server sets it on the request
         self.cwnd = config.initial_cwnd * config.mss
         self.ssthresh = INITIAL_SSTHRESH
         self.dupacks = 0
@@ -102,17 +103,8 @@ class Sender:
         self._max_sent = 0  # high water of seq+len ever emitted
         self._rtt_probe = None  # (start, end, emitted_at); Karn-tracked segment
 
-    @property
-    def flight(self) -> int:
-        return self.snd_nxt - self.snd_una
-
-    def enqueue_app_data(self, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("cannot enqueue a negative byte count")
-        self.app_limit += nbytes
-
     def pump_transmissions(self, now: int) -> list[TraceEvent]:
-        """Send whatever the window and the application queue allow."""
+        """Send whatever the window and ``app_limit`` allow."""
         # Only the Reno family enters fast recovery, where each duplicate
         # ACK inflates the usable window by one mss.
         window = self.cwnd + self.dupacks * self.mss if self.in_fast_recovery else self.cwnd
@@ -133,7 +125,7 @@ class Sender:
     def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
         """Take the ACK numbers of one delivered batch, in order; return
         every segment sent in answer. An ACK beyond the data sent raises
-        ``ProtocolError``, the state left as the ACKs before it left it."""
+        ``InternalError``, the state left as the ACKs before it left it."""
         mss, app_limit, rcv_nxt, variant = self.mss, self.app_limit, self.rcv_nxt, self.variant
         snd_una, snd_nxt, cwnd, ssthresh = self.snd_una, self.snd_nxt, self.cwnd, self.ssthresh
         dupacks, in_recovery, recover = self.dupacks, self.in_fast_recovery, self.recover
@@ -208,7 +200,7 @@ class Sender:
         self.rto_deadline = rto_deadline
         self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
         if beyond is not None:
-            raise ProtocolError(f"ack {beyond} beyond sent data {max_sent}")
+            raise InternalError(f"ack {beyond} beyond sent data {max_sent}")
         return out
 
     def on_rto(self, now: int) -> list[TraceEvent]:
@@ -218,7 +210,7 @@ class Sender:
         (RFC 6298 section 5.4-5.6)."""
         if self.rto_deadline is None:
             raise InternalError("on_rto called with no armed timer")
-        self.ssthresh = max(self.flight // 2, 2 * self.mss)
+        self.ssthresh = max((self.snd_nxt - self.snd_una) // 2, 2 * self.mss)
         self.cwnd, self.in_fast_recovery, self.dupacks = self.mss, False, 0
         self.snd_nxt, self.rto_deadline = self.snd_una, None
         self.rto_current = min(2 * self.rto_current, RTO_MAX_US)

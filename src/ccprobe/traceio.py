@@ -3,12 +3,13 @@
 A trace is the prober's time-ordered record of every segment it saw or
 emitted. On disk it is line-delimited JSON, one event per line, with
 exactly the keys t_us, dir, kind, seq, len, ack, ip_id. Reading a written
-trace gives back equal events; events must be sorted by t_us. The writer
-emits one canonical form (that key order, no spaces); the reader accepts
-any JSON object with those keys. A text made only of canonical lines is
-read in one regex scan, its integers converted a column at a time; any
-other text is read line by line through json, with the same events and
-the same errors.
+trace gives back equal events. Events must be sorted by t_us: a
+``TraceParseError`` names the first line that is not, as it names a line
+that does not parse. The writer emits one canonical form (that key order,
+no spaces); the reader accepts any JSON object with those keys. A text
+made only of canonical lines is read in one regex scan, its integers
+converted a column at a time; any other text is read line by line through
+json, with the same events and the same errors.
 
 A ``TraceEvent`` is a slotted dataclass: cheap to build, compared by
 value, not hashable, and read-only by convention. It is also the segment
@@ -18,10 +19,11 @@ on the simulated link (see ``wire``), so it checks nothing when built.
 import json
 import re
 from dataclasses import dataclass
+from itertools import count
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
-from .errors import TraceOrderError, TraceParseError
+from .errors import TraceParseError
 
 DIRS = frozenset({"tx", "rx"})
 KINDS = frozenset({"syn", "synack", "data", "ack", "rst", "fin"})
@@ -142,10 +144,10 @@ def read_trace(source) -> list[TraceEvent]:
     if events is None:
         events = _read_lines(text)
     # Every line parsed before any order check: parse errors outrank order errors.
-    for prev, cur in zip(events, events[1:]):
+    for line_no, prev, cur in zip(count(2), events, events[1:]):
         if cur.t_us < prev.t_us:
-            raise TraceOrderError(
-                f"events out of order: t_us {cur.t_us} after {prev.t_us}"
+            raise TraceParseError(
+                line_no, f"t_us {cur.t_us} before the previous line's {prev.t_us}"
             )
     return events
 

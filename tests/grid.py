@@ -8,6 +8,11 @@ Two parts, in this order:
   x RTT {10, 100, 300} ms, at a 5000-byte page and the default script, so
   the server's MSS is below the script's 100.
 
+``LONG_RTT_GRID``, 930 runs outside the two parts (so the digest does not
+cover them): every variant x RTT 1,001-3,911 ms in 97 ms steps x initial
+cwnd {1, 4, 10} x the two pages, with a 600 s run deadline so that each
+run closes. Above the 1 s initial RTO the timer fires before any loss.
+
 ``summarize`` folds the runs, in order, into one SHA-256 over their trace
 texts (each what ``conftest.trace_text``, that is ``write_trace``, makes
 of it) and, per part and variant, the count of each label and error row.
@@ -64,6 +69,23 @@ MSS_GRID = tuple(
     for rtt_ms in MSS_RTTS_MS
 )
 PARTS = {"main": MAIN_GRID, "mss": MSS_GRID}
+
+LONG_RTTS_MS = range(1001, 4001, 97)
+LONG_CWNDS = (1, 4, 10)
+LONG_RTT_GRID = tuple(
+    Scenario(
+        variant=variant,
+        rtt_ms=rtt_ms,
+        page_bytes=page,
+        sender_config=SenderConfig(initial_cwnd=cwnd),
+        probe_script=ProbeScript(ack_limit_packet=ack_limit),
+        run_deadline_ms=600_000,
+    )
+    for variant in Variant
+    for rtt_ms in LONG_RTTS_MS
+    for page, ack_limit in PAGES
+    for cwnd in LONG_CWNDS
+)
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def test_sender_dynamics(acceptance, nodrop_runs):
             # sender alone, asserting flight <= effective window after
             # every single pump and ack it processes.
             driver = RoundDriver(Sender(SenderConfig(mss=MSS), variant, ONE_WAY_US))
-            driver.sender.enqueue_app_data(PAGE)
+            driver.sender.app_limit += PAGE
             assert driver.run().counts == list(HAND_ROUND_TABLE)
 
 

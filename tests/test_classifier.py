@@ -36,6 +36,7 @@ from ccprobe import (
 from ccprobe.classifier import (
     ERROR_INCOMPLETE,
     ERROR_REORDERING,
+    ERROR_SPURIOUS_TIMEOUT,
     ERROR_TRACE_OVERFLOW,
     ERROR_UNEXPECTED_LOSS,
     LABEL_UNCLASSIFIABLE,
@@ -462,6 +463,18 @@ def test_synthetic_reordering_yields_error():
     assert [index for index, _ in report.evidence] == [2]
 
 
+def test_timer_repeat_before_any_loss_is_a_spurious_timeout():
+    # Packets 1-5 arrive, then packet 3 again after a long silence: the
+    # prober refused nothing below 13, so the server's timer fired early.
+    trace = HANDSHAKE + [rx(200 + k, 100 * k, 2 + k) for k in range(5)] + [rx(1500, 200, 7)]
+    report = classify_trace(closed(trace), SCRIPT)
+    assert (report.label, report.error) == (None, ERROR_SPURIOUS_TIMEOUT)
+    assert report.evidence == [(7, "retransmission of packet 3 before any scripted loss")]
+    # With no scripted drop, any repeat on an intact path is one.
+    no_drop = ProbeScript(drop_packets=frozenset())
+    assert classify_trace(closed(trace), no_drop).error == ERROR_SPURIOUS_TIMEOUT
+
+
 def test_synthetic_reordering_without_close_is_incomplete():
     report = classify_trace(REORDERED[:-1], SCRIPT)
     assert report.error == ERROR_INCOMPLETE
@@ -583,7 +596,8 @@ def reference_break(trace):
 
 def reference_report(trace, script) -> ClassificationReport | None:
     """The classifier's report built from the reference scans; None without
-    an rtt or on a broken path."""
+    an rtt or on a broken path, a SpuriousTimeout row on a repeat below the
+    first drop."""
     rtt = estimate_rtt(trace)
     if rtt is None or reference_break(trace) is not None:
         return None
@@ -592,6 +606,14 @@ def reference_report(trace, script) -> ClassificationReport | None:
     last_drop = drops[-1] if drops else None
     follower = last_drop + 1 if last_drop is not None else None
     retxs = reference_retransmissions(trace, rtt, mss=script.mss)
+    for r in retxs:
+        # The prober refused nothing below its first drop (nothing at all
+        # with no drop): a repeat there is a timer that fired before any loss.
+        if first_drop is None or r.index < first_drop:
+            note = f"retransmission of packet {r.index} before any scripted loss"
+            return ClassificationReport(
+                None, ERROR_SPURIOUS_TIMEOUT, FeatureVector(), [(r.event_index, note)]
+            )
     evidence = [
         (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
     ]
@@ -703,6 +725,9 @@ _scripts = st.sampled_from(
         ProbeScript(drop_packets=frozenset({5})),
         ProbeScript(drop_packets=frozenset({3, 8})),
         ProbeScript(drop_packets=frozenset()),
+        # No packet below the first drop, so no repeat is a SpuriousTimeout:
+        # random repairs reach the features.
+        ProbeScript(drop_packets=frozenset({1, 4})),
     ]
 )
 
@@ -767,6 +792,9 @@ def test_coverage_index_matches_quadratic_reference(trace, script):
         trace, rtt, mss=script.mss
     )
     assert detect_reordering(trace) is None
+    if expected.error is not None:
+        assert classify_trace(closed(trace), script) == expected
+        return
     assert extract_features(trace, script) == (expected.features, expected.evidence)
 
 

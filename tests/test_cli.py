@@ -157,6 +157,31 @@ def test_overlong_trace_integer_is_io_error(tmp_path, capsys):
         assert err == "error: line 1: integer has too many digits\n"
 
 
+def test_classify_out_of_order_trace_names_its_line(tmp_path, capsys):
+    path = tmp_path / "unsorted.jsonl"
+    line = '{"t_us":%d,"dir":"%s","kind":"%s","seq":0,"len":0,"ack":0,"ip_id":1}\n'
+    path.write_text(
+        line % (0, "tx", "syn") + line % (300_000, "rx", "synack") + line % (100_000, "tx", "ack"),
+        encoding="utf-8",
+    )
+    code, _, err = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 2
+    assert err == "error: line 3: t_us 100000 before the previous line's 300000\n"
+
+
+def test_classify_round_trip_above_the_initial_rto_is_spurious_timeout(tmp_path, capsys):
+    # At 1,500 ms the 1 s timer fires before the first ACK returns, and the
+    # trace repeats packets the prober never refused.
+    path = tmp_path / "slow.jsonl"
+    code, stdout, _ = run_cli(
+        capsys, "sim", "--variant", "newreno", "--rtt-ms", "1500", "--out", str(path)
+    )
+    assert (code, stdout) == (0, "ProberClosed\n")
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 3
+    assert json.loads(stdout)["error"] == "SpuriousTimeout"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -4,18 +4,23 @@ The goldens cover 30 scenarios at cwnd 2. The grid (see ``grid.py``)
 reaches RTTs to 799 ms, cwnd 1-4 and a server MSS below the script's,
 where a sender without Karn's rule or without its RTT estimator writes
 other traces. A refactor must leave both pins unchanged; a change meant
-to alter traces re-pins them and says why.
+to alter traces re-pins them and says why. The 930 long-RTT runs sit
+outside the digest: each must close and get a ``SpuriousTimeout`` row.
 """
 
 import pytest
 
-from grid import MAIN_GRID, MSS_GRID, run_grid, summarize
+from ccprobe import TerminationReason, classify_trace, run_to_completion, sim_init
+
+from grid import LONG_RTT_GRID, MAIN_GRID, MSS_GRID, run_grid, summarize
 
 GRID_DIGEST = "1c3558963ed8bd5422d7fbf417c7ccd47bd51f66db0e3af210ddb3efbbe084e6"
 
 # Per part and variant, the runs that got each label or error row. Every
 # wrong label in the main part is a trace that Reno and NewReno both write
-# byte for byte; a server MSS below the script's breaks the packet numbering.
+# byte for byte. A server MSS below the script's breaks the packet numbering:
+# most of those runs repair bytes that number below the first drop, and get
+# a SpuriousTimeout row that a segment-size check would name better.
 GRID_OUTCOMES = {
     "main": {
         "Tahoe": {"Tahoe": 920},
@@ -25,11 +30,11 @@ GRID_OUTCOMES = {
         "RenoPlus": {"RenoPlus": 920},
     },
     "mss": {
-        "Tahoe": {"Unclassifiable": 30},
-        "Reno": {"Reno": 3, "Unclassifiable": 27},
-        "NewReno": {"NewReno": 3, "Unclassifiable": 27},
-        "NoFastRetransmit": {"NoFastRetransmit": 3, "Unclassifiable": 27},
-        "RenoPlus": {"RenoPlus": 30},
+        "Tahoe": {"Unclassifiable": 3, "error:SpuriousTimeout": 27},
+        "Reno": {"Reno": 3, "error:SpuriousTimeout": 27},
+        "NewReno": {"NewReno": 3, "error:SpuriousTimeout": 27},
+        "NoFastRetransmit": {"NoFastRetransmit": 3, "error:SpuriousTimeout": 27},
+        "RenoPlus": {"RenoPlus": 3, "error:SpuriousTimeout": 27},
     },
 }
 
@@ -51,3 +56,17 @@ def test_grid_trace_digest(grid_summary):
 
 def test_grid_outcome_counts(grid_summary):
     assert grid_summary.outcomes == GRID_OUTCOMES
+
+
+def test_long_rtt_runs_all_get_a_spurious_timeout_row():
+    # Above the 1 s initial RTO the timer fires before the first ACK can
+    # return, and every variant goes back over data it already sent: an
+    # error row, never a label.
+    assert len(LONG_RTT_GRID) == 930
+    outcomes = set()
+    for scenario in LONG_RTT_GRID:
+        trace, reason = run_to_completion(sim_init(scenario))
+        assert reason is TerminationReason.PROBER_CLOSED
+        report = classify_trace(trace, scenario.probe_script)
+        outcomes.add((report.label, report.error))
+    assert outcomes == {(None, "SpuriousTimeout")}

@@ -611,7 +611,7 @@ class ReferenceServer:
                 return []
             self.request_seen = True
             self.sender.rcv_nxt = seg.seq + seg.len
-            self.sender.enqueue_app_data(self.page_bytes)
+            self.sender.app_limit += self.page_bytes
             return self.sender.pump_transmissions(now)
         if seg.kind == "ack" and self.phase == "syn_rcvd":
             self.phase = "established"
@@ -688,7 +688,7 @@ def test_server_loop_matches_helper_path_reference(variant, mss, ops):
 def test_syn_after_the_request_is_ignored():
     # One connection per server: a SYN after the request answers nothing,
     # and the sender keeps the page in flight. The ACKs that follow move it
-    # on; none of them raises ProtocolError.
+    # on; none of them raises InternalError.
     server = fresh_server()
     server.handle_segment([SYN, prober_segment(), REQUEST], 0)
     sender = server.sender

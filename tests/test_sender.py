@@ -17,7 +17,6 @@ from ccprobe import (
     ConfigurationError,
     InternalError,
     ProbeScript,
-    ProtocolError,
     Scenario,
     SenderConfig,
     Variant,
@@ -39,7 +38,7 @@ ONE_WAY_US = RTT_US // 2  # the link delay the simulator would hand the sender
 
 def make_sender(variant=Variant.RENO, page=3000, config=CFG) -> Sender:
     sender = Sender(config, variant, ONE_WAY_US)
-    sender.enqueue_app_data(page)
+    sender.app_limit += page
     return sender
 
 
@@ -99,7 +98,7 @@ class RoundDriver:
         s = self.sender
         assert s.snd_una <= s.snd_nxt <= s.app_limit
         assert s.cwnd >= s.mss
-        assert s.flight <= usable_window(s)
+        assert s.snd_nxt - s.snd_una <= usable_window(s)
 
 
 # -- initialization ------------------------------------------------------
@@ -132,23 +131,13 @@ def test_init_rejects_bad_config():
         Sender(SenderConfig(initial_cwnd=0), Variant.RENO, ONE_WAY_US)
 
 
-# -- enqueue and pump ----------------------------------------------------
-
-
-def test_enqueue_accumulates_and_rejects_negative():
-    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
-    sender.enqueue_app_data(3000)
-    assert sender.app_limit == 3000
-    sender.enqueue_app_data(0)
-    assert sender.app_limit == 3000
-    with pytest.raises(ValueError):
-        sender.enqueue_app_data(-1)
+# -- pump --------------------------------------------------------------
 
 
 def test_short_final_segment():
     # 250 bytes at mss=100 segments as 100, 100, 50.
     sender = Sender(SenderConfig(mss=100, initial_cwnd=4), Variant.RENO, ONE_WAY_US)
-    sender.enqueue_app_data(250)
+    sender.app_limit += 250
     lengths = [seg.len for seg in sender.pump_transmissions(0)]
     assert lengths == [100, 100, 50]
 
@@ -316,7 +305,7 @@ def test_ack_regression_ignored_not_fatal():
 def test_ack_beyond_app_limit_rejected():
     sender = make_sender(page=500)
     sender.pump_transmissions(0)
-    with pytest.raises(ProtocolError, match="^ack 600 beyond sent data 200$"):
+    with pytest.raises(InternalError, match="^ack 600 beyond sent data 200$"):
         sender.on_ack([600], RTT_US)
 
 
@@ -327,7 +316,7 @@ def test_ack_beyond_sent_data_rejected_within_the_queue():
     sender = make_sender(Variant.RENO, page=3000)
     sender.pump_transmissions(0)
     before = dict(vars(sender))
-    with pytest.raises(ProtocolError, match="^ack 2500 beyond sent data 200$"):
+    with pytest.raises(InternalError, match="^ack 2500 beyond sent data 200$"):
         sender.on_ack([2500], 100_000)
     assert vars(sender) == before
     assert sender.srtt is None
@@ -340,7 +329,7 @@ def test_ack_beyond_app_limit_mid_batch_is_named():
     for each in (sender, expected):
         each.pump_transmissions(0)
     expected.on_ack([100], RTT_US)
-    with pytest.raises(ProtocolError, match="^ack 600 beyond sent data 400$"):
+    with pytest.raises(InternalError, match="^ack 600 beyond sent data 400$"):
         sender.on_ack([100, 600, 200], RTT_US)
     assert vars(sender) == vars(expected)
     assert sender.snd_una == 100
@@ -549,7 +538,7 @@ def test_state_invariants_hold_for_any_event_order(variant, steps):
         # Flight never grows past the window. It may transiently exceed a
         # window that just shrank (recovery exit deflates cwnd under data
         # inflation put in flight), but emission alone never overshoots.
-        assert sender.flight <= max(usable_window(sender), flight_before)
+        assert sender.snd_nxt - sender.snd_una <= max(usable_window(sender), flight_before)
 
     def check_loss(before_ssthresh, flight_before):
         # A loss response never raises the threshold beyond half the data
@@ -559,7 +548,7 @@ def test_state_invariants_hold_for_any_event_order(variant, steps):
     check(sender.pump_transmissions(now), 0)
     for step in steps:
         now += 10_000
-        flight = sender.flight
+        flight = sender.snd_nxt - sender.snd_una
         before = sender.ssthresh
         if step == "new_ack":
             if sender.snd_nxt > sender.snd_una:
@@ -618,7 +607,7 @@ def reference_on_ack(sender: "PerSegmentSender", ack: int, now: int) -> list[Tra
     """One ACK, as the sender took it before it took batches."""
     snd_una = sender.snd_una
     if ack > sender._max_sent:
-        raise ProtocolError(f"ack {ack} beyond sent data {sender._max_sent}")
+        raise InternalError(f"ack {ack} beyond sent data {sender._max_sent}")
     if ack <= snd_una:
         if ack < snd_una or sender.snd_nxt <= snd_una:
             return []  # stale, or a duplicate with nothing in flight
@@ -674,7 +663,7 @@ class PerSegmentSender(Sender):
     def on_rto(self, now: int) -> list[TraceEvent]:
         if self.rto_deadline is None:
             raise InternalError("on_rto called with no armed timer")
-        self.ssthresh = max(self.flight // 2, 2 * self.mss)
+        self.ssthresh = max((self.snd_nxt - self.snd_una) // 2, 2 * self.mss)
         self.cwnd = self.mss
         self.in_fast_recovery = False
         self.dupacks = 0
@@ -703,7 +692,7 @@ class PerSegmentSender(Sender):
         return self.snd_una >= self.recover
 
     def loss_response(self, now: int) -> list[TraceEvent]:
-        self.ssthresh = max(self.flight // 2, 2 * self.mss)
+        self.ssthresh = max((self.snd_nxt - self.snd_una) // 2, 2 * self.mss)
         if self.variant is Variant.TAHOE:
             self.cwnd = self.mss
             out = self.retransmit_head(now)
@@ -832,10 +821,10 @@ ACK_STEPS = st.sampled_from([0, 0, 0, 50, 100, 100, 200, -100])  # 0: a duplicat
 
 
 def answer(sender: Sender, acks: list[int], now: int):
-    """What ``sender.on_ack`` returns, or the text of the ``ProtocolError`` it raises."""
+    """What ``sender.on_ack`` returns, or the text of the ``InternalError`` it raises."""
     try:
         return sender.on_ack(acks, now)
-    except ProtocolError as error:
+    except InternalError as error:
         return str(error)
 
 
@@ -868,7 +857,7 @@ def test_any_ack_batch_matches_the_same_acks_one_call_each(variant, cwnd, ops):
     split = SplitSender(config, variant, ONE_WAY_US)
     reference = PerSegmentSender(config, variant, ONE_WAY_US)
     for each in (split, reference):
-        each.enqueue_app_data(batched.app_limit)
+        each.app_limit += batched.app_limit
     now, ack = 0, 0
     out = batched.pump_transmissions(now)
     assert out == split.pump_transmissions(now) == reference.pump_transmissions(now)
@@ -954,7 +943,7 @@ def test_go_back_range_across_the_high_water_mark(una, probe, expected_probe):
     results = []
     for cls in (Sender, PerSegmentSender):
         sender = cls(CFG, Variant.TAHOE, ONE_WAY_US)
-        sender.enqueue_app_data(3000)
+        sender.app_limit += 3000
         sender.snd_una = sender.snd_nxt = una
         sender.cwnd, sender._max_sent, sender._rtt_probe = 500, 250, probe
         out = sender.pump_transmissions(7)

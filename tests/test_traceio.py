@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import Variant, read_trace, traceio, write_trace
-from ccprobe.errors import TraceOrderError, TraceParseError
+from ccprobe.errors import TraceParseError
 from ccprobe.traceio import (
     DIRS,
     KINDS,
@@ -134,8 +134,9 @@ def test_trace_rejects_what_a_segment_could_not_carry(line, reason):
 
 def test_unsorted_timestamps_rejected():
     text = bad_line(t_us=10) + "\n" + bad_line(t_us=5)
-    with pytest.raises(TraceOrderError):
+    with pytest.raises(TraceParseError, match="^line 2: t_us 5 before the previous line's 10$") as excinfo:
         read_trace(text)
+    assert excinfo.value.line_no == 2
 
 
 def test_empty_text_is_empty_trace():
@@ -188,9 +189,9 @@ def reference_read_trace(text: str) -> list[TraceEvent]:
             events.append(reference_parse_line(line_no, line))
         except ValueError as exc:  # json.loads past the int-string digit limit
             raise TraceParseError(line_no, "integer has too many digits") from exc
-    for prev, cur in zip(events, events[1:]):
+    for line_no, (prev, cur) in enumerate(zip(events, events[1:]), start=2):
         if cur.t_us < prev.t_us:
-            raise TraceOrderError(f"events out of order: t_us {cur.t_us} after {prev.t_us}")
+            raise TraceParseError(line_no, f"t_us {cur.t_us} before the previous line's {prev.t_us}")
     return events
 
 
