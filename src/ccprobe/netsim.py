@@ -14,13 +14,17 @@ that drew any answer. An endpoint takes an entry whole, in one
 ``handle_segment`` call, and all it sends in answer shares one due time
 and goes out as the next entry. No timer fires between its parts: a
 timer fires only when it is strictly earlier than the next arrival, the
-deadline that let the batch run was already at or past its time, and a
-deadline set while it is handled is at least ``now + rto_min``. So
+timer deadline that let the batch run was already at or past its time,
+and one set while it is handled is at least ``now + rto_min``. So
 delivery order is exactly that of one entry per segment.
 
 ``sim_init`` queues the prober's SYN as the first entry. One loop in
 ``run_to_completion`` takes every arrival and timer fire, and it alone
-ends a run: at the event cap, at quiescence or at the run deadline.
+ends a run: at the prober's close, at quiescence or at the event cap.
+The cap bounds every run: each prober batch records at least one event,
+and each timer fire either sends a segment, which the prober records
+unless the finite ambient-drop set swallows it, or finds nothing to send
+and leaves the timer disarmed.
 
 Each endpoint's ``handle_segment`` is its one arrival path, a loop over
 the batch that tests the common arrival first; the server's branches on
@@ -45,7 +49,6 @@ from .sender import Sender, SenderConfig, Variant
 from .traceio import TraceEvent
 
 US_PER_MS = 1000  # times are integer virtual microseconds
-DEFAULT_RUN_DEADLINE_MS = 30_000
 
 SERVER = "server"
 PROBER = "prober"
@@ -54,7 +57,6 @@ PROBER = "prober"
 class TerminationReason(enum.Enum):
     PROBER_CLOSED = "ProberClosed"
     QUIESCENT = "Quiescent"
-    DEADLINE_EXCEEDED = "DeadlineExceeded"
     TRACE_OVERFLOW = "TraceOverflow"
 
 
@@ -65,7 +67,6 @@ class Scenario:
     page_bytes: int = 3000
     sender_config: SenderConfig = field(default_factory=SenderConfig)
     probe_script: ProbeScript = field(default_factory=ProbeScript)
-    run_deadline_ms: int = DEFAULT_RUN_DEADLINE_MS
     ambient_drops: frozenset = frozenset()  # server ip_ids lost in the link
 
     def __post_init__(self):
@@ -74,11 +75,6 @@ class Scenario:
         if self.page_bytes < (self.probe_script.ack_limit_packet + 1) * self.probe_script.mss:
             raise ConfigurationError(
                 "page too small: the probe script could never be satisfied"
-            )
-        if self.run_deadline_ms <= 10 * self.rtt_ms:
-            raise ConfigurationError(
-                f"run deadline {self.run_deadline_ms} ms must exceed 10 round trips "
-                f"({10 * self.rtt_ms} ms at rtt {self.rtt_ms} ms)"
             )
 
 
@@ -156,7 +152,6 @@ class SimWorld:
         self.scenario = scenario
         self.clock = 0
         self.one_way_us = scenario.rtt_ms * US_PER_MS // 2
-        self.deadline_us = scenario.run_deadline_ms * US_PER_MS
         config, script = scenario.sender_config, scenario.probe_script
         config = SenderConfig(min(config.mss, script.mss), config.initial_cwnd)
         sender = Sender(config, scenario.variant, self.one_way_us)
@@ -187,7 +182,7 @@ def run_to_completion(world: SimWorld):
     queue, server, prober = world._queue, world.server, world.prober
     sender = server.sender
     to_prober, to_server, trace = prober.handle_segment, server.handle_segment, prober.trace
-    one_way, run_deadline = world.one_way_us, world.deadline_us
+    one_way = world.one_way_us
     drops = world.scenario.ambient_drops
     while True:
         # The next event: the queue head, or the server's timer if earlier.
@@ -202,9 +197,6 @@ def run_to_completion(world: SimWorld):
                 if prober.phase == "closed"
                 else TerminationReason.QUIESCENT
             )
-            break
-        if when > run_deadline:
-            reason = TerminationReason.DEADLINE_EXCEEDED
             break
         if when < world.clock:
             raise InternalError("event before the clock")

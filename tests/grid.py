@@ -8,10 +8,17 @@ Two parts, in this order:
   x RTT {10, 100, 300} ms, at a 5000-byte page and the default script, so
   the server's MSS is below the script's 100.
 
-``LONG_RTT_GRID``, 930 runs outside the two parts (so the digest does not
-cover them): every variant x RTT 1,001-3,911 ms in 97 ms steps x initial
-cwnd {1, 4, 10} x the two pages, with a 600 s run deadline so that each
-run closes. Above the 1 s initial RTO the timer fires before any loss.
+Two long-RTT lists sit outside the two parts, so the digest does not
+cover them. Above the 1 s initial RTO the timer fires before any loss:
+
+* ``LONG_RTT_GRID``, 930 runs: every variant x RTT 1,001-3,911 ms in
+  97 ms steps x initial cwnd {1, 4, 10} x the two pages.
+* ``WIDE_RTT_GRID``, 1,160 runs: every variant x RTT 3,000-59,829 ms in
+  997 ms steps x initial cwnd {1, 2, 4, 10}, at the default page and
+  script.
+
+No deadline bounds a run, so each of these runs to its close however
+long its round trip.
 
 ``summarize`` folds the runs, in order, into one SHA-256 over their trace
 texts (each what ``conftest.trace_text``, that is ``write_trace``, makes
@@ -79,12 +86,19 @@ LONG_RTT_GRID = tuple(
         page_bytes=page,
         sender_config=SenderConfig(initial_cwnd=cwnd),
         probe_script=ProbeScript(ack_limit_packet=ack_limit),
-        run_deadline_ms=600_000,
     )
     for variant in Variant
     for rtt_ms in LONG_RTTS_MS
     for page, ack_limit in PAGES
     for cwnd in LONG_CWNDS
+)
+WIDE_RTTS_MS = range(3000, 60_001, 997)
+WIDE_CWNDS = (1, 2, 4, 10)
+WIDE_RTT_GRID = tuple(
+    Scenario(variant=variant, rtt_ms=rtt_ms, sender_config=SenderConfig(initial_cwnd=cwnd))
+    for variant in Variant
+    for rtt_ms in WIDE_RTTS_MS
+    for cwnd in WIDE_CWNDS
 )
 
 

@@ -99,16 +99,17 @@ def test_no_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 
 
-def test_sim_names_both_numbers_when_rtt_outgrows_the_run_deadline(tmp_path, capsys):
-    # The CLI has no flag for the 30 s run deadline, so the message says
-    # what it is and what the rtt asks of it.
-    code, _, err = run_cli(
-        capsys, "sim", "--variant", "reno", "--rtt-ms", "3000", "--out", str(tmp_path / "t.jsonl")
+def test_sim_runs_a_multi_second_rtt_to_its_close(tmp_path, capsys):
+    # No deadline bounds a run: at a 3 s round trip the probe still closes,
+    # and its trace gets the SpuriousTimeout row of any RTT above 1 s.
+    path = tmp_path / "slow.jsonl"
+    code, stdout, _ = run_cli(
+        capsys, "sim", "--variant", "reno", "--rtt-ms", "3000", "--out", str(path)
     )
-    assert code == 2
-    assert err == (
-        "error: run deadline 30000 ms must exceed 10 round trips (30000 ms at rtt 3000 ms)\n"
-    )
+    assert (code, stdout) == (0, "ProberClosed\n")
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 3
+    assert '"error": "SpuriousTimeout"' in stdout
 
 
 # -- classify --------------------------------------------------------------------

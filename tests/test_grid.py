@@ -4,7 +4,7 @@ The goldens cover 30 scenarios at cwnd 2. The grid (see ``grid.py``)
 reaches RTTs to 799 ms, cwnd 1-4 and a server MSS below the script's,
 where a sender without Karn's rule or without its RTT estimator writes
 other traces. A refactor must leave both pins unchanged; a change meant
-to alter traces re-pins them and says why. The 930 long-RTT runs sit
+to alter traces re-pins them and says why. The 2,090 long-RTT runs sit
 outside the digest: each must close and get a ``SpuriousTimeout`` row.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from ccprobe import TerminationReason, classify_trace, run_to_completion, sim_init
 
-from grid import LONG_RTT_GRID, MAIN_GRID, MSS_GRID, run_grid, summarize
+from grid import LONG_RTT_GRID, MAIN_GRID, MSS_GRID, WIDE_RTT_GRID, run_grid, summarize
 
 GRID_DIGEST = "1c3558963ed8bd5422d7fbf417c7ccd47bd51f66db0e3af210ddb3efbbe084e6"
 
@@ -61,10 +61,11 @@ def test_grid_outcome_counts(grid_summary):
 def test_long_rtt_runs_all_get_a_spurious_timeout_row():
     # Above the 1 s initial RTO the timer fires before the first ACK can
     # return, and every variant goes back over data it already sent: an
-    # error row, never a label.
-    assert len(LONG_RTT_GRID) == 930
+    # error row, never a label. Nothing but the close ends these runs,
+    # however long the round trip.
+    assert (len(LONG_RTT_GRID), len(WIDE_RTT_GRID)) == (930, 1160)
     outcomes = set()
-    for scenario in LONG_RTT_GRID:
+    for scenario in LONG_RTT_GRID + WIDE_RTT_GRID:
         trace, reason = run_to_completion(sim_init(scenario))
         assert reason is TerminationReason.PROBER_CLOSED
         report = classify_trace(trace, scenario.probe_script)

@@ -1,6 +1,7 @@
-"""The package's public surface: its names, its error types and its one
-command-line entry point."""
+"""The package's public surface: its names, a run's end reasons and a
+scenario's fields, its error types and its one command-line entry point."""
 
+import dataclasses
 import inspect
 import os
 import re
@@ -26,6 +27,17 @@ def test_namespace_holds_what_callers_use():
     ])
     for name in ccprobe.__all__:
         assert hasattr(ccprobe, name), name
+
+
+def test_a_run_has_three_end_reasons_and_no_deadline():
+    # The event cap is the one bound on a run, so a scenario has no
+    # deadline field and no run ends on one.
+    assert [reason.value for reason in ccprobe.TerminationReason] == [
+        "ProberClosed", "Quiescent", "TraceOverflow",
+    ]
+    assert [field.name for field in dataclasses.fields(ccprobe.Scenario)] == [
+        "variant", "rtt_ms", "page_bytes", "sender_config", "probe_script", "ambient_drops",
+    ]
 
 
 def test_one_error_type_per_failure_a_caller_tells_apart():
