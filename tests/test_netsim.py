@@ -59,6 +59,17 @@ def test_rtt_must_be_positive():
         sim_init(Scenario(variant=Variant.NEWRENO, rtt_ms=0))
 
 
+def test_no_positive_rtt_is_too_long_to_run():
+    # Nothing ties the round trip to a deadline: a 10-minute RTT validates,
+    # and each variant's run closes with the row of any RTT above the 1 s RTO.
+    for variant in Variant:
+        scenario = Scenario(variant=variant, rtt_ms=600_000)
+        trace, reason = run_to_completion(sim_init(scenario))
+        assert reason is TerminationReason.PROBER_CLOSED
+        report = classify_trace(trace, scenario.probe_script)
+        assert (report.label, report.error) == (None, "SpuriousTimeout")
+
+
 def test_sim_init_schedules_single_opening_event():
     # The prober's SYN, sent at t=0, is an ordinary entry due at the server
     # one way later (rtt 100 ms).

@@ -30,11 +30,13 @@ def test_namespace_holds_what_callers_use():
 
 
 def test_a_run_has_three_end_reasons_and_no_deadline():
-    # The event cap is the one bound on a run, so a scenario has no
-    # deadline field and no run ends on one.
+    # The event cap is the one bound on a run, so no run ends on a deadline.
     assert [reason.value for reason in ccprobe.TerminationReason] == [
         "ProberClosed", "Quiescent", "TraceOverflow",
     ]
+
+
+def test_a_scenario_has_no_deadline_field():
     assert [field.name for field in dataclasses.fields(ccprobe.Scenario)] == [
         "variant", "rtt_ms", "page_bytes", "sender_config", "probe_script", "ambient_drops",
     ]
