@@ -19,7 +19,10 @@ error row naming it: ``Reordering`` when its ip_id runs backwards or a
 later arrival carries a lower one, ``UnexpectedLoss`` otherwise. A clean
 path's first repeat of a packet below the first scripted drop, which the
 prober never refused, means a timer fired before any loss (a round trip
-above the 1 s initial RTO): a ``SpuriousTimeout`` row names it.
+above the 1 s initial RTO): a ``SpuriousTimeout`` row names it. So does
+a repeat of packet 1 less than one round trip after the first data,
+whatever the first drop: a fast repair lands a round trip or more after
+it, and only a timer, its RTO at least 1 s, comes sooner.
 
 On a clean path an arrival overlaps earlier ones, all of lower ip_id,
 exactly when it starts below ``high``: that is a retransmission. It is
@@ -64,6 +67,7 @@ class _Unjudgeable(Exception):
 
 @dataclass
 class FeatureVector:
+    """How a trace repaired the scripted losses: what the decision table reads."""
     rtt_est: int = 0  # virtual microseconds
     retx13: str = RETX_NONE
     retx16: str = RETX_NONE
@@ -74,6 +78,7 @@ class FeatureVector:
 
 @dataclass
 class ClassificationReport:
+    """A label or an error, with the features and trace evidence behind it."""
     label: str | None
     error: str | None
     features: FeatureVector
@@ -90,6 +95,7 @@ class ClassificationReport:
 
 @dataclass(slots=True)
 class RetxEvent:
+    """One retransmission found in a trace, and whether a timer or duplicate ACKs sent it."""
     index: int  # 1-based packet number
     t_us: int
     kind: str  # fast | timeout
@@ -185,10 +191,16 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
         error, position, note = broken
         raise _Unjudgeable(error, [(position, note)])
     drops = sorted(script.drop_packets)
-    for r in retxs:  # a repeat of a packet the prober never refused
+    for r in retxs:  # a timer's repeat: of a packet never refused, or too soon
         if not drops or r.index < drops[0]:
             note = f"retransmission of packet {r.index} before any scripted loss"
-            raise _Unjudgeable(ERROR_SPURIOUS_TIMEOUT, [(r.event_index, note)])
+        elif r.index == 1 and r.t_us < rtt + next(
+            e.t_us for e in trace if e.dir == "rx" and e.kind == "data"
+        ):
+            note = "retransmission of packet 1 within one round trip of the first data"
+        else:
+            continue
+        raise _Unjudgeable(ERROR_SPURIOUS_TIMEOUT, [(r.event_index, note)])
     evidence = [
         (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
     ]
@@ -246,7 +258,8 @@ def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> Classificati
     sent ``rst`` or ``fin``, or that lacks the handshake, is an Incomplete
     one. A path break is a Reordering or UnexpectedLoss row naming it, and
     a retransmission of a packet below the first scripted drop (of any
-    packet, with no drop) is a SpuriousTimeout row naming it.
+    packet, with no drop), or of packet 1 within one round trip of the
+    first data, is a SpuriousTimeout row naming it.
     """
     if len(trace) >= EVENT_CAP:
         return _error_row(ERROR_TRACE_OVERFLOW, [])

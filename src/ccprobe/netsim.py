@@ -62,6 +62,7 @@ class TerminationReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Scenario:
+    """One probe to simulate: the server's variant and window, the path and the prober's script."""
     variant: Variant
     rtt_ms: int = 100
     page_bytes: int = 3000

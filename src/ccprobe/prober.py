@@ -40,6 +40,7 @@ REQUEST_BYTES = 100  # the opaque request; any nonempty payload fetches the page
 
 @dataclass(frozen=True)
 class ProbeScript:
+    """The prober's MSS, the packets it refuses once, and the packet it closes after."""
     mss: int = 100
     drop_packets: frozenset = frozenset({13, 16})
     ack_limit_packet: int = 25

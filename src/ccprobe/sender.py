@@ -22,19 +22,21 @@ segments leave as return values, and nothing here touches a clock or a
 socket. Each segment is the ``rx`` ``data`` record the prober will log,
 stamped with its arrival time: the send time plus the link's fixed
 one-way delay, which the simulator hands to the sender. Each call computes
-that time once, so all it sends shares one ``t_us`` object. Every byte
-range sent, fresh or repeated, goes through one function, ``_send``: it
-applies Karn's RTT-sample rule once for the range and cuts the range into
-segments. The owner sets ``app_limit``, the end of the data to send, and
-``rcv_nxt``; an ACK beyond the data sent raises ``InternalError``.
+that time once, so all it sends shares one ``t_us`` object. The owner sets
+``app_limit``, the end of the data to send, and ``rcv_nxt``; an ACK beyond
+the data sent raises ``InternalError``.
 
 ``on_ack`` takes the ACK numbers of one delivered batch in one call, its
 state in locals across the batch: the third duplicate's loss response and
 NewReno's partial ACK are branches on those locals, and the state is
-written back once, at the end. It and ``pump_transmissions`` send up to
-one limit, ``_send_limit``: the window's edge, capped at ``app_limit``.
-``on_rto`` sends through ``pump_transmissions`` too: once the window is one
-segment and ``snd_nxt`` is back at ``snd_una``, that limit is the head.
+written back once, at the end. A repair branch only notes the segment to
+re-send. After each ACK one send block sends that repair, then the
+window's data up to its edge, capped at ``app_limit``. It applies Karn's
+RTT-sample rule once per byte range and cuts the range into segments, so
+every byte sent, fresh or repeated, goes through it. ``pump_transmissions``
+is ``on_ack`` of an empty batch: it sends what the window allows. ``on_rto``
+sends through it too: once the window is one segment and ``snd_nxt`` is
+back at ``snd_una``, the window's edge is the head.
 All times are integer virtual microseconds; cwnd/ssthresh are raw byte
 counts (deliberately not rounded to segment multiples).
 """
@@ -65,6 +67,7 @@ RTO_MAX_US = 64_000_000
 
 @dataclass(frozen=True)
 class SenderConfig:
+    """The server's segment size and initial window, in segments."""
     mss: int = 1460
     initial_cwnd: int = 2  # segments
 
@@ -105,22 +108,7 @@ class Sender:
 
     def pump_transmissions(self, now: int) -> list[TraceEvent]:
         """Send whatever the window and ``app_limit`` allow."""
-        # Only the Reno family enters fast recovery, where each duplicate
-        # ACK inflates the usable window by one mss.
-        window = self.cwnd + self.dupacks * self.mss if self.in_fast_recovery else self.cwnd
-        snd_nxt, limit = self.snd_nxt, _send_limit(self.snd_una, window, self.app_limit)
-        if snd_nxt >= limit:
-            # The timer is armed whenever data is in flight, so it stands.
-            return []
-        self.snd_nxt = limit
-        if self.rto_deadline is None:
-            self.rto_deadline = now + self.rto_current
-        out = []
-        self.ip_id_counter, self._max_sent, self._rtt_probe = _send(
-            out, snd_nxt, limit, self.mss, now, now + self.one_way_us, self.rcv_nxt,
-            self.ip_id_counter, self._max_sent, self._rtt_probe,
-        )
-        return out
+        return self.on_ack((), now)
 
     def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
         """Take the ACK numbers of one delivered batch, in order; return
@@ -132,7 +120,8 @@ class Sender:
         rto_deadline = self.rto_deadline
         max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
         out, t_us, rto_at, beyond = [], now + self.one_way_us, now + self.rto_current, None
-        for ack in acks:
+        repair = -1  # where a one-segment repair starts, if one is due
+        for ack in acks or (-1,):  # an empty batch: one stale ACK, to send the window
             if ack > snd_una:
                 if ack > max_sent:
                     beyond = ack
@@ -148,10 +137,7 @@ class Sender:
                 elif variant is Variant.NEWRENO and ack < recover:
                     # Partial ACK: repair the next hole, deflate by the amount
                     # acknowledged, stay in recovery.
-                    ip_id, max_sent, probe = _send(
-                        out, ack, min(ack + mss, app_limit), mss, now, t_us, rcv_nxt,
-                        ip_id, max_sent, probe,
-                    )
+                    repair = ack
                     cwnd = max(cwnd - (ack - snd_una), 0) + mss
                 else:
                     in_recovery, cwnd = False, ssthresh
@@ -160,9 +146,7 @@ class Sender:
                     # The peer acknowledged data we forgot about after a go-back.
                     snd_nxt = ack
                 rto_deadline = rto_at if snd_nxt > ack else None
-            elif ack < snd_una or snd_nxt <= snd_una:
-                continue  # stale, or a duplicate with nothing in flight
-            else:
+            elif ack == snd_una and snd_nxt > ack:
                 dupacks += 1
                 if dupacks != DUPACK_THRESHOLD or variant is Variant.NO_FAST_RETRANSMIT:
                     pass  # below the threshold, or a variant that never acts on it
@@ -181,20 +165,45 @@ class Sender:
                         # snd_una inside the inflated window (go-back burst).
                         snd_nxt = snd_una
                     else:
-                        ip_id, max_sent, probe = _send(
-                            out, snd_una, min(snd_una + mss, app_limit), mss, now, t_us, rcv_nxt,
-                            ip_id, max_sent, probe,
-                        )
-                        cwnd = ssthresh + DUPACK_THRESHOLD * mss
-            # Send what the window now allows, as pump_transmissions does.
-            limit = _send_limit(snd_una, cwnd + dupacks * mss if in_recovery else cwnd, app_limit)
-            if snd_nxt < limit:
-                if rto_deadline is None:
-                    rto_deadline = rto_at
-                ip_id, max_sent, probe = _send(
-                    out, snd_nxt, limit, mss, now, t_us, rcv_nxt, ip_id, max_sent, probe
-                )
-                snd_nxt = limit
+                        repair, cwnd = snd_una, ssthresh + DUPACK_THRESHOLD * mss
+            # Else stale, or a duplicate with nothing in flight: each call
+            # ends with the window sent, so nothing is sent for it. The send
+            # block: the repair, then the window's data. Only the Reno family
+            # enters fast recovery, where each dupACK inflates it by one mss.
+            limit = snd_una + (cwnd + dupacks * mss if in_recovery else cwnd)
+            if limit > app_limit:
+                limit = app_limit
+            while True:
+                if repair >= 0:
+                    seq, end, repair = repair, min(repair + mss, app_limit), -1
+                elif snd_nxt < limit:
+                    # The timer is armed whenever data is in flight.
+                    if rto_deadline is None:
+                        rto_deadline = rto_at
+                    seq, end, snd_nxt = snd_nxt, limit, limit
+                else:
+                    break
+                # Karn's rule, once for the range [seq, end): the segments
+                # that start below max_sent are re-sent and poison a timed
+                # segment they overlap; the first fresh one is timed if
+                # nothing is.
+                fresh = seq
+                if seq < max_sent:
+                    # Fresh data begins with the first segment at or past max_sent.
+                    fresh = min(end, max_sent + (seq - max_sent) % mss)
+                    if probe is not None and seq < probe[1] and probe[0] < fresh:
+                        probe = None
+                if fresh < end and probe is None:
+                    probe = (fresh, min(fresh + mss, end), now)
+                if end > max_sent:
+                    max_sent = end
+                # The range as rx data records of one mss and a rest.
+                while seq + mss < end:
+                    ip_id += 1
+                    out.append(TraceEvent(t_us, "rx", "data", seq, mss, rcv_nxt, ip_id))
+                    seq += mss
+                ip_id += 1
+                out.append(TraceEvent(t_us, "rx", "data", seq, end - seq, rcv_nxt, ip_id))
         self.snd_una, self.snd_nxt, self.cwnd, self.ssthresh = snd_una, snd_nxt, cwnd, ssthresh
         self.dupacks, self.in_fast_recovery, self.recover = dupacks, in_recovery, recover
         self.rto_deadline = rto_deadline
@@ -230,35 +239,3 @@ class Sender:
         rto = int(srtt + 4.0 * rttvar)
         self.rto_current = RTO_MIN_US if rto < RTO_MIN_US else RTO_MAX_US if rto > RTO_MAX_US else rto
 
-
-def _send_limit(snd_una: int, window: int, app_limit: int) -> int:
-    """The send rule: the window's edge, capped at the queued data."""
-    limit = snd_una + window
-    return limit if limit < app_limit else app_limit
-
-
-def _send(out: list, seq: int, end: int, mss: int, now: int, t_us: int, ack: int,
-          ip_id: int, max_sent: int, probe) -> tuple:
-    """Send [seq, end), end > seq, at ``now``: append it to ``out`` as ``rx``
-    ``data`` records of one mss and a rest, stamped ``t_us`` and numbered on
-    from ``ip_id``; return the new ``(ip_id, max_sent, probe)``. Karn's rule,
-    once for the range: the segments that start below ``max_sent`` are
-    re-sent and poison a timed segment they overlap; the first fresh one is
-    timed if nothing is."""
-    fresh = seq
-    if seq < max_sent:
-        # Fresh data begins with the first segment at or past max_sent.
-        fresh = min(end, max_sent + (seq - max_sent) % mss)
-        if probe is not None and seq < probe[1] and probe[0] < fresh:
-            probe = None
-    if fresh < end and probe is None:
-        probe = (fresh, min(fresh + mss, end), now)
-    if end > max_sent:
-        max_sent = end
-    while seq + mss < end:
-        ip_id += 1
-        out.append(TraceEvent(t_us, "rx", "data", seq, mss, ack, ip_id))
-        seq += mss
-    ip_id += 1
-    out.append(TraceEvent(t_us, "rx", "data", seq, end - seq, ack, ip_id))
-    return ip_id, max_sent, probe

@@ -47,6 +47,7 @@ PLOT_HEADER = "t_us,y,marker"
 
 @dataclass(slots=True)
 class TraceEvent:
+    """One packet in a probe's trace, as the prober saw it: ``tx`` sent, ``rx`` received."""
     t_us: int
     dir: str
     kind: str

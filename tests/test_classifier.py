@@ -475,6 +475,33 @@ def test_timer_repeat_before_any_loss_is_a_spurious_timeout():
     assert classify_trace(closed(trace), no_drop).error == ERROR_SPURIOUS_TIMEOUT
 
 
+@pytest.mark.parametrize(
+    "repeat_ms, error", [(1099, ERROR_SPURIOUS_TIMEOUT), (1100, None)], ids=["timer", "fast"]
+)
+def test_repeat_of_a_dropped_first_packet_within_a_round_trip_is_a_spurious_timeout(
+    repeat_ms, error
+):
+    # A 1,100 ms round trip. Packet 1, the first drop, arrives at 2,100 ms
+    # with packets 2-3 behind it. Its repeat lands less than a round trip
+    # after the first data only if a timer sent it, and a round trip or
+    # more after if duplicate ACKs did.
+    script = ProbeScript(drop_packets=frozenset({1, 4}), ack_limit_packet=10)
+    trace = [
+        TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1),
+        TraceEvent(t_us=1100 * MS, dir="rx", kind="synack", seq=0, len=0, ack=1, ip_id=1),
+        rx(2100, 0, 2), rx(2100, 100, 3), rx(2100, 200, 4), rx(2100 + repeat_ms, 0, 5),
+    ]
+    report = classify_trace(closed(trace), script)
+    assert report.error == error
+    if error is not None:
+        assert report.evidence == [
+            (5, "retransmission of packet 1 within one round trip of the first data")
+        ]
+    else:
+        assert report.features.retx13 == "fast"
+    assert report == reference_report(closed(trace), script)
+
+
 def test_synthetic_reordering_without_close_is_incomplete():
     report = classify_trace(REORDERED[:-1], SCRIPT)
     assert report.error == ERROR_INCOMPLETE
@@ -614,6 +641,15 @@ def reference_report(trace, script) -> ClassificationReport | None:
             return ClassificationReport(
                 None, ERROR_SPURIOUS_TIMEOUT, FeatureVector(), [(r.event_index, note)]
             )
+    # A repeat of packet 1 less than a round trip after the first data is
+    # a timer's, whatever the first drop: a fast repair takes a round trip.
+    first_data = [ev.t_us for ev in trace if ev.dir == "rx" and ev.kind == "data"]
+    for r in retxs:
+        if r.index == 1 and r.t_us - first_data[0] < rtt:
+            note = "retransmission of packet 1 within one round trip of the first data"
+            return ClassificationReport(
+                None, ERROR_SPURIOUS_TIMEOUT, FeatureVector(), [(r.event_index, note)]
+            )
     evidence = [
         (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
     ]
@@ -725,8 +761,9 @@ _scripts = st.sampled_from(
         ProbeScript(drop_packets=frozenset({5})),
         ProbeScript(drop_packets=frozenset({3, 8})),
         ProbeScript(drop_packets=frozenset()),
-        # No packet below the first drop, so no repeat is a SpuriousTimeout:
-        # random repairs reach the features.
+        # No packet below the first drop, so only a repeat of packet 1
+        # within a round trip of the first data is a SpuriousTimeout:
+        # other random repairs reach the features.
         ProbeScript(drop_packets=frozenset({1, 4})),
     ]
 )

@@ -271,6 +271,22 @@ def test_matrix_counts_overflowed_runs_as_other(capsys):
         assert cells == [0, 0, 0, 0, 0, 1]
 
 
+def test_matrix_timer_repeat_of_a_dropped_first_packet_is_other(capsys):
+    # At 1,001 ms the 1 s timer re-sends packet 1, the first drop, before
+    # any duplicate ACK could reach the server: no run may be labelled.
+    code, stdout, _ = run_cli(
+        capsys, "matrix", "--rtt-ms", "1001", "--drop", "1,4", "--ack-limit", "10",
+        "--page-bytes", "2500",
+    )
+    assert code == 1
+    assert "identity=no" in stdout
+    header, *rows = stdout.splitlines()
+    assert header.split()[-1] == "other"
+    for row in rows[:5]:
+        cells = [int(c) for c in row.split()[1:]]
+        assert cells == [0, 0, 0, 0, 0, 1]
+
+
 # -- plot ------------------------------------------------------------------------
 
 

@@ -882,13 +882,51 @@ def test_any_ack_batch_matches_the_same_acks_one_call_each(variant, cwnd, ops):
             ack = batched.snd_una
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    cwnd=st.integers(min_value=1, max_value=4),
+    batches=st.lists(st.lists(ACK_STEPS, min_size=1, max_size=12), max_size=10),
+)
+# Everything sent and acknowledged: a duplicate finds nothing in flight.
+@example(variant=Variant.RENO, cwnd=4, batches=[[100, 100, 100, 100, 100, 100]])
+# In recovery, its window inflated: an ACK below the hole is stale.
+@example(variant=Variant.RENO, cwnd=4, batches=[[100, 0, 0, 0]])
+@example(variant=Variant.NEWRENO, cwnd=4, batches=[[100, 0, 0, 0, 100]])
+# After a go-back that the peer's ACKs overtook.
+@example(variant=Variant.RENO_PLUS, cwnd=2, batches=[[100, 0, 0, 0, 200]])
+def test_stale_ack_and_idle_duplicate_send_nothing_and_change_nothing(variant, cwnd, batches):
+    # The send block runs after every ACK, also a stale one (below
+    # snd_una) or a duplicate with nothing in flight. Each call ends with
+    # the window sent, so those two must send nothing and leave every field
+    # as it was.
+    sender = make_sender(variant, page=600, config=SenderConfig(mss=MSS, initial_cwnd=cwnd))
+    sender.pump_transmissions(0)
+    now, ack = 0, 0
+    for batch in batches:
+        now += 10_000
+        acks = []
+        for step in batch:
+            ack = min(max(ack + step, 0), sender._max_sent)
+            acks.append(ack)
+        sender.on_ack(acks, now)
+    idle = sender.snd_nxt <= sender.snd_una
+    edges = [sender.snd_una] if idle else []
+    edges += [sender.snd_una - 1, 0] if sender.snd_una > 0 else []
+    for edge in edges:
+        before = dict(vars(sender))
+        assert sender.on_ack([edge], now + 10_000) == []
+        assert vars(sender) == before
+    assert sender.pump_transmissions(now + 10_000) == []
+
+
 class SplitSender(Sender):
     """The sender fed each ACK number of a batch in a call of its own."""
 
     def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
         out = []
-        for ack in acks:
-            out += Sender.on_ack(self, [ack], now)
+        for batch in [[ack] for ack in acks] or [[]]:  # an empty batch sends the window
+            out += Sender.on_ack(self, batch, now)
         return out
 
 
