@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from .classifier import classify_trace
 from .errors import CcprobeError, ConfigurationError, TraceParseError
@@ -64,14 +63,15 @@ def _build_scenario(args, variant: Variant, rtt_ms=None) -> Scenario:
 
 
 def _add_script_flags(parser):
-    parser.add_argument("--mss", type=int, default=100)
-    parser.add_argument("--drop", default="13,16", help="comma list of packet numbers, or 'none'")
-    parser.add_argument("--ack-limit", type=int, default=25)
+    parser.add_argument("--mss", type=int, default=ProbeScript.mss)
+    drops = ",".join(map(str, sorted(ProbeScript.drop_packets)))
+    parser.add_argument("--drop", default=drops, help="comma list of packet numbers, or 'none'")
+    parser.add_argument("--ack-limit", type=int, default=ProbeScript.ack_limit_packet)
 
 
 def _add_scenario_flags(parser):
-    parser.add_argument("--rtt-ms", type=int, default=100)
-    parser.add_argument("--page-bytes", type=int, default=3000)
+    parser.add_argument("--rtt-ms", type=int, default=Scenario.rtt_ms)
+    parser.add_argument("--page-bytes", type=int, default=Scenario.page_bytes)
     _add_script_flags(parser)
 
 
@@ -105,16 +105,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_trace_file(path: str) -> list:
+    """The trace in the file at ``path``; a byte that is not UTF-8 fails on its line."""
+    with open(path, "rb") as fp:
+        data = fp.read()
+    try:
+        return read_trace(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from exc
+
+
 def cmd_sim(args) -> int:
     world = sim_init(_build_scenario(args, VARIANTS[args.variant]))
     trace, reason = run_to_completion(world)
-    write_trace(trace, args.out)
+    with open(args.out, "w", encoding="utf-8") as fp:
+        write_trace(trace, fp)
     print(reason.value)
     return 0 if reason is TerminationReason.PROBER_CLOSED else 1
 
 
 def cmd_classify(args) -> int:
-    trace = read_trace(Path(args.input))
+    trace = _read_trace_file(args.input)
     report = classify_trace(trace, _build_script(args))
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.error is None else 3
@@ -147,8 +158,9 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    trace = read_trace(Path(args.input))
-    write_plot_points(trace, args.out)
+    trace = _read_trace_file(args.input)
+    with open(args.out, "w", encoding="utf-8") as fp:
+        write_plot_points(trace, fp)
     return 0
 
 

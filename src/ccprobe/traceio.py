@@ -1,7 +1,7 @@
 """Trace serialization and plot-point emission.
 
 A trace is the prober's time-ordered record of every segment it saw or
-emitted. On disk it is line-delimited JSON, one event per line, with
+emitted. Its text form is line-delimited JSON, one event per line, with
 exactly the keys t_us, dir, kind, seq, len, ack, ip_id. Reading a written
 trace gives back equal events. Events must be sorted by t_us: a
 ``TraceParseError`` names the first line that is not, as it names a line
@@ -9,7 +9,9 @@ that does not parse. The writer emits one canonical form (that key order,
 no spaces); the reader accepts any JSON object with those keys. A text
 made only of canonical lines is read in one regex scan, its integers
 converted a column at a time; any other text is read line by line through
-json, with the same events and the same errors.
+json, with the same events and the same errors. This module parses and
+formats text only: the writers write to an open text file, and opening
+files is the caller's work.
 
 A ``TraceEvent`` is a slotted dataclass: cheap to build, compared by
 value, not hashable, and read-only by convention. It is also the segment
@@ -21,7 +23,6 @@ import re
 from dataclasses import dataclass
 from itertools import count
 from json.encoder import encode_basestring_ascii as _json_string
-from pathlib import Path
 
 from .errors import TraceParseError
 
@@ -58,17 +59,12 @@ class TraceEvent:
 
 
 def write_trace(trace: list[TraceEvent], sink) -> None:
-    """Write one JSON object per event to a file object or a path (a
-    ``str`` or ``Path``; unlike in ``read_trace``, a ``str`` is a path).
+    """Write one JSON object per event to ``sink``, an open text file.
 
     With int and str fields, each line is what json.dumps(...,
     separators=(",", ":")) makes of the fields in _FIELDS order, built
     without going through json.
     """
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fp:
-            write_trace(trace, fp)
-        return
     sink.write("".join([
         f'{{"t_us":{e.t_us},"dir":{_json_string(e.dir)},"kind":{_json_string(e.kind)},'
         f'"seq":{e.seq},"len":{e.len},"ack":{e.ack},"ip_id":{e.ip_id}}}\n'
@@ -81,6 +77,8 @@ def _parse_line(line_no: int, line: str) -> TraceEvent:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise TraceParseError(line_no, "invalid JSON (nested too deeply)") from exc
     if not isinstance(raw, dict):
         raise TraceParseError(line_no, "event is not an object")
     if set(raw) != set(_FIELDS):
@@ -131,16 +129,8 @@ def _read_lines(text: str) -> list[TraceEvent]:
     return events
 
 
-def read_trace(source) -> list[TraceEvent]:
-    """Parse a trace from a file object, a ``Path``, or a ``str`` that
-    holds the JSONL text itself: a ``str`` is never taken as a path, so
-    ``read_trace("x.jsonl")`` raises ``TraceParseError`` on line 1."""
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
+def read_trace(text: str) -> list[TraceEvent]:
+    """Parse a trace from its JSONL text."""
     events = _read_canonical(text)
     if events is None:
         events = _read_lines(text)
@@ -165,12 +155,7 @@ def emit_plot_points(trace: list[TraceEvent]) -> list[tuple[int, int, str]]:
 
 
 def write_plot_points(trace: list[TraceEvent], sink) -> None:
-    """Write plot points as CSV with a t_us,y,marker header to a file
-    object or a path (a ``str`` or ``Path``, as in ``write_trace``)."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8") as fp:
-            write_plot_points(trace, fp)
-        return
+    """Write plot points as CSV, under a t_us,y,marker header, to the open text file ``sink``."""
     sink.write(PLOT_HEADER + "\n" + "".join([
         f"{t_us},{y},{marker}\n" for t_us, y, marker in emit_plot_points(trace)
     ]))

@@ -5,6 +5,8 @@ way other than the prober closing, 2 usage/config/IO errors, 3 a
 classification that produced an error row, 141 stdout closed by its reader.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,9 +14,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ccprobe
-from ccprobe.cli import main
+from ccprobe import ProbeScript, Scenario
+from ccprobe.cli import VARIANTS, _build_scenario, _build_script, build_parser, main
 from ccprobe.traceio import PLOT_HEADER
 
 
@@ -95,6 +100,13 @@ def test_sim_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("spelling", sorted(VARIANTS))
+def test_flag_defaults_are_the_library_defaults(spelling):
+    args = build_parser().parse_args(["sim", "--variant", spelling, "--out", "x.jsonl"])
+    assert _build_scenario(args, VARIANTS[spelling]) == Scenario(variant=VARIANTS[spelling])
+    assert _build_script(build_parser().parse_args(["classify", "--in", "x.jsonl"])) == ProbeScript()
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == 2
 
@@ -148,14 +160,43 @@ def test_classify_malformed_trace_is_io_error(tmp_path, capsys):
     assert "line 1" in err
 
 
-def test_overlong_trace_integer_is_io_error(tmp_path, capsys):
-    path = tmp_path / "overlong.jsonl"
-    line = '{"t_us":%s,"dir":"tx","kind":"syn","seq":0,"len":0,"ack":0,"ip_id":1}\n'
-    path.write_text(line % ("9" * 5000), encoding="utf-8")
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            b'{"t_us":%s,"dir":"tx","kind":"syn","seq":0,"len":0,"ack":0,"ip_id":1}\n' % (b"9" * 5000),
+            "line 1: integer has too many digits",
+        ),
+        (b'\xff\xfe{"t_us":0}\n', "line 1: not UTF-8 text"),
+        (b"{}\n{}\n\x80\n", "line 3: not UTF-8 text"),
+        (b"[" * 200_000 + b"\n", "line 1: invalid JSON (nested too deeply)"),
+    ],
+    ids=["overlong-integer", "not-utf8", "not-utf8-line-3", "nested-too-deeply"],
+)
+def test_unreadable_trace_file_is_a_parse_error(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
     for argv in (("classify",), ("plot", "--out", str(tmp_path / "points.csv"))):
         code, _, err = run_cli(capsys, *argv, "--in", str(path))
         assert code == 2
-        assert err == "error: line 1: integer has too many digits\n"
+        assert err == f"error: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.binary(), st.text().map(str.encode)))
+@example(b'\xff\xfe{"t_us":0}\n')
+@example(b"[" * 200_000 + b"\n")
+def test_any_trace_file_gets_an_exit_code(fuzz_dir, data):
+    path = fuzz_dir / "any.jsonl"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["classify", "--in", str(path)]) in (0, 2, 3)
+        assert main(["plot", "--in", str(path), "--out", str(fuzz_dir / "points.csv")]) in (0, 2)
 
 
 def test_classify_out_of_order_trace_names_its_line(tmp_path, capsys):

@@ -37,15 +37,17 @@ def test_default_runs_round_trip_through_text(default_runs):
 def test_default_runs_round_trip_through_files(default_runs, tmp_path):
     for variant, run in default_runs.items():
         path = tmp_path / f"{variant.value}.jsonl"
-        write_trace(run.trace, path)
-        assert read_trace(path) == run.trace
+        with open(path, "w", encoding="utf-8") as fp:
+            write_trace(run.trace, fp)
+        assert read_trace(path.read_text(encoding="utf-8")) == run.trace
 
 
 def test_write_accepts_file_objects(default_runs):
+    # The writer writes at the file's position, after what is already there.
     buf = io.StringIO()
+    buf.write(SYN_LINE + "\n")
     write_trace(default_runs[Variant.TAHOE].trace, buf)
-    buf.seek(0)
-    assert read_trace(buf) == default_runs[Variant.TAHOE].trace
+    assert read_trace(buf.getvalue())[1:] == default_runs[Variant.TAHOE].trace
 
 
 def event_strategy(kind):
@@ -143,6 +145,29 @@ def test_empty_text_is_empty_trace():
     assert read_trace("") == []
 
 
+@pytest.mark.parametrize("line_no", [1, 2])
+def test_deeply_nested_line_is_a_parse_error(line_no):
+    # json.loads raises RecursionError, not JSONDecodeError, past its depth limit.
+    text = (SYN_LINE + "\n") * (line_no - 1) + "[" * 200_000
+    with pytest.raises(TraceParseError) as excinfo:
+        read_trace(text)
+    assert str(excinfo.value) == f"line {line_no}: invalid JSON (nested too deeply)"
+    assert_reads_like_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet='[]{}":,-.019eE \n\t\\')))
+@example("[" * 200_000)
+@example(SYN_LINE + "\n" + "{" * 100_000)
+@example("9" * 5000)
+def test_reader_returns_events_or_parse_error_for_any_text(text):
+    try:
+        events = read_trace(text)
+    except TraceParseError:
+        return
+    assert all(type(event) is TraceEvent for event in events)
+
+
 # -- equivalence with the json-based writer and reader ---------------------------
 # write_trace formats lines itself and read_trace reads an all-canonical text
 # in one regex scan; the json-based versions they replaced are kept here as
@@ -160,6 +185,8 @@ def reference_parse_line(line_no: int, line: str) -> TraceEvent:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise TraceParseError(line_no, "invalid JSON (nested too deeply)") from exc
     if not isinstance(raw, dict):
         raise TraceParseError(line_no, "event is not an object")
     if set(raw) != set(FIELDS):
@@ -409,10 +436,10 @@ def test_unnecessary_retransmissions_plot_as_repeated_height(default_runs):
     assert [t for t, _ in repeats] == [500000, 700000]
 
 
-def test_plot_csv_shape(default_runs, tmp_path):
-    path = tmp_path / "points.csv"
-    write_plot_points(default_runs[Variant.NEWRENO].trace, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+def test_plot_csv_shape(default_runs):
+    buf = io.StringIO()
+    write_plot_points(default_runs[Variant.NEWRENO].trace, buf)
+    lines = buf.getvalue().splitlines()
     assert lines[0] == PLOT_HEADER
     assert lines[1] == "100000,0,ack"  # handshake ack, sent when the SYN+ACK lands
     assert len(lines) == 1 + len(emit_plot_points(default_runs[Variant.NEWRENO].trace))
