@@ -34,7 +34,8 @@ after 1.84 or more.
 
 from dataclasses import asdict, dataclass, field
 
-from .prober import EVENT_CAP, ProbeScript
+from .netsim import EVENT_CAP
+from .prober import ProbeScript
 from .traceio import TraceEvent
 
 LABEL_UNCLASSIFIABLE = "Unclassifiable"

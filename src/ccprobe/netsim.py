@@ -1,13 +1,13 @@
-"""Deterministic discrete-event network simulator.
+"""Deterministic discrete-event network simulator: the world, the link and the loop.
 
-Two endpoints (a page-serving sender and the probe session) exchange
-segments over a symmetric, lossless, infinitely fast link: every segment
-arrives exactly rtt/2 after it was sent, in FIFO order. Time is a virtual
-integer-microsecond clock advanced only by the event queue, so a given
-scenario always produces a bit-identical trace. A segment is the
-``TraceEvent`` the prober logs (see ``wire``); it carries no MSS option,
-so ``SimWorld`` builds the server's one ``Sender`` with its MSS capped at
-the probe script's, and hands it to the endpoint.
+Two endpoints, the server (one ``sender.Sender``: handshake, page and
+variant) and the probe session, exchange segments over a symmetric,
+lossless, infinitely fast link: every segment arrives exactly rtt/2 after
+it was sent, in FIFO order. Time is a virtual integer-microsecond clock
+advanced only by the event queue, so a given scenario always produces a
+bit-identical trace. A segment is the ``TraceEvent`` the prober logs (see
+``wire``); it carries no MSS option, so ``SimWorld`` builds the server
+with its MSS capped at the probe script's.
 
 The queue holds one ``(when, dest, segments)`` entry per delivered batch
 that drew any answer. An endpoint takes an entry whole, in one
@@ -27,13 +27,11 @@ unless the finite ambient-drop set swallows it, or finds nothing to send
 and leaves the timer disarmed.
 
 Each endpoint's ``handle_segment`` is its one arrival path, a loop over
-the batch that tests the common arrival first; the server's branches on
-each segment's ``kind`` and hands the ACK numbers of the batch to the
-sender's ``on_ack`` in one call. Its one ``phase`` runs listen ->
-syn_rcvd -> established -> serving -> closed (see
-``HttpServerEndpoint``). The sender alone holds the retransmission timer:
-only the page arms it, and a close disarms it, so the loop reads the
-sender's ``rto_deadline`` and nothing else.
+the batch that tests the common arrival first; the server's hands the ACK
+numbers of a batch to its ``on_ack`` in one call. The server alone holds
+a timer, the retransmission timer: only the page arms it, and a close
+disarms it, so the loop reads the server's ``rto_deadline`` and nothing
+else, and a fire goes to its ``on_timer``.
 
 An optional ambient-drop list (server ip_ids swallowed by the link)
 exists for robustness testing only; the default link never loses data.
@@ -44,11 +42,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, InternalError
-from .prober import EVENT_CAP, ProbeSession, ProbeScript
+from .prober import ProbeSession, ProbeScript
 from .sender import Sender, SenderConfig, Variant
 from .traceio import TraceEvent
 
 US_PER_MS = 1000  # times are integer virtual microseconds
+EVENT_CAP = 10_000  # a run ends once its trace holds this many events
 
 SERVER = "server"
 PROBER = "prober"
@@ -79,71 +78,9 @@ class Scenario:
             )
 
 
-class HttpServerEndpoint:
-    """Minimal page server: handshake, then one response per connection.
-
-    The HTTP layer is a stub. Any nonempty request triggers the whole
-    page; request and response bytes are opaque. The congestion sender is
-    built with the world and handed in, and the SYN+ACK draws its ip_id
-    from the same per-connection counter the sender uses. Each segment the
-    server sends is stamped ``rx`` with its arrival time, the sender's
-    ``one_way_us`` after it leaves.
-
-    ``phase`` runs listen -> syn_rcvd -> established -> serving, and a RST
-    or FIN in any phase makes it ``closed``, which answers nothing and
-    disarms the sender's timer. Only the page arms that timer, so
-    ``on_timer`` is the sender's ``on_rto``, and a fire with no timer armed
-    raises ``InternalError`` in any phase. The
-    server opens one connection: only ``listen`` takes a SYN, and any
-    later SYN is ignored, so the page is never replaced or served twice.
-
-    Once established, the server collects the ACK numbers of a batch and
-    hands them to ``Sender.on_ack`` in one call, in order. Any other
-    arrival first hands over the ACKs before it, so a RST or FIN still
-    ends the batch where it stands.
-    """
-
-    def __init__(self, sender: Sender, page_bytes: int):
-        self.sender = sender
-        self.page_bytes = page_bytes
-        self.phase = "listen"
-
-    def on_timer(self, now: int) -> list[TraceEvent]:
-        return self.sender.on_rto(now)
-
-    def handle_segment(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
-        """Take in one delivered batch, in order; return every answer to it."""
-        out, acks, sender, phase = [], [], self.sender, self.phase
-        acking = phase == "established" or phase == "serving"
-        for seg in segments:
-            kind = seg.kind
-            # The common arrival first: an ACK once established, held for
-            # the sender until the batch or a run of ACKs ends.
-            if acking and kind == "ack":
-                acks.append(seg.ack)
-                continue
-            if acks:
-                out += sender.on_ack(acks, now)
-                acks = []
-            if phase == "closed" or kind == "rst" or kind == "fin":
-                phase, sender.rto_deadline = "closed", None
-                break
-            elif kind == "syn":
-                if phase == "listen":  # one connection: a later SYN is ignored
-                    sender.ip_id_counter = 1  # the SYN+ACK takes the first ip_id
-                    out.append(TraceEvent(now + sender.one_way_us, "rx", "synack", 0, 0, 0, 1))
-                    phase = "syn_rcvd"
-            elif kind == "data":
-                if phase == "established":  # the request; other payloads are ignored
-                    phase = "serving"
-                    sender.rcv_nxt, sender.app_limit = seg.seq + seg.len, self.page_bytes
-                    out += sender.pump_transmissions(now)
-            elif kind == "ack" and phase == "syn_rcvd":
-                phase, acking = "established", True
-        if acks:
-            out += sender.on_ack(acks, now)
-        self.phase = phase
-        return out
+# The server endpoint is the ``Sender`` itself; the benchmark's tracer
+# patches its ``handle_segment`` and ``on_timer`` under this second name.
+HttpServerEndpoint = Sender
 
 
 class SimWorld:
@@ -155,8 +92,7 @@ class SimWorld:
         self.one_way_us = scenario.rtt_ms * US_PER_MS // 2
         config, script = scenario.sender_config, scenario.probe_script
         config = SenderConfig(min(config.mss, script.mss), config.initial_cwnd)
-        sender = Sender(config, scenario.variant, self.one_way_us)
-        self.server = HttpServerEndpoint(sender, scenario.page_bytes)
+        self.server = Sender(config, scenario.variant, self.one_way_us, scenario.page_bytes)
         self.prober = ProbeSession(script)
         # (when, dest, segments) entries, the probe's SYN (sent at t=0)
         # first; each holds all the answers to one delivered batch. Every
@@ -181,13 +117,12 @@ def run_to_completion(world: SimWorld):
     close, as in ``classify_trace``.
     """
     queue, server, prober = world._queue, world.server, world.prober
-    sender = server.sender
     to_prober, to_server, trace = prober.handle_segment, server.handle_segment, prober.trace
     one_way = world.one_way_us
     drops = world.scenario.ambient_drops
     while True:
         # The next event: the queue head, or the server's timer if earlier.
-        timer = sender.rto_deadline
+        timer = server.rto_deadline
         if queue and (timer is None or queue[0][0] <= timer):
             when, dest, segments = queue.popleft()
         elif timer is not None:

@@ -34,7 +34,6 @@ from math import inf
 from .errors import ConfigurationError
 from .traceio import TraceEvent
 
-EVENT_CAP = 10_000  # a run ends once its trace holds this many events
 REQUEST_BYTES = 100  # the opaque request; any nonempty payload fetches the page
 
 

@@ -1,4 +1,4 @@
-"""Server-side TCP sender state machines.
+"""The simulated page server: handshake, page and TCP sender in one object.
 
 Five congestion-control behaviors sit behind one event-driven sender:
 
@@ -19,12 +19,22 @@ Five congestion-control behaviors sit behind one event-driven sender:
 
 The sender is a pure state machine: time enters as an explicit argument,
 segments leave as return values, and nothing here touches a clock or a
-socket. Each segment is the ``rx`` ``data`` record the prober will log,
-stamped with its arrival time: the send time plus the link's fixed
-one-way delay, which the simulator hands to the sender. Each call computes
-that time once, so all it sends shares one ``t_us`` object. The owner sets
-``app_limit``, the end of the data to send, and ``rcv_nxt``; an ACK beyond
-the data sent raises ``InternalError``.
+socket. Each segment is the ``rx`` record the prober will log, stamped
+with its arrival time: the send time plus the link's fixed one-way delay,
+which the simulator hands to the sender. Each call computes that time
+once, so all it sends shares one ``t_us`` object.
+
+``handle_segment`` is the server's one arrival path, for a whole
+delivered batch. Its ``phase`` runs listen -> syn_rcvd -> established ->
+serving: a SYN draws the SYN+ACK, the connection's ip_id 1, and the
+request, any nonempty payload (the HTTP layer is a stub), sets
+``rcv_nxt`` past itself and ``app_limit``, the end of the data to send,
+to the page. One connection: a SYN after ``listen`` is ignored, so the
+page is never replaced or served twice. A RST or FIN in any phase makes
+it ``closed``, which answers nothing and disarms the timer. Only the page
+arms that timer, and ``on_timer``, the simulator's timer entry, is
+``on_rto``: a fire with no timer armed raises ``InternalError``, as does
+an ACK beyond the data sent.
 
 ``on_ack`` takes the ACK numbers of one delivered batch in one call, its
 state in locals across the batch: the third duplicate's loss response and
@@ -79,17 +89,19 @@ class SenderConfig:
 
 
 class Sender:
-    """One direction of a TCP connection: the side that sends the page."""
+    """The server of one connection: it answers the handshake and sends the page."""
 
-    def __init__(self, config: SenderConfig, variant: Variant, one_way_us: int):
+    def __init__(self, config: SenderConfig, variant: Variant, one_way_us: int, page_bytes: int):
         self.variant = variant
         self.mss = config.mss
         self.one_way_us = one_way_us  # link delay: a segment's t_us is its arrival
+        self.page_bytes = page_bytes
+        self.phase = "listen"
 
         self.snd_una = 0
         self.snd_nxt = 0
         self.rcv_nxt = 0  # the peer's stream, acked on every segment we emit
-        self.app_limit = 0  # end of the page: the server sets it on the request
+        self.app_limit = 0  # end of the data to send: the page, once requested
         self.cwnd = config.initial_cwnd * config.mss
         self.ssthresh = INITIAL_SSTHRESH
         self.dupacks = 0
@@ -105,6 +117,49 @@ class Sender:
 
         self._max_sent = 0  # high water of seq+len ever emitted
         self._rtt_probe = None  # (start, end, emitted_at); Karn-tracked segment
+
+    def handle_segment(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
+        """Take in one delivered batch, in order; return every answer to it.
+
+        Once established, the ACK numbers of a run of ACKs go to ``on_ack``
+        in one call. Any other arrival first hands over the ACKs before it,
+        so a RST or FIN still ends the batch where it stands."""
+        out, acks, phase = [], [], self.phase
+        acking = phase == "established" or phase == "serving"
+        for seg in segments:
+            kind = seg.kind
+            # The common arrival first: an ACK once established, held until
+            # the batch or a run of ACKs ends.
+            if acking and kind == "ack":
+                acks.append(seg.ack)
+                continue
+            if acks:
+                out += self.on_ack(acks, now)
+                acks = []
+            if phase == "closed" or kind == "rst" or kind == "fin":
+                phase, self.rto_deadline = "closed", None
+                break
+            elif kind == "syn":
+                if phase == "listen":  # one connection: a later SYN is ignored
+                    self.ip_id_counter = 1  # the SYN+ACK takes the first ip_id
+                    out.append(TraceEvent(now + self.one_way_us, "rx", "synack", 0, 0, 0, 1))
+                    phase = "syn_rcvd"
+            elif kind == "data":
+                if phase == "established":  # the request; other payloads are ignored
+                    phase = "serving"
+                    self.rcv_nxt, self.app_limit = seg.seq + seg.len, self.page_bytes
+                    out += self.pump_transmissions(now)
+            elif kind == "ack" and phase == "syn_rcvd":
+                phase, acking = "established", True
+        if acks:
+            out += self.on_ack(acks, now)
+        self.phase = phase
+        return out
+
+    def on_timer(self, now: int) -> list[TraceEvent]:
+        # A method, not a second name for on_rto: the benchmark's tracer
+        # counts timer fires here and times on_rto as a sender span.
+        return self.on_rto(now)
 
     def pump_transmissions(self, now: int) -> list[TraceEvent]:
         """Send whatever the window and ``app_limit`` allow."""

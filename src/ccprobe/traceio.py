@@ -2,16 +2,17 @@
 
 A trace is the prober's time-ordered record of every segment it saw or
 emitted. Its text form is line-delimited JSON, one event per line, with
-exactly the keys t_us, dir, kind, seq, len, ack, ip_id. Reading a written
-trace gives back equal events. Events must be sorted by t_us: a
-``TraceParseError`` names the first line that is not, as it names a line
-that does not parse. The writer emits one canonical form (that key order,
-no spaces); the reader accepts any JSON object with those keys. A text
-made only of canonical lines is read in one regex scan, its integers
-converted a column at a time; any other text is read line by line through
-json, with the same events and the same errors. This module parses and
-formats text only: the writers write to an open text file, and opening
-files is the caller's work.
+exactly the keys t_us, dir, kind, seq, len, ack, ip_id. Only a newline
+ends a line: any other line break, such as a form feed or U+2028, is part
+of the line's JSON. Reading a written trace gives back equal events.
+Events must be sorted by t_us: a ``TraceParseError`` names the first line
+that is not, as it names a line that does not parse. The writer emits one
+canonical form (that key order, no spaces); the reader accepts any JSON
+object with those keys. A text made only of canonical lines is read in
+one regex scan, its integers converted a column at a time; any other text
+is read line by line through json, with the same events and the same
+errors. This module parses and formats text only: the writers write to an
+open text file, and opening files is the caller's work.
 
 A ``TraceEvent`` is a slotted dataclass: cheap to build, compared by
 value, not hashable, and read-only by convention. It is also the segment
@@ -118,9 +119,11 @@ def _read_canonical(text: str) -> list[TraceEvent] | None:
 
 
 def _read_lines(text: str) -> list[TraceEvent]:
-    events = []
+    events, lines = [], text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final "\n" ends the last line; it opens no blank one
     try:
-        for line_no, line in enumerate(text.splitlines(), start=1):
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 raise TraceParseError(line_no, "blank line")
             events.append(_parse_line(line_no, line))

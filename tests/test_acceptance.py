@@ -37,7 +37,7 @@ from ccprobe.classifier import (
     extract_features,
 )
 from ccprobe.cli import main as cli_main
-from ccprobe.prober import EVENT_CAP
+from ccprobe.netsim import EVENT_CAP
 from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent, emit_plot_points, read_trace
 
@@ -217,7 +217,7 @@ def test_sender_dynamics(acceptance, nodrop_runs):
             # RoundDriver re-runs the same no-drop transfer against the
             # sender alone, asserting flight <= effective window after
             # every single pump and ack it processes.
-            driver = RoundDriver(Sender(SenderConfig(mss=MSS), variant, ONE_WAY_US))
+            driver = RoundDriver(Sender(SenderConfig(mss=MSS), variant, ONE_WAY_US, PAGE))
             driver.sender.app_limit += PAGE
             assert driver.run().counts == list(HAND_ROUND_TABLE)
 
@@ -228,7 +228,7 @@ def test_conservation_and_monotonicity(acceptance, all_runs):
     ):
         assert len(all_runs) == 35
         for run in all_runs:
-            emitted_high = run.world.server.sender._max_sent
+            emitted_high = run.world.server._max_sent
             assert delivered_union(run.trace) == [(0, emitted_high)]
             acks = [ev.ack for ev in tx_acks(run.trace)]
             assert acks == sorted(acks)

@@ -17,6 +17,8 @@ retx13=timeout and the extra-retransmission flag take precedence.
 
 import dataclasses
 import inspect
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,7 +55,8 @@ from ccprobe.classifier import (
     estimate_rtt,
     extract_features,
 )
-from ccprobe.prober import EVENT_CAP, ProbeSession
+from ccprobe.netsim import EVENT_CAP
+from ccprobe.prober import ProbeSession
 from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 
@@ -308,6 +311,39 @@ def test_path_loss_gives_the_clean_label_or_an_error_row(variant, rtt_ms, cwnd, 
     report = classify_trace(run.trace, run.scenario.probe_script)
     if report.error is None:
         assert report.label == classify_trace(clean.trace, clean.scenario.probe_script).label
+
+
+# -- a script other than the sim's ---------------------------------------------
+# classify_trace takes the probe script apart from the trace it reads. With
+# another script's drops the repairs it looks for are not where the trace
+# has them, so the trace gets an error row or no label, never a variant's.
+MISMATCH_SCRIPTS = [
+    ProbeScript(drop_packets=frozenset({13, 16}), ack_limit_packet=25),
+    ProbeScript(drop_packets=frozenset({5, 9}), ack_limit_packet=15),
+    ProbeScript(drop_packets=frozenset({8, 12}), ack_limit_packet=20),
+]
+
+
+def test_another_scripts_drops_never_give_a_variant_label():
+    outcomes = Counter()
+    for sim_script, other in permutations(MISMATCH_SCRIPTS, 2):
+        page = max(sim_script.ack_limit_packet, other.ack_limit_packet) * 100 + 1000
+        for variant in Variant:
+            for rtt_ms in (5, 153, 301, 449):
+                for cwnd in (2, 4):
+                    run = run_scenario(
+                        variant,
+                        rtt_ms=rtt_ms,
+                        page_bytes=page,
+                        sender_config=SenderConfig(initial_cwnd=cwnd),
+                        probe_script=sim_script,
+                    )
+                    report = classify_trace(run.trace, other)
+                    outcomes[report.label, report.error] += 1
+    assert outcomes == {
+        (LABEL_UNCLASSIFIABLE, None): 120,
+        (None, ERROR_SPURIOUS_TIMEOUT): 120,
+    }
 
 
 # -- decision table ------------------------------------------------------------
@@ -878,9 +914,13 @@ TRACED = [
 ]
 
 
-@pytest.mark.parametrize(
-    "owner, name", TRACED, ids=[f"{owner.__name__}.{name}" for owner, name in TRACED]
-)
+def traced_id(owner, name) -> str:
+    if owner is netsim.HttpServerEndpoint and name in ("handle_segment", "on_timer"):
+        return f"HttpServerEndpoint.{name}"  # the server's entry points, by their second name
+    return f"{owner.__name__}.{name}"
+
+
+@pytest.mark.parametrize("owner, name", TRACED, ids=[traced_id(*pair) for pair in TRACED])
 def test_traced_names_stay_functions_of_their_owner(owner, name):
     # The tracer replaces each through its owner's own namespace.
     assert inspect.isfunction(vars(owner)[name])

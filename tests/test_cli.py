@@ -160,6 +160,9 @@ def test_classify_malformed_trace_is_io_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+SYN = b'{"t_us":0,"dir":"tx","kind":"syn","seq":0,"len":0,"ack":0,"ip_id":1}'
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -170,8 +173,10 @@ def test_classify_malformed_trace_is_io_error(tmp_path, capsys):
         (b'\xff\xfe{"t_us":0}\n', "line 1: not UTF-8 text"),
         (b"{}\n{}\n\x80\n", "line 3: not UTF-8 text"),
         (b"[" * 200_000 + b"\n", "line 1: invalid JSON (nested too deeply)"),
+        # Only "\n" ends a line: the form feed is on line 1, not a break.
+        (SYN + b"\f\n" + SYN + b"\n{bad", "line 1: invalid JSON (Extra data)"),
     ],
-    ids=["overlong-integer", "not-utf8", "not-utf8-line-3", "nested-too-deeply"],
+    ids=["overlong-integer", "not-utf8", "not-utf8-line-3", "nested-too-deeply", "form-feed"],
 )
 def test_unreadable_trace_file_is_a_parse_error(tmp_path, capsys, data, message):
     path = tmp_path / "bad.jsonl"

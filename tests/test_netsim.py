@@ -24,8 +24,8 @@ from ccprobe import (
     sim_init,
 )
 from ccprobe import classifier, netsim
-from ccprobe.netsim import PROBER, SERVER, HttpServerEndpoint
-from ccprobe.prober import EVENT_CAP, ProbeSession
+from ccprobe.netsim import EVENT_CAP, PROBER, SERVER
+from ccprobe.prober import ProbeSession
 from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 
@@ -96,7 +96,7 @@ def test_server_mss_is_capped_at_the_script_mss(server_mss, script_mss, negotiat
         sender_config=SenderConfig(mss=server_mss),
         probe_script=script,
     )
-    assert run.world.server.sender.mss == negotiated
+    assert run.world.server.mss == negotiated
     assert rx_data(run.trace)[0].len == negotiated
 
 
@@ -106,8 +106,17 @@ def test_server_mss_is_capped_at_the_script_mss(server_mss, script_mss, negotiat
 ONE_WAY_US = 50 * MS
 
 
-def fresh_server(page=3000) -> HttpServerEndpoint:
-    return HttpServerEndpoint(Sender(SenderConfig(mss=100), Variant.NEWRENO, ONE_WAY_US), page)
+def test_the_world_builds_one_server_object():
+    # The server is the sender itself, which keeps the page and the
+    # handshake's phase; the endpoint's class name is only a second name.
+    world = sim_init(Scenario(variant=Variant.RENO, page_bytes=4000))
+    assert netsim.HttpServerEndpoint is Sender
+    assert type(world.server) is Sender and not hasattr(world.server, "sender")
+    assert world.server.page_bytes == 4000
+
+
+def fresh_server(page=3000) -> Sender:
+    return Sender(SenderConfig(mss=100), Variant.NEWRENO, ONE_WAY_US, page)
 
 
 def test_syn_answered_with_synack_stamped_with_its_arrival():
@@ -116,7 +125,7 @@ def test_syn_answered_with_synack_stamped_with_its_arrival():
     # The handshake consumes no sequence space; the SYN+ACK is the record
     # the prober will log, due one way after it leaves.
     assert out == [TraceEvent(60 * MS, "rx", "synack", 0, 0, 0, 1)]
-    assert server.sender.mss == 100
+    assert server.mss == 100
 
 
 def test_request_triggers_initial_window_of_two():
@@ -131,17 +140,17 @@ def test_request_triggers_initial_window_of_two():
 
 def test_payload_before_handshake_or_second_request_is_ignored():
     server = fresh_server()
-    untouched = vars(server.sender).copy()
+    untouched = vars(server).copy()
     out = server.handle_segment([prober_segment("data", length=100)], 0)
     assert out == []
-    assert server.phase == "listen" and vars(server.sender) == untouched
+    assert server.phase == "listen" and vars(server) == untouched
     server.handle_segment([prober_segment("syn")], 0)
     server.handle_segment([prober_segment(ip_id=2)], 50)
     server.handle_segment([prober_segment("data", length=100, ip_id=3)], 50)
-    sent = (server.sender.snd_una, server.sender.snd_nxt, server.sender.app_limit)
+    sent = (server.snd_una, server.snd_nxt, server.app_limit)
     out = server.handle_segment([prober_segment("data", length=100, ip_id=4)], 60)
     assert out == []
-    assert (server.sender.snd_una, server.sender.snd_nxt, server.sender.app_limit) == sent
+    assert (server.snd_una, server.snd_nxt, server.app_limit) == sent
 
 
 def test_reset_halts_server_forever():
@@ -154,7 +163,7 @@ def test_reset_halts_server_forever():
     assert server.phase == "closed"
     out = server.handle_segment([prober_segment(ip_id=5)], 70)
     assert out == []
-    assert server.sender.rto_deadline is None  # timer silenced with the endpoint
+    assert server.rto_deadline is None  # timer silenced with the endpoint
 
 
 # -- full runs ----------------------------------------------------------------
@@ -171,7 +180,7 @@ def test_every_default_run_ends_with_the_timer_disarmed(default_runs):
     # RenoPlus), so the sender's own deadline is the run loop's one gate.
     for variant, run in default_runs.items():
         assert run.world.server.phase == "closed", variant
-        assert run.world.server.sender.rto_deadline is None, variant
+        assert run.world.server.rto_deadline is None, variant
 
 
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -253,7 +262,7 @@ def test_conservation_delivered_equals_emitted(default_runs):
     # The link is lossless: every byte the sender emitted arrives exactly
     # once as a distinct range, even the post-close stragglers.
     for run in default_runs.values():
-        emitted_high = run.world.server.sender._max_sent
+        emitted_high = run.world.server._max_sent
         assert delivered_union(run.trace) == [(0, emitted_high)]
 
 
@@ -287,7 +296,7 @@ def test_ambient_data_drop_is_repaired_and_run_completes():
     world = sim_init(scenario)
     trace, reason = run_to_completion(world)
     assert reason is TerminationReason.PROBER_CLOSED
-    emitted_high = world.server.sender._max_sent
+    emitted_high = world.server._max_sent
     assert delivered_union(trace) == [(0, emitted_high)]
 
 
@@ -423,7 +432,7 @@ def run_per_segment(world):
     when, dest, batch = queue.popleft()  # the opening SYN's entry
     queue.extend((when, dest, seg) for seg in batch)
     while True:
-        deadline = world.server.sender.rto_deadline
+        deadline = world.server.rto_deadline
         next_time = queue[0][0] if queue else None
         if next_time is None and deadline is None:
             reason = (
@@ -502,11 +511,12 @@ def test_batched_loop_matches_per_segment_loop(scenario):
 
 # -- the entry points the benchmark's tracer wraps ------------------------------
 # bench/tracing.py wraps these class attributes to time each layer and to
-# count the golden "timers" and per-layer calls. Each endpoint takes a whole
-# delivered batch in one call, and the server hands the sender the ACK
+# count the golden "timers" and per-layer calls; it wraps the server's two
+# entry points under the name HttpServerEndpoint. Each endpoint takes a whole
+# delivered batch in one call, and the server hands its on_ack the ACK
 # numbers of a batch in one call, so every segment must still pass through
-# its endpoint's handle_segment, every ACK number through the sender's
-# on_ack, and every timer fire through on_timer.
+# its endpoint's handle_segment, every ACK number through on_ack, and every
+# timer fire through on_timer.
 
 
 def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
@@ -529,8 +539,8 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
         monkeypatch.setattr(owner, name, wrapped)
 
     wrap(ProbeSession, "handle_segment", lambda args: len(args[0]))
-    wrap(HttpServerEndpoint, "handle_segment", lambda args: len(args[0]))
-    wrap(HttpServerEndpoint, "on_timer", lambda args: 1)
+    wrap(netsim.HttpServerEndpoint, "handle_segment", lambda args: len(args[0]))
+    wrap(netsim.HttpServerEndpoint, "on_timer", lambda args: 1)
     wrap(Sender, "on_ack", lambda args: len(args[0]))
     wrap(Sender, "on_rto", lambda args: 0 if inside_timer[0] else 1)
     timers = 0
@@ -541,24 +551,23 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
             assert run.reason is TerminationReason.PROBER_CLOSED
             directions = Counter(ev.dir for ev in run.trace)
             assert seen["handle_segment", "ProbeSession"] == directions["rx"]
-            assert seen["handle_segment", "HttpServerEndpoint"] == directions["tx"]
+            assert seen["handle_segment", "Sender"] == directions["tx"]
             # Every prober ACK but the handshake's reaches the sender, as one
             # ACK number of a batch.
             assert seen["on_ack", "Sender"] == len(tx_acks(run.trace)) - 1
             assert seen["on_rto", "Sender"] == 0  # no timer fire bypasses on_timer
-            timers += seen["on_timer", "HttpServerEndpoint"]
+            timers += seen["on_timer", "Sender"]
     assert timers == 4  # as at the per-segment loop: Reno and NoFastRetransmit, both pages
 
 
 # -- the server's one loop against the endpoint with a helper path ---------------
-# ReferenceServer keeps the endpoint as it was when a pure ACK once
-# established was handed to the sender in a call of its own and every other
-# arrival but a close went through ``_open``, with ``request_seen`` and
-# ``halted`` beside ``phase``.
-# It takes one SYN, as the endpoint does: a SYN once out of ``listen`` is
-# ignored. Both are built with a sender of their own, branch on the
-# arrival's kind, and disarm the sender's timer when they halt, so a timer
-# fire with none armed raises in either.
+# ReferenceServer keeps the endpoint as it was, a wrapper around a sender of
+# its own, when a pure ACK once established was handed to the sender in a
+# call of its own and every other arrival but a close went through
+# ``_open``, with ``request_seen`` and ``halted`` beside ``phase``.
+# It takes one SYN, as the server does: a SYN once out of ``listen`` is
+# ignored. Both branch on the arrival's kind and disarm the timer when they
+# halt, so a timer fire with none armed raises in either.
 
 
 class ReferenceServer:
@@ -661,8 +670,8 @@ def acks(*values) -> list:
 @example(Variant.NEWRENO, 100, [[SYN, prober_segment(), REQUEST, prober_segment("fin")], "timer"])
 def test_server_loop_matches_helper_path_reference(variant, mss, ops):
     config = SenderConfig(mss=mss)
-    server = HttpServerEndpoint(Sender(config, variant, ONE_WAY_US), 3000)
-    reference = ReferenceServer(Sender(config, variant, ONE_WAY_US), 3000)
+    server = Sender(config, variant, ONE_WAY_US, 3000)
+    reference = ReferenceServer(Sender(config, variant, ONE_WAY_US, 3000), 3000)
     for step, op in enumerate(ops, start=1):
         now = step * 10 * MS
         got, expected = (
@@ -672,8 +681,7 @@ def test_server_loop_matches_helper_path_reference(variant, mss, ops):
         assert got == expected
         if got[0] == "raised":
             break
-        assert server.phase == folded_phase(reference)
-        assert vars(server.sender) == vars(reference.sender)
+        assert vars(server) == {**vars(reference.sender), "phase": folded_phase(reference)}
 
 
 def test_syn_after_the_request_is_ignored():
@@ -682,13 +690,12 @@ def test_syn_after_the_request_is_ignored():
     # on; none of them raises InternalError.
     server = fresh_server()
     server.handle_segment([SYN, prober_segment(), REQUEST], 0)
-    sender = server.sender
     assert server.handle_segment([SYN], 10 * MS) == []
-    assert server.sender is sender and server.phase == "serving"
+    assert server.phase == "serving"
     assert server.handle_segment([prober_segment()], 20 * MS) == []
     out = server.handle_segment(acks(100), 30 * MS)
     assert [(seg.seq, seg.len) for seg in out] == [(200, 100), (300, 100)]
-    assert (sender.snd_una, sender.app_limit) == (100, 3000)
+    assert (server.snd_una, server.app_limit) == (100, 3000)
 
 
 def test_timer_fire_with_no_timer_armed_raises():

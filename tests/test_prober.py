@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import ConfigurationError, ProbeScript, classify_trace
-from ccprobe.prober import EVENT_CAP, REQUEST_BYTES, ProbeSession
+from ccprobe.netsim import EVENT_CAP
+from ccprobe.prober import REQUEST_BYTES, ProbeSession
 from ccprobe.traceio import KINDS, TraceEvent
 
 from conftest import outcome

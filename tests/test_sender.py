@@ -27,7 +27,7 @@ from ccprobe import netsim
 from ccprobe.sender import DUPACK_THRESHOLD, RTO_INITIAL_US, RTO_MAX_US, RTO_MIN_US, Sender
 from ccprobe.traceio import TraceEvent
 
-from conftest import trace_text
+from conftest import PAGE, trace_text
 
 MSS = 100
 CFG = SenderConfig(mss=MSS)
@@ -37,7 +37,7 @@ ONE_WAY_US = RTT_US // 2  # the link delay the simulator would hand the sender
 
 
 def make_sender(variant=Variant.RENO, page=3000, config=CFG) -> Sender:
-    sender = Sender(config, variant, ONE_WAY_US)
+    sender = Sender(config, variant, ONE_WAY_US, page)
     sender.app_limit += page
     return sender
 
@@ -105,7 +105,8 @@ class RoundDriver:
 
 
 def test_init_defaults():
-    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US, PAGE)
+    assert (sender.phase, sender.page_bytes, sender.app_limit) == ("listen", PAGE, 0)  # not yet requested
     assert sender.cwnd == 200
     assert sender.snd_una == 0
     assert sender.snd_nxt == 0
@@ -117,8 +118,8 @@ def test_init_defaults():
 
 
 def test_init_variant_independent():
-    reno = Sender(CFG, Variant.RENO, ONE_WAY_US)
-    tahoe = Sender(CFG, Variant.TAHOE, ONE_WAY_US)
+    reno = Sender(CFG, Variant.RENO, ONE_WAY_US, PAGE)
+    tahoe = Sender(CFG, Variant.TAHOE, ONE_WAY_US, PAGE)
     fields = ("snd_una", "snd_nxt", "cwnd", "ssthresh", "dupacks")
     assert [getattr(reno, f) for f in fields] == [getattr(tahoe, f) for f in fields]
     assert reno.variant is not tahoe.variant
@@ -126,9 +127,9 @@ def test_init_variant_independent():
 
 def test_init_rejects_bad_config():
     with pytest.raises(ConfigurationError):
-        Sender(SenderConfig(mss=0), Variant.RENO, ONE_WAY_US)
+        Sender(SenderConfig(mss=0), Variant.RENO, ONE_WAY_US, PAGE)
     with pytest.raises(ConfigurationError):
-        Sender(SenderConfig(initial_cwnd=0), Variant.RENO, ONE_WAY_US)
+        Sender(SenderConfig(initial_cwnd=0), Variant.RENO, ONE_WAY_US, PAGE)
 
 
 # -- pump --------------------------------------------------------------
@@ -136,7 +137,7 @@ def test_init_rejects_bad_config():
 
 def test_short_final_segment():
     # 250 bytes at mss=100 segments as 100, 100, 50.
-    sender = Sender(SenderConfig(mss=100, initial_cwnd=4), Variant.RENO, ONE_WAY_US)
+    sender = Sender(SenderConfig(mss=100, initial_cwnd=4), Variant.RENO, ONE_WAY_US, 250)
     sender.app_limit += 250
     lengths = [seg.len for seg in sender.pump_transmissions(0)]
     assert lengths == [100, 100, 50]
@@ -394,7 +395,7 @@ def test_rto_clears_recovery_state():
 
 
 def test_first_rtt_sample_clamps_to_floor():
-    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US, PAGE)
     sender.update_rtt(100_000)
     assert sender.srtt == 100_000.0
     assert sender.rttvar == 50_000.0
@@ -402,7 +403,7 @@ def test_first_rtt_sample_clamps_to_floor():
 
 
 def test_second_identical_sample_shrinks_variance():
-    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US, PAGE)
     sender.update_rtt(100_000)
     sender.update_rtt(100_000)
     assert sender.srtt == 100_000.0
@@ -410,7 +411,7 @@ def test_second_identical_sample_shrinks_variance():
 
 
 def test_nonpositive_sample_ignored():
-    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US, PAGE)
     sender.update_rtt(0)
     sender.update_rtt(-5)
     assert sender.srtt is None
@@ -437,7 +438,7 @@ ALPHA, BETA, K = 1 / 8, 1 / 4, 4
 @example([1, 300_000, 1, 1, 1])  # raised to the floor
 @example([30_000_000, 1, 40_000_000, 40_000_000])  # capped
 def test_rtt_estimate_follows_rfc_6298(samples):
-    sender = Sender(CFG, Variant.RENO, ONE_WAY_US)
+    sender = Sender(CFG, Variant.RENO, ONE_WAY_US, PAGE)
     srtt = rttvar = None
     rto = RTO_INITIAL_US
     for r in samples:
@@ -730,18 +731,19 @@ class ShadowedSender(Sender):
     ``PerSegmentSender`` twin, and the two must agree after it, on what
     they sent and on every field."""
 
-    def __init__(self, config: SenderConfig, variant: Variant, one_way_us: int):
-        super().__init__(config, variant, one_way_us)
-        self.twin = PerSegmentSender(config, variant, one_way_us)
+    def __init__(self, config: SenderConfig, variant: Variant, one_way_us: int, page_bytes: int):
+        super().__init__(config, variant, one_way_us, page_bytes)
+        self.twin = PerSegmentSender(config, variant, one_way_us, page_bytes)
 
     def _checked(self, name: str, *args) -> list[TraceEvent]:
         twin = self.twin
         if twin is None:
             # A nested call, such as on_rto's own pump: checked with its caller.
             return getattr(Sender, name)(self, *args)
-        # The server sets these from outside: the request's end and the page.
-        twin.rcv_nxt, twin.app_limit, twin.ip_id_counter = (
-            self.rcv_nxt, self.app_limit, self.ip_id_counter,
+        # The handshake and the request set these, and the twin never sees
+        # them: its phase, the request's end, the page and the SYN+ACK's ip_id.
+        twin.phase, twin.rcv_nxt, twin.app_limit, twin.ip_id_counter = (
+            self.phase, self.rcv_nxt, self.app_limit, self.ip_id_counter,
         )
         self.twin = None
         try:
@@ -766,7 +768,7 @@ def run_shadowed(scenario: Scenario) -> list:
     with patch.object(netsim, "Sender", ShadowedSender):
         world = sim_init(scenario)
         trace, _ = run_to_completion(world)
-    assert isinstance(world.server.sender, ShadowedSender)
+    assert isinstance(world.server, ShadowedSender)
     return trace
 
 
@@ -854,8 +856,8 @@ def answer(sender: Sender, acks: list[int], now: int):
 def test_any_ack_batch_matches_the_same_acks_one_call_each(variant, cwnd, ops):
     config = SenderConfig(mss=MSS, initial_cwnd=cwnd)
     batched = make_sender(variant, config=config)
-    split = SplitSender(config, variant, ONE_WAY_US)
-    reference = PerSegmentSender(config, variant, ONE_WAY_US)
+    split = SplitSender(config, variant, ONE_WAY_US, PAGE)
+    reference = PerSegmentSender(config, variant, ONE_WAY_US, PAGE)
     for each in (split, reference):
         each.app_limit += batched.app_limit
     now, ack = 0, 0
@@ -934,8 +936,8 @@ def run_with_sender(sender_class, scenario: Scenario) -> tuple:
     with patch.object(netsim, "Sender", sender_class):
         world = sim_init(scenario)
         trace, reason = run_to_completion(world)
-    assert type(world.server.sender) is sender_class
-    return trace_text(trace), reason, world.clock, sender_state(world.server.sender)
+    assert type(world.server) is sender_class
+    return trace_text(trace), reason, world.clock, sender_state(world.server)
 
 
 @st.composite
@@ -980,7 +982,7 @@ def test_go_back_range_across_the_high_water_mark(una, probe, expected_probe):
     # it are re-sent, the last straddling it, and 300 starts the fresh data.
     results = []
     for cls in (Sender, PerSegmentSender):
-        sender = cls(CFG, Variant.TAHOE, ONE_WAY_US)
+        sender = cls(CFG, Variant.TAHOE, ONE_WAY_US, PAGE)
         sender.app_limit += 3000
         sender.snd_una = sender.snd_nxt = una
         sender.cwnd, sender._max_sent, sender._rtt_probe = 500, 250, probe

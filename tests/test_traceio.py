@@ -209,7 +209,8 @@ def reference_parse_line(line_no: int, line: str) -> TraceEvent:
 
 def reference_read_trace(text: str) -> list[TraceEvent]:
     events = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    lines = text.removesuffix("\n").split("\n") if text else []
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             raise TraceParseError(line_no, "blank line")
         try:
@@ -362,6 +363,28 @@ CANONICAL_B = bad_line(t_us=2, dir="rx", kind="data", len=100)
 ])
 def test_reader_matches_reference_on_edge_texts(text):
     assert_reads_like_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        # A form feed is not JSON whitespace: it stays on line 1 and spoils it.
+        (SYN_LINE + "\f\n" + SYN_LINE + "\n{bad", "line 1: invalid JSON (Extra data)"),
+        # A raw U+2028 is a character of its JSON string.
+        (SYN_LINE.replace('"dir":"tx"', '"dir":"\u2028"'), "line 1: dir must be one of ['rx', 'tx']"),
+        # The "\r" of a CRLF is JSON whitespace at the end of its line.
+        (CANONICAL_A + "\r\n" + CANONICAL_B + "\r\n", 2),
+    ],
+    ids=["form-feed", "line-separator", "crlf"],
+)
+def test_only_a_newline_ends_a_line(text, outcome):
+    assert_reads_like_reference(text)
+    if isinstance(outcome, int):
+        assert len(read_trace(text)) == outcome
+    else:
+        with pytest.raises(TraceParseError) as excinfo:
+            read_trace(text)
+        assert str(excinfo.value) == outcome
 
 
 def test_canonical_text_is_read_without_the_line_reader(default_runs, monkeypatch):
