@@ -27,8 +27,8 @@ unless the finite ambient-drop set swallows it, or finds nothing to send
 and leaves the timer disarmed.
 
 Each endpoint's ``handle_segment`` is its one arrival path, a loop over
-the batch that tests the common arrival first; the server's hands the ACK
-numbers of a batch to its ``on_ack`` in one call. The server alone holds
+the batch that tests the common arrival first; after the handshake the
+server's hands each batch whole to its ``on_ack``. The server alone holds
 a timer, the retransmission timer: only the page arms it, and a close
 disarms it, so the loop reads the server's ``rto_deadline`` and nothing
 else, and a fire goes to its ``on_timer``.

@@ -26,21 +26,22 @@ once, so all it sends shares one ``t_us`` object.
 
 ``handle_segment`` is the server's one arrival path, for a whole
 delivered batch. Its ``phase`` runs listen -> syn_rcvd -> established ->
-serving: a SYN draws the SYN+ACK, the connection's ip_id 1, and the
-request, any nonempty payload (the HTTP layer is a stub), sets
+closed: a SYN draws the SYN+ACK, the connection's ip_id 1, and from its
+ACK on each batch, or the rest of the handshake's, goes to ``on_ack``.
+There the request, a nonempty payload (the HTTP layer is a stub), sets
 ``rcv_nxt`` past itself and ``app_limit``, the end of the data to send,
-to the page. One connection: a SYN after ``listen`` is ignored, so the
+to the page. One connection: a later SYN or payload is ignored, so the
 page is never replaced or served twice. A RST or FIN in any phase makes
 it ``closed``, which answers nothing and disarms the timer. Only the page
 arms that timer, and ``on_timer``, the simulator's timer entry, is
 ``on_rto``: a fire with no timer armed raises ``InternalError``, as does
 an ACK beyond the data sent.
 
-``on_ack`` takes the ACK numbers of one delivered batch in one call, its
-state in locals across the batch: the third duplicate's loss response and
+``on_ack`` walks the records of one delivered batch once, its state in
+locals across the batch: the third duplicate's loss response and
 NewReno's partial ACK are branches on those locals, and the state is
 written back once, at the end. A repair branch only notes the segment to
-re-send. After each ACK one send block sends that repair, then the
+re-send. After each record one send block sends that repair, then the
 window's data up to its edge, capped at ``app_limit``. It applies Karn's
 RTT-sample rule once per byte range and cuts the range into segments, so
 every byte sent, fresh or repeated, goes through it. ``pump_transmissions``
@@ -73,6 +74,7 @@ INITIAL_SSTHRESH = 65535  # bytes
 RTO_INITIAL_US = 1_000_000
 RTO_MIN_US = 1_000_000
 RTO_MAX_US = 64_000_000
+_STALE_ACK = (TraceEvent(0, "tx", "ack", 0, 0, -1, 0),)  # below any snd_una
 
 
 @dataclass(frozen=True)
@@ -121,38 +123,25 @@ class Sender:
     def handle_segment(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
         """Take in one delivered batch, in order; return every answer to it.
 
-        Once established, the ACK numbers of a run of ACKs go to ``on_ack``
-        in one call. Any other arrival first hands over the ACKs before it,
-        so a RST or FIN still ends the batch where it stands."""
-        out, acks, phase = [], [], self.phase
-        acking = phase == "established" or phase == "serving"
-        for seg in segments:
+        From the ACK of the SYN+ACK on, the batch, or the rest of the
+        handshake's, goes to ``on_ack`` whole."""
+        phase = self.phase
+        if phase == "established":
+            return self.on_ack(segments, now)
+        out = []
+        for i, seg in enumerate(segments):
             kind = seg.kind
-            # The common arrival first: an ACK once established, held until
-            # the batch or a run of ACKs ends.
-            if acking and kind == "ack":
-                acks.append(seg.ack)
-                continue
-            if acks:
-                out += self.on_ack(acks, now)
-                acks = []
             if phase == "closed" or kind == "rst" or kind == "fin":
-                phase, self.rto_deadline = "closed", None
+                phase = "closed"  # the timer is armed only once established
                 break
-            elif kind == "syn":
+            if kind == "syn":
                 if phase == "listen":  # one connection: a later SYN is ignored
                     self.ip_id_counter = 1  # the SYN+ACK takes the first ip_id
                     out.append(TraceEvent(now + self.one_way_us, "rx", "synack", 0, 0, 0, 1))
                     phase = "syn_rcvd"
-            elif kind == "data":
-                if phase == "established":  # the request; other payloads are ignored
-                    phase = "serving"
-                    self.rcv_nxt, self.app_limit = seg.seq + seg.len, self.page_bytes
-                    out += self.pump_transmissions(now)
             elif kind == "ack" and phase == "syn_rcvd":
-                phase, acking = "established", True
-        if acks:
-            out += self.on_ack(acks, now)
+                self.phase, rest = "established", segments[i + 1:]
+                return out + self.on_ack(rest, now) if rest else out
         self.phase = phase
         return out
 
@@ -165,10 +154,10 @@ class Sender:
         """Send whatever the window and ``app_limit`` allow."""
         return self.on_ack((), now)
 
-    def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
-        """Take the ACK numbers of one delivered batch, in order; return
-        every segment sent in answer. An ACK beyond the data sent raises
-        ``InternalError``, the state left as the ACKs before it left it."""
+    def on_ack(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
+        """Take one delivered batch once established, in order; return every
+        segment sent in answer. An ACK beyond the data sent raises
+        ``InternalError``, the state left as the records before it left it."""
         mss, app_limit, rcv_nxt, variant = self.mss, self.app_limit, self.rcv_nxt, self.variant
         snd_una, snd_nxt, cwnd, ssthresh = self.snd_una, self.snd_nxt, self.cwnd, self.ssthresh
         dupacks, in_recovery, recover = self.dupacks, self.in_fast_recovery, self.recover
@@ -176,7 +165,15 @@ class Sender:
         max_sent, probe, ip_id = self._max_sent, self._rtt_probe, self.ip_id_counter
         out, t_us, rto_at, beyond = [], now + self.one_way_us, now + self.rto_current, None
         repair = -1  # where a one-segment repair starts, if one is due
-        for ack in acks or (-1,):  # an empty batch: one stale ACK, to send the window
+        for seg in segments or _STALE_ACK:  # an empty batch: one stale ACK, to send the window
+            kind, ack = seg.kind, seg.ack
+            if kind != "ack":
+                if kind == "data" and not rcv_nxt:  # the request; its end marks it seen
+                    rcv_nxt, app_limit = seg.seq + seg.len, self.page_bytes
+                elif kind == "rst" or kind == "fin":
+                    self.phase, rto_deadline = "closed", None
+                    break
+                ack = -1  # a SYN or a payload passes the send block as a stale ACK
             if ack > snd_una:
                 if ack > max_sent:
                     beyond = ack
@@ -261,7 +258,7 @@ class Sender:
                 out.append(TraceEvent(t_us, "rx", "data", seq, end - seq, rcv_nxt, ip_id))
         self.snd_una, self.snd_nxt, self.cwnd, self.ssthresh = snd_una, snd_nxt, cwnd, ssthresh
         self.dupacks, self.in_fast_recovery, self.recover = dupacks, in_recovery, recover
-        self.rto_deadline = rto_deadline
+        self.rto_deadline, self.rcv_nxt, self.app_limit = rto_deadline, rcv_nxt, app_limit
         self._max_sent, self._rtt_probe, self.ip_id_counter = max_sent, probe, ip_id
         if beyond is not None:
             raise InternalError(f"ack {beyond} beyond sent data {max_sent}")

@@ -61,6 +61,11 @@ def tx_acks(trace: list[TraceEvent]) -> list[TraceEvent]:
     return [ev for ev in trace if ev.dir == "tx" and ev.kind == "ack"]
 
 
+def acks(*values) -> list[TraceEvent]:
+    """Prober ACK records of these numbers: a batch as ``Sender.on_ack`` takes it."""
+    return [TraceEvent(0, "tx", "ack", 0, 0, ack, 4) for ack in values]
+
+
 def outcome(call, *args) -> tuple:
     """What ``call(*args)`` gave: ``("returned", value)`` or ``("raised",
     type, message)``, so a differential test compares answers and errors

@@ -29,7 +29,7 @@ from ccprobe.prober import ProbeSession
 from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 
-from conftest import delivered_union, outcome, run_scenario, rx_data, trace_text, tx_acks
+from conftest import acks, delivered_union, outcome, run_scenario, rx_data, trace_text
 from test_golden import LONG_PAGE
 from test_prober import any_kind
 
@@ -513,10 +513,10 @@ def test_batched_loop_matches_per_segment_loop(scenario):
 # bench/tracing.py wraps these class attributes to time each layer and to
 # count the golden "timers" and per-layer calls; it wraps the server's two
 # entry points under the name HttpServerEndpoint. Each endpoint takes a whole
-# delivered batch in one call, and the server hands its on_ack the ACK
-# numbers of a batch in one call, so every segment must still pass through
-# its endpoint's handle_segment, every ACK number through on_ack, and every
-# timer fire through on_timer.
+# delivered batch in one call, and the server hands its on_ack each batch
+# after the handshake whole, so every segment must still pass through its
+# endpoint's handle_segment, every one the server takes once established
+# through on_ack, and every timer fire through on_timer.
 
 
 def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
@@ -552,12 +552,48 @@ def test_tracer_entry_points_see_every_segment_and_timer(monkeypatch):
             directions = Counter(ev.dir for ev in run.trace)
             assert seen["handle_segment", "ProbeSession"] == directions["rx"]
             assert seen["handle_segment", "Sender"] == directions["tx"]
-            # Every prober ACK but the handshake's reaches the sender, as one
-            # ACK number of a batch.
-            assert seen["on_ack", "Sender"] == len(tx_acks(run.trace)) - 1
+            # Every prober record but the SYN and the handshake's ACK reaches
+            # on_ack, as one record of a batch.
+            assert seen["on_ack", "Sender"] == directions["tx"] - 2
             assert seen["on_rto", "Sender"] == 0  # no timer fire bypasses on_timer
             timers += seen["on_timer", "Sender"]
     assert timers == 4  # as at the per-segment loop: Reno and NoFastRetransmit, both pages
+
+
+def test_on_ack_takes_each_batch_after_the_handshake_whole(monkeypatch):
+    # The server walks a batch once: from the ACK of the SYN+ACK on, on_ack
+    # gets the delivered list itself, in one call, and reads the records.
+    handle, on_ack = Sender.handle_segment, Sender.on_ack
+    delivered, calls, inside = [], [], []
+
+    def handle_segment(self, segments, now):
+        delivered.append(segments)
+        inside.append(segments)
+        try:
+            return handle(self, segments, now)
+        finally:
+            inside.pop()
+
+    def take(self, segments, now):
+        if inside:  # not the timer's send
+            calls.append((inside[-1], segments))
+        return on_ack(self, segments, now)
+
+    monkeypatch.setattr(Sender, "handle_segment", handle_segment)
+    monkeypatch.setattr(Sender, "on_ack", take)
+    for variant in Variant:
+        delivered.clear()
+        calls.clear()
+        assert run_scenario(variant).reason is TerminationReason.PROBER_CLOSED
+        syn, handshake, *later = delivered
+        assert [seg.kind for seg in syn] == ["syn"]
+        assert [seg.kind for seg in handshake] == ["ack", "data"]
+        # The handshake's batch hands on_ack the records after its ACK.
+        (batch, got), *rest = calls
+        assert batch is handshake and got == handshake[1:]
+        assert len(rest) == len(later) > 0
+        for batch, (seen, got) in zip(later, rest):
+            assert seen is batch and got is batch
 
 
 # -- the server's one loop against the endpoint with a helper path ---------------
@@ -588,7 +624,7 @@ class ReferenceServer:
         established = self.phase == "established"
         for seg in segments:
             if established and seg.kind == "ack":
-                out += sender.on_ack([seg.ack], now)
+                out += sender.on_ack([seg], now)
             elif seg.kind in ("rst", "fin"):
                 self.halted, sender.rto_deadline = True, None
                 break
@@ -619,12 +655,9 @@ class ReferenceServer:
 
 
 def folded_phase(reference: ReferenceServer) -> str:
-    """The one ``phase`` that stands for the reference's three fields."""
-    if reference.halted:
-        return "closed"
-    if reference.request_seen:
-        return "serving"
-    return reference.phase
+    """The one ``phase`` that stands for the reference's three fields: the
+    server keeps the request in ``rcv_nxt``, which it sets."""
+    return "closed" if reference.halted else reference.phase
 
 
 @st.composite
@@ -650,28 +683,31 @@ SYN = prober_segment("syn")
 REQUEST = prober_segment("data", length=100, ip_id=3)
 
 
-def acks(*values) -> list:
-    return [TraceEvent(0, "tx", "ack", 0, 0, ack, 4) for ack in values]
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     variant=st.sampled_from(list(Variant)),
     mss=st.integers(min_value=1, max_value=1500),
     ops=server_ops,
+    page=st.sampled_from([3000, 100, 0]),
 )
 # The handshake and request in one batch, ACKs, a timer fire.
-@example(Variant.RENO, 100, [[SYN, prober_segment(), REQUEST], acks(100, 200), "timer", acks(300)])
+@example(Variant.RENO, 100, [[SYN, prober_segment(), REQUEST], acks(100, 200), "timer", acks(300)], 3000)
 # A pure ACK after the handshake but before the request reaches the sender.
-@example(Variant.RENO, 100, [[SYN], [prober_segment()], acks(100)])
+@example(Variant.RENO, 100, [[SYN], [prober_segment()], acks(100)], 3000)
 # A SYN after the request is ignored, and the page is not served again.
-@example(Variant.TAHOE, 100, [[SYN, prober_segment(), REQUEST], [SYN], acks(0), [REQUEST], acks(0)])
+@example(Variant.TAHOE, 100, [[SYN, prober_segment(), REQUEST], [SYN], acks(0), [REQUEST], acks(0)], 3000)
+# A second request is ignored also when the page is empty.
+@example(Variant.TAHOE, 100, [[SYN, prober_segment(), REQUEST], [REQUEST], acks(0)], 0)
+# An ACK beyond the data sent, in the handshake's batch before and after the
+# request, raises with the state as the records before it left it.
+@example(Variant.RENO, 100, [[SYN, prober_segment(), *acks(100), REQUEST]], 3000)
+@example(Variant.RENO, 100, [[SYN, prober_segment(), REQUEST, *acks(100, 500)]], 3000)
 # A FIN closes the server mid-transfer and silences its timer.
-@example(Variant.NEWRENO, 100, [[SYN, prober_segment(), REQUEST, prober_segment("fin")], "timer"])
-def test_server_loop_matches_helper_path_reference(variant, mss, ops):
+@example(Variant.NEWRENO, 100, [[SYN, prober_segment(), REQUEST, prober_segment("fin")], "timer"], 3000)
+def test_server_loop_matches_helper_path_reference(variant, mss, ops, page):
     config = SenderConfig(mss=mss)
-    server = Sender(config, variant, ONE_WAY_US, 3000)
-    reference = ReferenceServer(Sender(config, variant, ONE_WAY_US, 3000), 3000)
+    server = Sender(config, variant, ONE_WAY_US, page)
+    reference = ReferenceServer(Sender(config, variant, ONE_WAY_US, page), page)
     for step, op in enumerate(ops, start=1):
         now = step * 10 * MS
         got, expected = (
@@ -679,9 +715,9 @@ def test_server_loop_matches_helper_path_reference(variant, mss, ops):
             for endpoint in (server, reference)
         )
         assert got == expected
+        assert vars(server) == {**vars(reference.sender), "phase": folded_phase(reference)}
         if got[0] == "raised":
             break
-        assert vars(server) == {**vars(reference.sender), "phase": folded_phase(reference)}
 
 
 def test_syn_after_the_request_is_ignored():
@@ -691,7 +727,7 @@ def test_syn_after_the_request_is_ignored():
     server = fresh_server()
     server.handle_segment([SYN, prober_segment(), REQUEST], 0)
     assert server.handle_segment([SYN], 10 * MS) == []
-    assert server.phase == "serving"
+    assert server.phase == "established"
     assert server.handle_segment([prober_segment()], 20 * MS) == []
     out = server.handle_segment(acks(100), 30 * MS)
     assert [(seg.seq, seg.len) for seg in out] == [(200, 100), (300, 100)]

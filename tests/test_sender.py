@@ -27,7 +27,7 @@ from ccprobe import netsim
 from ccprobe.sender import DUPACK_THRESHOLD, RTO_INITIAL_US, RTO_MAX_US, RTO_MIN_US, Sender
 from ccprobe.traceio import TraceEvent
 
-from conftest import PAGE, trace_text
+from conftest import PAGE, acks, trace_text
 
 MSS = 100
 CFG = SenderConfig(mss=MSS)
@@ -89,7 +89,7 @@ class RoundDriver:
             self.now += RTT_US
             fresh = []
             for seg in emitted:
-                fresh += self.sender.on_ack([seg.seq + seg.len], self.now)
+                fresh += self.sender.on_ack(acks(seg.seq + seg.len), self.now)
                 self._check_invariants()
             emitted = fresh
         return self
@@ -184,9 +184,9 @@ def prime_loss(sender: Sender, una: int, nxt: int, cwnd: int):
 def test_reno_third_dupack_halves_and_retransmits():
     sender = make_sender(Variant.RENO, page=2000)
     prime_loss(sender, una=1200, nxt=2000, cwnd=800)
-    assert sender.on_ack([1200], 0) == []
-    assert sender.on_ack([1200], 0) == []
-    segs = sender.on_ack([1200], 0)
+    assert sender.on_ack(acks(1200), 0) == []
+    assert sender.on_ack(acks(1200), 0) == []
+    segs = sender.on_ack(acks(1200), 0)
     assert [(s.seq, s.len) for s in segs] == [(1200, 100)]
     assert sender.ssthresh == 400  # half of the 800 in flight
     assert sender.cwnd == 700  # ssthresh + 3 mss
@@ -198,8 +198,8 @@ def test_reno_new_ack_exits_recovery_at_ssthresh():
     sender = make_sender(Variant.RENO, page=2000)
     prime_loss(sender, una=1200, nxt=2000, cwnd=800)
     for _ in range(3):
-        sender.on_ack([1200], 0)
-    sender.on_ack([2000], RTT_US)
+        sender.on_ack(acks(1200), 0)
+    sender.on_ack(acks(2000), RTT_US)
     assert not sender.in_fast_recovery
     assert sender.cwnd == 400
     assert sender.dupacks == 0
@@ -211,12 +211,12 @@ def test_reno_no_second_loss_response_below_recover():
     sender = make_sender(Variant.RENO, page=3000)
     prime_loss(sender, una=1200, nxt=2600, cwnd=1400)
     for _ in range(3):
-        sender.on_ack([1200], 0)
+        sender.on_ack(acks(1200), 0)
     assert sender.recover == 2600
-    sender.on_ack([1500], RTT_US)  # new ACK ends recovery
+    sender.on_ack(acks(1500), RTT_US)  # new ACK ends recovery
     assert not sender.in_fast_recovery
     for _ in range(5):
-        segs = sender.on_ack([1500], RTT_US)
+        segs = sender.on_ack(acks(1500), RTT_US)
         assert all(seg.seq >= sender.snd_una + 100 or seg.seq >= 2600 for seg in segs)
         assert not sender.in_fast_recovery
 
@@ -225,10 +225,10 @@ def test_newreno_partial_ack_repairs_next_hole():
     sender = make_sender(Variant.NEWRENO, page=2000)
     prime_loss(sender, una=1200, nxt=2000, cwnd=800)
     for _ in range(3):
-        sender.on_ack([1200], 0)
+        sender.on_ack(acks(1200), 0)
     assert sender.recover == 2000
     sender.cwnd = 1000
-    segs = sender.on_ack([1600], RTT_US)  # partial: below recover
+    segs = sender.on_ack(acks(1600), RTT_US)  # partial: below recover
     assert (1600, 100) in [(s.seq, s.len) for s in segs]
     assert sender.in_fast_recovery
     # deflate by the 400 bytes acked, add back one mss
@@ -239,8 +239,8 @@ def test_newreno_full_ack_exits_recovery():
     sender = make_sender(Variant.NEWRENO, page=2000)
     prime_loss(sender, una=1200, nxt=2000, cwnd=800)
     for _ in range(3):
-        sender.on_ack([1200], 0)
-    sender.on_ack([2000], RTT_US)
+        sender.on_ack(acks(1200), 0)
+    sender.on_ack(acks(2000), RTT_US)
     assert not sender.in_fast_recovery
     assert sender.cwnd == sender.ssthresh == 400
 
@@ -249,8 +249,8 @@ def test_tahoe_collapses_and_goes_back():
     sender = make_sender(Variant.TAHOE, page=2000)
     prime_loss(sender, una=1200, nxt=2000, cwnd=800)
     for _ in range(2):
-        sender.on_ack([1200], 0)
-    segs = sender.on_ack([1200], 0)
+        sender.on_ack(acks(1200), 0)
+    segs = sender.on_ack(acks(1200), 0)
     assert [(s.seq, s.len) for s in segs] == [(1200, 100)]
     assert sender.cwnd == 100
     assert sender.ssthresh == 400
@@ -263,7 +263,7 @@ def test_tahoe_dupack_burst_refires():
     prime_loss(sender, una=1200, nxt=2000, cwnd=800)
     retransmissions = []
     for _ in range(9):
-        retransmissions += [s for s in sender.on_ack([1200], 0) if s.seq == 1200]
+        retransmissions += [s for s in sender.on_ack(acks(1200), 0) if s.seq == 1200]
     assert len(retransmissions) == 3  # one per completed threshold cycle
 
 
@@ -271,7 +271,7 @@ def test_no_fast_retransmit_ignores_dupacks():
     sender = make_sender(Variant.NO_FAST_RETRANSMIT, page=2000)
     prime_loss(sender, una=1200, nxt=2000, cwnd=800)
     for _ in range(10):
-        assert sender.on_ack([1200], 0) == []
+        assert sender.on_ack(acks(1200), 0) == []
     assert sender.dupacks == 10
     assert sender.cwnd == 800  # untouched
 
@@ -279,9 +279,9 @@ def test_no_fast_retransmit_ignores_dupacks():
 def test_renoplus_goback_burst_keeps_cwnd():
     sender = make_sender(Variant.RENO_PLUS, page=3000)
     prime_loss(sender, una=1200, nxt=2600, cwnd=1400)
-    sender.on_ack([1200], 0)
-    sender.on_ack([1200], 0)
-    segs = sender.on_ack([1200], 0)
+    sender.on_ack(acks(1200), 0)
+    sender.on_ack(acks(1200), 0)
+    segs = sender.on_ack(acks(1200), 0)
     # Go-back burst: re-sends from snd_una within the inflated window,
     # running past the old snd_nxt into fresh data.
     assert segs[0].seq == 1200
@@ -296,9 +296,9 @@ def test_renoplus_goback_burst_keeps_cwnd():
 def test_ack_regression_ignored_not_fatal():
     sender = make_sender()
     sender.pump_transmissions(0)
-    sender.on_ack([200], RTT_US)
+    sender.on_ack(acks(200), RTT_US)
     state = (sender.snd_nxt, sender.cwnd, sender.dupacks, sender.rto_deadline)
-    assert sender.on_ack([100], RTT_US) == []
+    assert sender.on_ack(acks(100), RTT_US) == []
     assert sender.snd_una == 200
     assert (sender.snd_nxt, sender.cwnd, sender.dupacks, sender.rto_deadline) == state
 
@@ -307,7 +307,7 @@ def test_ack_beyond_app_limit_rejected():
     sender = make_sender(page=500)
     sender.pump_transmissions(0)
     with pytest.raises(InternalError, match="^ack 600 beyond sent data 200$"):
-        sender.on_ack([600], RTT_US)
+        sender.on_ack(acks(600), RTT_US)
 
 
 def test_ack_beyond_sent_data_rejected_within_the_queue():
@@ -318,7 +318,7 @@ def test_ack_beyond_sent_data_rejected_within_the_queue():
     sender.pump_transmissions(0)
     before = dict(vars(sender))
     with pytest.raises(InternalError, match="^ack 2500 beyond sent data 200$"):
-        sender.on_ack([2500], 100_000)
+        sender.on_ack(acks(2500), 100_000)
     assert vars(sender) == before
     assert sender.srtt is None
 
@@ -329,9 +329,9 @@ def test_ack_beyond_app_limit_mid_batch_is_named():
     sender, expected = make_sender(page=500), make_sender(page=500)
     for each in (sender, expected):
         each.pump_transmissions(0)
-    expected.on_ack([100], RTT_US)
+    expected.on_ack(acks(100), RTT_US)
     with pytest.raises(InternalError, match="^ack 600 beyond sent data 400$"):
-        sender.on_ack([100, 600, 200], RTT_US)
+        sender.on_ack(acks(100, 600, 200), RTT_US)
     assert vars(sender) == vars(expected)
     assert sender.snd_una == 100
 
@@ -383,7 +383,7 @@ def test_rto_clears_recovery_state():
     sender = make_sender(Variant.RENO, page=2000)
     prime_loss(sender, una=1200, nxt=2000, cwnd=800)
     for _ in range(3):
-        sender.on_ack([1200], 0)
+        sender.on_ack(acks(1200), 0)
     sender.rto_deadline = 1_000_000
     sender.on_rto(1_000_000)
     assert not sender.in_fast_recovery
@@ -457,7 +457,7 @@ def test_karn_sample_taken_through_ack_clock():
     # A full no-loss round trip produces a sample equal to the ACK delay.
     sender = make_sender(page=200)
     segs = sender.pump_transmissions(0)
-    sender.on_ack([segs[0].seq + segs[0].len], 80_000)
+    sender.on_ack(acks(segs[0].seq + segs[0].len), 80_000)
     assert sender.srtt == 80_000.0
 
 
@@ -466,7 +466,7 @@ def test_retransmission_poisons_rtt_probe():
     sender.cwnd = 1500
     sender.pump_transmissions(0)
     sender.on_rto(sender.rto_deadline)  # re-emits the timed head segment
-    sender.on_ack([100], 5_000_000)
+    sender.on_ack(acks(100), 5_000_000)
     assert sender.srtt is None  # ambiguous sample never taken
 
 
@@ -476,7 +476,7 @@ def test_retransmission_poisons_rtt_probe():
 def test_slow_start_adds_one_mss_per_ack():
     sender = make_sender(page=3000)
     sender.pump_transmissions(0)
-    sender.on_ack([100], RTT_US)
+    sender.on_ack(acks(100), RTT_US)
     assert sender.cwnd == 300
 
 
@@ -484,7 +484,7 @@ def test_congestion_avoidance_grows_subLinearly():
     sender = make_sender(page=3000)
     sender.ssthresh = 200  # force avoidance immediately
     sender.pump_transmissions(0)
-    sender.on_ack([100], RTT_US)
+    sender.on_ack(acks(100), RTT_US)
     assert sender.cwnd == 200 + (100 * 100) // 200
 
 
@@ -553,10 +553,10 @@ def test_state_invariants_hold_for_any_event_order(variant, steps):
         before = sender.ssthresh
         if step == "new_ack":
             if sender.snd_nxt > sender.snd_una:
-                check(sender.on_ack([sender.snd_una + 100], now), flight)
+                check(sender.on_ack(acks(sender.snd_una + 100), now), flight)
         elif step == "dup_ack":
             if sender.snd_nxt > sender.snd_una:
-                check(sender.on_ack([sender.snd_una], now), flight)
+                check(sender.on_ack(acks(sender.snd_una), now), flight)
                 check_loss(before, flight)
         elif step == "rto":
             if sender.rto_deadline is not None:
@@ -571,7 +571,7 @@ def test_deterministic_replay():
         sender = make_sender(Variant.NEWRENO, page=3000)
         out = list(sender.pump_transmissions(0))
         for ack, now in [(100, 1), (200, 2), (200, 3), (200, 4), (200, 5), (400, 6)]:
-            out += sender.on_ack([ack], now)
+            out += sender.on_ack(acks(ack), now)
         return [(s.seq, s.len, s.ip_id, s.ack) for s in out]
 
     assert run() == run()
@@ -642,10 +642,19 @@ class PerSegmentSender(Sender):
     """The sender with per-ACK calls, per-segment emission and the loss
     response, head retransmission and timer in helpers of their own."""
 
-    def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
+    def on_ack(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
+        # Each ACK in a call of its own; the request and a close as the
+        # endpoint took them in its own loop, the request through a pump.
         out = []
-        for ack in acks:
-            out += reference_on_ack(self, ack, now)
+        for seg in segments:
+            if seg.kind == "ack":
+                out += reference_on_ack(self, seg.ack, now)
+            elif seg.kind in ("rst", "fin"):
+                self.phase, self.rto_deadline = "closed", None
+                break
+            elif seg.kind == "data" and self.app_limit == 0:
+                self.rcv_nxt, self.app_limit = seg.seq + seg.len, self.page_bytes
+                out += self.pump_transmissions(now)
         return out
 
     def pump_transmissions(self, now: int) -> list[TraceEvent]:
@@ -740,11 +749,9 @@ class ShadowedSender(Sender):
         if twin is None:
             # A nested call, such as on_rto's own pump: checked with its caller.
             return getattr(Sender, name)(self, *args)
-        # The handshake and the request set these, and the twin never sees
-        # them: its phase, the request's end, the page and the SYN+ACK's ip_id.
-        twin.phase, twin.rcv_nxt, twin.app_limit, twin.ip_id_counter = (
-            self.phase, self.rcv_nxt, self.app_limit, self.ip_id_counter,
-        )
+        # The handshake sets these, and the twin never sees it: its phase
+        # and the SYN+ACK's ip_id. The request reaches both through on_ack.
+        twin.phase, twin.ip_id_counter = self.phase, self.ip_id_counter
         self.twin = None
         try:
             out = getattr(Sender, name)(self, *args)
@@ -754,8 +761,8 @@ class ShadowedSender(Sender):
         assert sender_state(self) == sender_state(twin)
         return out
 
-    def on_ack(self, acks, now):
-        return self._checked("on_ack", acks, now)
+    def on_ack(self, segments, now):
+        return self._checked("on_ack", segments, now)
 
     def pump_transmissions(self, now):
         return self._checked("pump_transmissions", now)
@@ -822,10 +829,10 @@ def test_range_emitter_matches_per_segment_karn_reference(scenario):
 ACK_STEPS = st.sampled_from([0, 0, 0, 50, 100, 100, 200, -100])  # 0: a duplicate
 
 
-def answer(sender: Sender, acks: list[int], now: int):
+def answer(sender: Sender, segments: list[TraceEvent], now: int):
     """What ``sender.on_ack`` returns, or the text of the ``InternalError`` it raises."""
     try:
-        return sender.on_ack(acks, now)
+        return sender.on_ack(segments, now)
     except InternalError as error:
         return str(error)
 
@@ -871,14 +878,15 @@ def test_any_ack_batch_matches_the_same_acks_one_call_each(variant, cwnd, ops):
                 out = batched.on_rto(now)
                 assert out == split.on_rto(now) == reference.on_rto(now)
             continue
-        acks = []
+        numbers = []
         for step in op:
             ack = min(max(ack + step, 0), batched.app_limit)
-            acks.append(ack)
+            numbers.append(ack)
         # An ACK beyond the data sent raises the same error in all three and
         # leaves them equal; the peer then acknowledges on from snd_una.
-        out = answer(batched, acks, now)
-        assert out == answer(split, acks, now) == answer(reference, acks, now)
+        batch = acks(*numbers)
+        out = answer(batched, batch, now)
+        assert out == answer(split, batch, now) == answer(reference, batch, now)
         assert vars(batched) == vars(split) == vars(reference)
         if isinstance(out, str):
             ack = batched.snd_una
@@ -907,27 +915,29 @@ def test_stale_ack_and_idle_duplicate_send_nothing_and_change_nothing(variant, c
     now, ack = 0, 0
     for batch in batches:
         now += 10_000
-        acks = []
+        numbers = []
         for step in batch:
             ack = min(max(ack + step, 0), sender._max_sent)
-            acks.append(ack)
-        sender.on_ack(acks, now)
+            numbers.append(ack)
+        sender.on_ack(acks(*numbers), now)
     idle = sender.snd_nxt <= sender.snd_una
     edges = [sender.snd_una] if idle else []
     edges += [sender.snd_una - 1, 0] if sender.snd_una > 0 else []
     for edge in edges:
         before = dict(vars(sender))
-        assert sender.on_ack([edge], now + 10_000) == []
+        assert sender.on_ack(acks(edge), now + 10_000) == []
         assert vars(sender) == before
     assert sender.pump_transmissions(now + 10_000) == []
 
 
 class SplitSender(Sender):
-    """The sender fed each ACK number of a batch in a call of its own."""
+    """The sender fed each record of a batch in a call of its own, up to a close."""
 
-    def on_ack(self, acks: list[int], now: int) -> list[TraceEvent]:
+    def on_ack(self, segments: list[TraceEvent], now: int) -> list[TraceEvent]:
         out = []
-        for batch in [[ack] for ack in acks] or [[]]:  # an empty batch sends the window
+        for batch in [[seg] for seg in segments] or [[]]:  # an empty batch sends the window
+            if self.phase == "closed":
+                break
             out += Sender.on_ack(self, batch, now)
         return out
 
