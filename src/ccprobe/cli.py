@@ -14,7 +14,11 @@ reports death by SIGPIPE). ``main`` is the one entry point: the
 
 classify and matrix judge a run only by its trace, through
 ``classify_trace``: a capped or unclosed run gets an error row, which
-classify exits 3 on and matrix counts as "other".
+classify exits 3 on and matrix counts as "other". The classifier reads
+only the script's MSS and drops, so classify takes just ``--mss`` and
+``--drop`` and closes its script at the least ack limit the drops
+allow. matrix runs at ``--rtt-ms`` or, with ``--rtt-sweep``, at each
+sweep RTT, never both.
 """
 
 import argparse
@@ -23,6 +27,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 from .classifier import classify_trace
 from .errors import CcprobeError, ConfigurationError, TraceParseError
@@ -45,20 +50,12 @@ def _parse_drops(text: str) -> frozenset:
         raise ConfigurationError(f"bad drop list: {text!r}") from None
 
 
-def _build_script(args) -> ProbeScript:
-    return ProbeScript(
-        mss=args.mss,
-        drop_packets=_parse_drops(args.drop),
-        ack_limit_packet=args.ack_limit,
-    )
-
-
-def _build_scenario(args, variant: Variant, rtt_ms=None) -> Scenario:
+def _build_scenario(args, variant: Variant, rtt_ms: int) -> Scenario:
     return Scenario(
         variant=variant,
-        rtt_ms=rtt_ms if rtt_ms is not None else args.rtt_ms,
+        rtt_ms=rtt_ms,
         page_bytes=args.page_bytes,
-        probe_script=_build_script(args),
+        probe_script=ProbeScript(args.mss, _parse_drops(args.drop), args.ack_limit),
     )
 
 
@@ -66,13 +63,17 @@ def _add_script_flags(parser):
     parser.add_argument("--mss", type=int, default=ProbeScript.mss)
     drops = ",".join(map(str, sorted(ProbeScript.drop_packets)))
     parser.add_argument("--drop", default=drops, help="comma list of packet numbers, or 'none'")
-    parser.add_argument("--ack-limit", type=int, default=ProbeScript.ack_limit_packet)
 
 
-def _add_scenario_flags(parser):
-    parser.add_argument("--rtt-ms", type=int, default=Scenario.rtt_ms)
+def _add_scenario_flags(parser, rtt_flags):
+    # --rtt-ms stores a fresh one-item list where --rtt-sweep stores its
+    # tuple: never the default object, so a group of the two refuses it.
+    rtt_flags.add_argument(
+        "--rtt-ms", dest="rtts", nargs=1, type=int, default=(Scenario.rtt_ms,), metavar="RTT_MS"
+    )
     parser.add_argument("--page-bytes", type=int, default=Scenario.page_bytes)
     _add_script_flags(parser)
+    parser.add_argument("--ack-limit", type=int, default=ProbeScript.ack_limit_packet)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,24 +85,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("sim", help="run one scenario and write its trace")
     p_sim.add_argument("--variant", required=True, choices=VARIANTS)
-    _add_scenario_flags(p_sim)
+    _add_scenario_flags(p_sim, p_sim)
     p_sim.add_argument("--out", required=True, help="trace output path (JSONL)")
+    p_sim.set_defaults(handler=cmd_sim)
 
     p_cls = sub.add_parser("classify", help="classify a recorded trace")
     p_cls.add_argument("--in", dest="input", required=True, help="trace path")
     _add_script_flags(p_cls)
+    p_cls.set_defaults(handler=cmd_classify)
 
     p_mat = sub.add_parser("matrix", help="run all variants, print confusion matrix")
-    _add_scenario_flags(p_mat)
-    p_mat.add_argument(
+    rtt_flags = p_mat.add_mutually_exclusive_group()
+    _add_scenario_flags(p_mat, rtt_flags)
+    rtt_flags.add_argument(
         "--rtt-sweep",
-        action="store_true",
-        help=f"repeat every variant at rtt (ms) in {SWEEP_RTTS_MS}",
+        dest="rtts",
+        action="store_const",
+        const=SWEEP_RTTS_MS,
+        help=f"repeat every variant at rtt (ms) in {SWEEP_RTTS_MS}, not --rtt-ms",
     )
+    p_mat.set_defaults(handler=cmd_matrix)
 
     p_plot = sub.add_parser("plot", help="emit time/sequence plot points")
     p_plot.add_argument("--in", dest="input", required=True, help="trace path")
     p_plot.add_argument("--out", required=True, help="CSV output path")
+    p_plot.set_defaults(handler=cmd_plot)
     return parser
 
 
@@ -116,7 +124,7 @@ def _read_trace_file(path: str) -> list:
 
 
 def cmd_sim(args) -> int:
-    world = sim_init(_build_scenario(args, VARIANTS[args.variant]))
+    world = sim_init(_build_scenario(args, VARIANTS[args.variant], *args.rtts))
     trace, reason = run_to_completion(world)
     with open(args.out, "w", encoding="utf-8") as fp:
         write_trace(trace, fp)
@@ -126,7 +134,8 @@ def cmd_sim(args) -> int:
 
 def cmd_classify(args) -> int:
     trace = _read_trace_file(args.input)
-    report = classify_trace(trace, _build_script(args))
+    drops = _parse_drops(args.drop)
+    report = classify_trace(trace, ProbeScript(args.mss, drops, max(drops, default=0) + 1))
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.error is None else 3
 
@@ -134,26 +143,21 @@ def cmd_classify(args) -> int:
 def cmd_matrix(args) -> int:
     labels = [v.value for v in Variant]
     columns = labels + ["other"]
-    counts = {actual: {col: 0 for col in columns} for actual in labels}
-    rtts = SWEEP_RTTS_MS if args.rtt_sweep else (args.rtt_ms,)
+    counts = Counter()  # (actual, predicted) -> runs
     started = time.monotonic()
-    for rtt_ms, variant in itertools.product(rtts, Variant):
-        scenario = _build_scenario(args, variant, rtt_ms=rtt_ms)
+    for rtt_ms, variant in itertools.product(args.rtts, Variant):
+        scenario = _build_scenario(args, variant, rtt_ms)
         trace, _ = run_to_completion(sim_init(scenario))
-        report = classify_trace(trace, scenario.probe_script)
-        predicted = report.label if report.label in labels else "other"
-        counts[variant.value][predicted] += 1
+        label = classify_trace(trace, scenario.probe_script).label
+        counts[variant.value, label if label in labels else "other"] += 1
     elapsed = time.monotonic() - started
 
-    width = max(len(name) for name in columns + labels) + 2
+    width = max(map(len, columns)) + 2
     print("actual".ljust(width) + "".join(col.rjust(width) for col in columns))
     for actual in labels:
-        row = counts[actual]
-        print(actual.ljust(width) + "".join(str(row[col]).rjust(width) for col in columns))
-    # Every variant runs at least once, so a row that is all diagonal is never empty.
-    identity = all(counts[actual][actual] == sum(counts[actual].values()) for actual in labels)
-    runs = len(rtts) * len(labels)
-    print(f"runs={runs} elapsed={elapsed:.3f}s identity={'yes' if identity else 'no'}")
+        print(actual.ljust(width) + "".join(str(counts[actual, col]).rjust(width) for col in columns))
+    identity = all(actual == predicted for actual, predicted in counts)
+    print(f"runs={counts.total()} elapsed={elapsed:.3f}s identity={'yes' if identity else 'no'}")
     return 0 if identity else 1
 
 
@@ -169,14 +173,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handlers = {
-        "sim": cmd_sim,
-        "classify": cmd_classify,
-        "matrix": cmd_matrix,
-        "plot": cmd_plot,
-    }
     try:
-        code = handlers[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

@@ -5,10 +5,12 @@ way other than the prober closing, 2 usage/config/IO errors, 3 a
 classification that produced an error row, 141 stdout closed by its reader.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import ccprobe
 from ccprobe import ProbeScript, Scenario
-from ccprobe.cli import VARIANTS, _build_scenario, _build_script, build_parser, main
+from ccprobe.cli import VARIANTS, _build_scenario, _parse_drops, build_parser, main
 from ccprobe.traceio import PLOT_HEADER
 
 
@@ -102,9 +104,12 @@ def test_sim_output_is_byte_identical_across_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("spelling", sorted(VARIANTS))
 def test_flag_defaults_are_the_library_defaults(spelling):
-    args = build_parser().parse_args(["sim", "--variant", spelling, "--out", "x.jsonl"])
-    assert _build_scenario(args, VARIANTS[spelling]) == Scenario(variant=VARIANTS[spelling])
-    assert _build_script(build_parser().parse_args(["classify", "--in", "x.jsonl"])) == ProbeScript()
+    variant = VARIANTS[spelling]
+    for argv in (["sim", "--variant", spelling, "--out", "x.jsonl"], ["matrix"]):
+        args = build_parser().parse_args(argv)
+        assert _build_scenario(args, variant, *args.rtts) == Scenario(variant=variant)
+    args = build_parser().parse_args(["classify", "--in", "x.jsonl"])
+    assert (args.mss, _parse_drops(args.drop)) == (ProbeScript.mss, ProbeScript.drop_packets)
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -216,15 +221,29 @@ def test_classify_out_of_order_trace_names_its_line(tmp_path, capsys):
     assert err == "error: line 3: t_us 100000 before the previous line's 300000\n"
 
 
-def test_classify_round_trip_above_the_initial_rto_is_spurious_timeout(tmp_path, capsys):
-    # At 1,500 ms the 1 s timer fires before the first ACK returns, and the
-    # trace repeats packets the prober never refused.
+@pytest.mark.parametrize(
+    "variant, sim_flags, script_flags",
+    [
+        # At 1,500 ms the 1 s timer fires before the first ACK returns, and
+        # the trace repeats packets the prober never refused.
+        ("newreno", ("--rtt-ms", "1500"), ()),
+        # At 1,001 ms the timer re-sends packet 1, the first drop, before
+        # any duplicate ACK could reach the server.
+        (
+            "tahoe",
+            ("--rtt-ms", "1001", "--drop", "1,4", "--ack-limit", "10", "--page-bytes", "2500"),
+            ("--drop", "1,4"),
+        ),
+    ],
+    ids=["rtt-1500", "drop-1"],
+)
+def test_classify_round_trip_above_the_initial_rto_is_spurious_timeout(
+    tmp_path, capsys, variant, sim_flags, script_flags
+):
     path = tmp_path / "slow.jsonl"
-    code, stdout, _ = run_cli(
-        capsys, "sim", "--variant", "newreno", "--rtt-ms", "1500", "--out", str(path)
-    )
+    code, stdout, _ = run_cli(capsys, "sim", "--variant", variant, *sim_flags, "--out", str(path))
     assert (code, stdout) == (0, "ProberClosed\n")
-    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), *script_flags)
     assert code == 3
     assert json.loads(stdout)["error"] == "SpuriousTimeout"
 
@@ -233,9 +252,9 @@ def test_classify_round_trip_above_the_initial_rto_is_spurious_timeout(tmp_path,
     "flags, message",
     [
         (("--mss", "0"), "script mss must be positive"),
-        (("--ack-limit", "5"), "ack_limit_packet must lie beyond every dropped packet"),
+        (("--drop", "0,16"), "drop packet numbers are 1-based"),
     ],
-    ids=["mss-0", "ack-limit-below-drops"],
+    ids=["mss-0", "drop-0"],
 )
 def test_classify_rejects_invalid_script(newreno_trace, capsys, flags, message):
     # sim and matrix reject these scripts too; classify must not crash on
@@ -246,16 +265,53 @@ def test_classify_rejects_invalid_script(newreno_trace, capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
+def test_classify_drops_past_the_default_ack_limit(tmp_path, capsys):
+    # classify reads only the script's MSS and drops: a trace whose drops
+    # lie past the default ack limit of 25 needs no ack limit to be read.
+    path = tmp_path / "late.jsonl"
+    flags = ("--drop", "30,33", "--ack-limit", "40", "--page-bytes", "5000")
+    assert run_cli(capsys, "sim", "--variant", "reno", *flags, "--out", str(path))[0] == 0
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), "--drop", "30,33")
+    assert code == 0
+    assert json.loads(stdout)["label"] == "Reno"
+
+
+def test_classify_respaced_copy_gives_the_same_report(newreno_trace, tmp_path, capsys):
+    # A copy with a space after every key is not canonical, so it takes the
+    # line reader; the report must not change.
+    path = tmp_path / "spaced.jsonl"
+    path.write_text(newreno_trace.read_text(encoding="utf-8").replace('":', '": '), encoding="utf-8")
+    canonical = run_cli(capsys, "classify", "--in", str(newreno_trace))
+    assert canonical[0] == 0
+    assert run_cli(capsys, "classify", "--in", str(path)) == canonical
+
+
+def test_classify_trace_with_a_lost_server_segment_is_unexpected_loss(
+    newreno_trace, tmp_path, capsys
+):
+    # A server segment lost on the path leaves a gap in the ip_ids: an
+    # error row, not a label.
+    lines = newreno_trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    lost = [line for line in lines if re.search(r'"dir":"rx","kind":"data".*"ip_id":10}', line)]
+    assert len(lost) == 1
+    path = tmp_path / "lossy.jsonl"
+    path.write_text("".join(line for line in lines if line not in lost), encoding="utf-8")
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 3
+    assert json.loads(stdout)["error"] == "UnexpectedLoss"
+
+
 def test_classify_capped_trace_is_overflow_row(tmp_path, capsys):
     # A 2,000-packet page acked up to 1,900 fills the 10,000-event cap
     # before the prober closes, so the trace may not be labelled. The run
-    # stops at the cap and says so.
+    # stops at the cap, says so, and keeps the first 10,000 events.
     path = tmp_path / "capped.jsonl"
     flags = ("--rtt-ms", "10", "--page-bytes", "200000", "--ack-limit", "1900")
     code, stdout, _ = run_cli(capsys, "sim", "--variant", "newreno", *flags, "--out", str(path))
     assert code == 1
     assert stdout.strip() == "TraceOverflow"
-    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), "--ack-limit", "1900")
+    assert path.read_bytes().count(b"\n") == 10_000
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
     assert code == 3
     assert json.loads(stdout)["error"] == "TraceOverflow"
 
@@ -295,11 +351,37 @@ def test_matrix_mismatch_exits_one(capsys):
     assert "identity=no" in stdout
 
 
-def test_matrix_rtt_sweep_holds_identity(capsys):
-    code, stdout, _ = run_cli(capsys, "matrix", "--rtt-sweep")
+@pytest.mark.parametrize(
+    "flags",
+    [
+        (),
+        # A 30,000-byte page runs congestion avoidance in all 25 probes.
+        ("--page-bytes", "30000", "--ack-limit", "250"),
+        # The loss window, held spans and repairs sit elsewhere in the page.
+        ("--drop", "5,9", "--ack-limit", "15"),
+        # The world caps the server's 1,460-byte MSS at the script's.
+        ("--mss", "50", "--page-bytes", "1500"),
+        ("--mss", "1000", "--page-bytes", "30000"),
+    ],
+    ids=["default", "long-page", "drop-5-9", "mss-50", "mss-1000"],
+)
+def test_matrix_rtt_sweep_holds_identity(capsys, flags):
+    code, stdout, _ = run_cli(capsys, "matrix", "--rtt-sweep", *flags)
     assert code == 0
     assert "runs=25" in stdout
     assert "identity=yes" in stdout
+
+
+@pytest.mark.parametrize("rtt_ms", ["0", "100", "1500"])
+@pytest.mark.parametrize("sweep_first", [True, False])
+def test_matrix_rtt_sweep_refuses_an_rtt(capsys, rtt_ms, sweep_first):
+    # 100 is the default: a given --rtt-ms is refused at any value.
+    flags = ["--rtt-ms", rtt_ms]
+    flags = ["--rtt-sweep", *flags] if sweep_first else [*flags, "--rtt-sweep"]
+    code, stdout, err = run_cli(capsys, "matrix", *flags)
+    assert code == 2
+    assert stdout == ""
+    assert "not allowed with argument" in err
 
 
 def assert_every_run_is_other(code, stdout):
@@ -351,6 +433,69 @@ def test_plot_empty_trace_is_header_only(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "plot", "--in", str(src), "--out", str(out))
     assert code == 0
     assert out.read_text(encoding="utf-8") == PLOT_HEADER + "\n"
+
+
+# -- every flag is read -----------------------------------------------------------
+
+
+def optional_flags():
+    """(subcommand, flag) for every optional flag that ``build_parser`` defines."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, flag)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if not action.required and not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    ]
+
+
+# One value for each optional flag, away from its default. matrix prints
+# only labels, which no valid page, MSS or ack limit near the defaults
+# moves, and every valid ack limit leaves sim's default trace as it is (the
+# repair of packet 16 acks the whole page): there a value the scenario
+# refuses (exit 2) shows that the flag reaches it.
+FLAG_VALUES = {
+    ("sim", "--rtt-ms"): ("50",),
+    ("sim", "--page-bytes"): ("5000",),
+    ("sim", "--mss"): ("50",),
+    ("sim", "--drop"): ("5,9",),
+    ("sim", "--ack-limit"): ("30",),
+    ("classify", "--mss"): ("50",),
+    ("classify", "--drop"): ("5,9",),
+    ("matrix", "--rtt-ms"): ("1500",),
+    ("matrix", "--page-bytes"): ("2500",),
+    ("matrix", "--mss"): ("1000",),
+    ("matrix", "--drop"): ("none",),
+    ("matrix", "--ack-limit"): ("30",),
+    ("matrix", "--rtt-sweep"): (),
+}
+
+
+def test_flag_values_name_every_optional_flag():
+    assert sorted(FLAG_VALUES) == sorted(optional_flags())
+
+
+@pytest.mark.parametrize("command, flag", optional_flags())
+def test_every_optional_flag_changes_what_its_command_shows(
+    newreno_trace, tmp_path, capsys, command, flag
+):
+    # A flag that a command defines but never reads leaves its exit code,
+    # its stdout and the file it writes all as they are at the defaults.
+    out = tmp_path / "out"
+    required = {
+        "sim": ("--variant", "newreno", "--out", str(out)),
+        "classify": ("--in", str(newreno_trace)),
+        "matrix": (),
+    }[command]
+
+    def shown(*flags):
+        code, stdout, _ = run_cli(capsys, command, *required, *flags)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, re.sub(r"elapsed=\S+", "elapsed=", stdout), written
+
+    assert shown(flag, *FLAG_VALUES[command, flag]) != shown()
 
 
 # -- closed stdout ---------------------------------------------------------------
