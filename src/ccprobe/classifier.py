@@ -2,27 +2,27 @@
 
 Everything here works from the prober's observed trace alone (plus the
 probe script that produced it); no sender or session state is consulted,
-and only the trace of a finished probe gets a label. The trace yields a
-small feature vector -- how the two scripted losses were repaired and
-whether anything else was retransmitted between or after them -- and an
-ordered decision table maps the features to a label. One walk over the
-retransmissions, which are in trace order, finds each drop's first
-repair and the repeats of the packet after the last drop.
+and only the trace of a finished probe gets a label. Like TBIT's, the
+ordered decision table is built for exactly two refused packets, so a
+script of any other number of drops gets a ``NotTwoDrops`` error row.
+One walk over the retransmissions reads the features: each drop's first
+repair, another packet's repair between those two, and the repeats of
+the follower, the packet after the second drop, once an ACK covered it.
 
 As TBIT does, a trace is judged only if its path was clean. The server
 numbers its segments from one per-connection ip_id counter, starting at
 the SYN+ACK, and the scripted drops are recorded on arrival. So on a
 clean path every data arrival carries the next ip_id and starts at or
 below the high-water mark ``high``: the bytes seen form one prefix
-[0, high). One scan checks both. At the first arrival that fails, the trace gets an
-error row naming it: ``Reordering`` when its ip_id runs backwards or a
-later arrival carries a lower one, ``UnexpectedLoss`` otherwise. A clean
-path's first repeat of a packet below the first scripted drop, which the
-prober never refused, means a timer fired before any loss (a round trip
-above the 1 s initial RTO): a ``SpuriousTimeout`` row names it. So does
-a repeat of packet 1 less than one round trip after the first data,
-whatever the first drop: a fast repair lands a round trip or more after
-it, and only a timer, its RTO at least 1 s, comes sooner.
+[0, high). One scan checks both. At the first arrival that fails, the
+trace gets an error row naming it: ``Reordering`` when its ip_id runs
+backwards or a later arrival carries a lower one, ``UnexpectedLoss``
+otherwise. A clean path's first repeat of a packet below the first drop,
+which the prober never refused, means a timer fired before any loss (a
+round trip above the 1 s initial RTO): a ``SpuriousTimeout`` row names
+it. So does a repeat of packet 1, when it is the first drop, less than
+one round trip after the first data: a fast repair lands a round trip or
+more after it, and only a timer, its RTO at least 1 s, comes sooner.
 
 On a clean path an arrival overlaps earlier ones, all of lower ip_id,
 exactly when it starts below ``high``: that is a retransmission. It is
@@ -36,6 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 from .netsim import EVENT_CAP
 from .prober import ProbeScript
+from .sender import Variant
 from .traceio import TraceEvent
 
 LABEL_UNCLASSIFIABLE = "Unclassifiable"
@@ -45,6 +46,7 @@ ERROR_UNEXPECTED_LOSS = "UnexpectedLoss"
 ERROR_TRACE_OVERFLOW = "TraceOverflow"
 ERROR_INCOMPLETE = "Incomplete"
 ERROR_SPURIOUS_TIMEOUT = "SpuriousTimeout"
+ERROR_NOT_TWO_DROPS = "NotTwoDrops"
 
 RETX_NONE = "none"
 RETX_FAST = "fast"
@@ -70,10 +72,10 @@ class _Unjudgeable(Exception):
 class FeatureVector:
     """How a trace repaired the scripted losses: what the decision table reads."""
     rtt_est: int = 0  # virtual microseconds
-    retx13: str = RETX_NONE
-    retx16: str = RETX_NONE
-    unnecessary_retx17: bool = False
-    extra_retx_between_13_and_16: bool = False
+    first_drop_repair: str = RETX_NONE
+    second_drop_repair: str = RETX_NONE
+    follower_repeated_after_ack: bool = False
+    extra_repair_between_drops: bool = False
     retransmission_count: int = 0
 
 
@@ -166,23 +168,27 @@ def detect_reordering(trace: list[TraceEvent]) -> int | None:
 def classify(features: FeatureVector) -> str:
     """Ordered decision table; exactly one label per input."""
     f = features
-    if f.retx13 == RETX_TIMEOUT:
-        return "NoFastRetransmit"
-    if f.retx13 == RETX_NONE:
+    if f.first_drop_repair == RETX_TIMEOUT:
+        return Variant.NO_FAST_RETRANSMIT.value
+    if f.first_drop_repair == RETX_NONE:
         return LABEL_UNCLASSIFIABLE
-    if f.extra_retx_between_13_and_16:
-        return "RenoPlus"
-    if f.unnecessary_retx17:
-        return "Tahoe"
-    if f.retx16 == RETX_TIMEOUT:
-        return "Reno"
-    if f.retx16 == RETX_FAST and f.retransmission_count == 2:
-        return "NewReno"
+    if f.extra_repair_between_drops:
+        return Variant.RENO_PLUS.value
+    if f.follower_repeated_after_ack:
+        return Variant.TAHOE.value
+    if f.second_drop_repair == RETX_TIMEOUT:
+        return Variant.RENO.value
+    if f.second_drop_repair == RETX_FAST and f.retransmission_count == 2:
+        return Variant.NEWRENO.value
     return LABEL_UNCLASSIFIABLE
 
 
 def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[FeatureVector, list]:
     """Build the feature vector plus the trace-index evidence behind it."""
+    if len(script.drop_packets) != 2:
+        raise _Unjudgeable(ERROR_NOT_TWO_DROPS, [])
+    first, second = sorted(script.drop_packets)
+    follower = second + 1
     rtt = estimate_rtt(trace)
     if rtt is None:
         raise _Unjudgeable(ERROR_INCOMPLETE, [])
@@ -191,45 +197,35 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
     if broken is not None:
         error, position, note = broken
         raise _Unjudgeable(error, [(position, note)])
-    drops = sorted(script.drop_packets)
-    for r in retxs:  # a timer's repeat: of a packet never refused, or too soon
-        if not drops or r.index < drops[0]:
+    # One walk over the retransmissions, in trace order: a timer's early
+    # repeat, each drop's first repair, another packet's repair between
+    # those two, and the follower's repeats.
+    evidence, repeats = [], []
+    repaired = {}  # drop -> the kind of its first repair
+    between = False
+    for r in retxs:
+        if r.index < first:  # the prober refused nothing below its first drop
             note = f"retransmission of packet {r.index} before any scripted loss"
         elif r.index == 1 and r.t_us < rtt + next(
             e.t_us for e in trace if e.dir == "rx" and e.kind == "data"
         ):
             note = "retransmission of packet 1 within one round trip of the first data"
         else:
+            evidence.append((r.event_index, f"retransmission of packet {r.index} ({r.kind})"))
+            if r.index == first or r.index == second:
+                repaired.setdefault(r.index, r.kind)
+            elif first in repaired and second not in repaired:
+                between = True
+            if r.index == follower:
+                repeats.append(r)
             continue
         raise _Unjudgeable(ERROR_SPURIOUS_TIMEOUT, [(r.event_index, note)])
-    evidence = [
-        (r.event_index, f"retransmission of packet {r.index} ({r.kind})") for r in retxs
-    ]
     features = FeatureVector(rtt_est=rtt, retransmission_count=len(retxs))
-    if not drops:
-        return features, evidence
-    first_drop, last_drop, follower = drops[0], drops[-1], drops[-1] + 1
-    # One walk over the retransmissions, which are in trace order: where
-    # each drop is first repaired, and the follower's repeats.
-    at13, at16, repeats = None, None, []
-    for position, r in enumerate(retxs):
-        if r.index == follower:
-            repeats.append(r)
-            continue
-        if r.index == first_drop and at13 is None:
-            at13 = position
-        if r.index == last_drop and at16 is None:
-            at16 = position
-    if at13 is not None:
-        features.retx13 = retxs[at13].kind
-        # A repair kind for the second drop is only meaningful once the
-        # first drop was seen repaired.
-        if at16 is not None:
-            features.retx16 = retxs[at16].kind
-            for r in retxs[at13 + 1:at16]:
-                if r.index != first_drop and r.index != last_drop:
-                    features.extra_retx_between_13_and_16 = True
-                    break
+    if first in repaired:
+        features.first_drop_repair = repaired[first]
+        if second in repaired:  # read only once the first drop was repaired
+            features.second_drop_repair = repaired[second]
+            features.extra_repair_between_drops = between
     if repeats:
         # A repeat after the first ACK that covers the follower was
         # unnecessary; only an ACK before the last repeat can precede one.
@@ -239,7 +235,7 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
                 for r in repeats:
                     if acked_at < r.event_index:
                         break
-                features.unnecessary_retx17 = True
+                features.follower_repeated_after_ack = True
                 evidence.append(
                     (r.event_index, f"packet {follower} arrived again after being ack-covered")
                 )
@@ -254,12 +250,13 @@ def _error_row(error: str, evidence: list) -> ClassificationReport:
 def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> ClassificationReport:
     """Full pipeline from observed trace to report.
 
-    Only a finished probe gets a label. A trace of EVENT_CAP events or more
-    is a TraceOverflow error row, and a trace in which the prober never
-    sent ``rst`` or ``fin``, or that lacks the handshake, is an Incomplete
-    one. A path break is a Reordering or UnexpectedLoss row naming it, and
-    a retransmission of a packet below the first scripted drop (of any
-    packet, with no drop), or of packet 1 within one round trip of the
+    Only a finished probe of a two-drop script gets a label. In this order:
+    a trace of EVENT_CAP events or more is a TraceOverflow error row, one
+    in which the prober never sent ``rst`` or ``fin`` an Incomplete one,
+    and a script of other than two drops a NotTwoDrops one. Then a trace
+    that lacks the handshake is Incomplete, a path break is a Reordering
+    or UnexpectedLoss row naming it, and a retransmission of a packet
+    below the first drop, or of packet 1 within one round trip of the
     first data, is a SpuriousTimeout row naming it.
     """
     if len(trace) >= EVENT_CAP:

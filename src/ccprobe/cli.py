@@ -13,11 +13,11 @@ reports death by SIGPIPE). ``main`` is the one entry point: the
 ``ccprobe`` script and ``python -m ccprobe`` exit with what it returns.
 
 classify and matrix judge a run only by its trace, through
-``classify_trace``: a capped or unclosed run gets an error row, which
-classify exits 3 on and matrix counts as "other". The classifier reads
-only the script's MSS and drops, so classify takes just ``--mss`` and
-``--drop`` and closes its script at the least ack limit the drops
-allow. matrix runs at ``--rtt-ms`` or, with ``--rtt-sweep``, at each
+``classify_trace``: a capped or unclosed run, or a script of other than
+two drops, gets an error row, which classify exits 3 on and matrix
+counts as "other"; sim runs any drop set. The classifier reads only the
+script's MSS and drops, so classify takes just ``--mss`` and ``--drop``
+and closes its script at the least ack limit the drops allow. matrix runs at ``--rtt-ms`` or, with ``--rtt-sweep``, at each
 sweep RTT, never both.
 """
 

@@ -4,15 +4,19 @@ Expected feature vectors for the default scenario were worked out by hand
 from the scripted-loss timeline (first drop repaired in one rtt by fast
 retransmit, and so on) and frozen before implementation:
 
-    variant           retx13   retx16   unnec17  extra  count
-    Tahoe             fast     fast     yes      no     6
-    Reno              fast     timeout  no       no     2
-    NewReno           fast     fast     no       no     2
-    NoFastRetransmit  timeout  fast     yes      no     3
-    RenoPlus          fast     fast     yes      yes    14
+    variant           first    second   follower  extra  count
+    Tahoe             fast     fast     yes       no     6
+    Reno              fast     timeout  no        no     2
+    NewReno           fast     fast     no        no     2
+    NoFastRetransmit  timeout  fast     yes       no     3
+    RenoPlus          fast     fast     yes       yes    14
 
-The two "yes" unnec17 rows never reach that branch of the decision table;
-retx13=timeout and the extra-retransmission flag take precedence.
+The columns are ``first_drop_repair`` and ``second_drop_repair`` (packets
+13 and 16), ``follower_repeated_after_ack`` (packet 17 arrived again
+after an ACK covered it), ``extra_repair_between_drops`` and
+``retransmission_count``. The two "yes" follower rows never reach that
+branch of the decision table; a timer's first-drop repair and the
+extra-repair flag take precedence.
 """
 
 import dataclasses
@@ -26,6 +30,7 @@ from hypothesis import strategies as st
 
 from ccprobe import (
     ProbeScript,
+    Scenario,
     SenderConfig,
     TerminationReason,
     Variant,
@@ -37,6 +42,7 @@ from ccprobe import (
 )
 from ccprobe.classifier import (
     ERROR_INCOMPLETE,
+    ERROR_NOT_TWO_DROPS,
     ERROR_REORDERING,
     ERROR_SPURIOUS_TIMEOUT,
     ERROR_TRACE_OVERFLOW,
@@ -346,24 +352,86 @@ def test_another_scripts_drops_never_give_a_variant_label():
     }
 
 
+# -- scripts of other than two drops -------------------------------------------
+# The decision table reads how exactly two refused packets were repaired. A
+# script of any other number of drops gets an error row naming that, before
+# its trace is read: one drop is not two, and a third one would pass for a
+# repair between the two.
+
+
+@st.composite
+def other_drop_counts(draw) -> ProbeScript:
+    size = draw(st.sampled_from([0, 1, 3]))
+    packets = st.integers(min_value=2, max_value=20)
+    drops = draw(st.frozensets(packets, min_size=size, max_size=size))
+    ack_limit = max(drops, default=1) + draw(st.integers(min_value=1, max_value=10))
+    return ProbeScript(drop_packets=drops, ack_limit_packet=ack_limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    other_drop_counts(),
+    st.sampled_from(list(Variant)),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=1, max_value=4),
+)
+def test_other_drop_counts_are_never_labelled(script, variant, rtt_ms, cwnd):
+    run = run_scenario(
+        variant,
+        rtt_ms=rtt_ms,
+        page_bytes=(script.ack_limit_packet + 5) * script.mss,
+        sender_config=SenderConfig(initial_cwnd=cwnd),
+        probe_script=script,
+    )
+    assert run.reason is TerminationReason.PROBER_CLOSED
+    report = classify_trace(run.trace, script)
+    assert report == ClassificationReport(None, ERROR_NOT_TWO_DROPS, FeatureVector(), [])
+
+
+# -- the ack limit ---------------------------------------------------------------
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(list(Variant)),
+    st.integers(min_value=1, max_value=800),
+    st.integers(min_value=1, max_value=4),
+)
+def test_label_does_not_depend_on_the_ack_limit(variant, rtt_ms, cwnd):
+    # Refusing 13 and 16, the probe reads its label off the repairs; how
+    # far it then acks the page, from 17 to the page's last packet but
+    # one, must not change what the trace is judged to be.
+    outcomes = set()
+    for ack_limit in range(17, Scenario.page_bytes // SCRIPT.mss):
+        run = run_scenario(
+            variant,
+            rtt_ms=rtt_ms,
+            sender_config=SenderConfig(initial_cwnd=cwnd),
+            probe_script=ProbeScript(ack_limit_packet=ack_limit),
+        )
+        report = classify_trace(run.trace, run.scenario.probe_script)
+        outcomes.add((report.label, report.error))
+    assert len(outcomes) == 1, outcomes
+
+
 # -- decision table ------------------------------------------------------------
 
 
 def features(**kw) -> FeatureVector:
-    base = dict(rtt_est=100 * MS, retx13=RETX_FAST, retx16=RETX_FAST)
+    base = dict(rtt_est=100 * MS, first_drop_repair=RETX_FAST, second_drop_repair=RETX_FAST)
     base.update(kw)
     return FeatureVector(**base)
 
 
 DECISION_ROWS = [
-    (features(retx13=RETX_TIMEOUT), "NoFastRetransmit"),
-    (features(retx13=RETX_NONE), LABEL_UNCLASSIFIABLE),
-    (features(extra_retx_between_13_and_16=True), "RenoPlus"),
-    (features(unnecessary_retx17=True), "Tahoe"),
-    (features(retx16=RETX_TIMEOUT), "Reno"),
+    (features(first_drop_repair=RETX_TIMEOUT), "NoFastRetransmit"),
+    (features(first_drop_repair=RETX_NONE), LABEL_UNCLASSIFIABLE),
+    (features(extra_repair_between_drops=True), "RenoPlus"),
+    (features(follower_repeated_after_ack=True), "Tahoe"),
+    (features(second_drop_repair=RETX_TIMEOUT), "Reno"),
     (features(retransmission_count=2), "NewReno"),
     (features(retransmission_count=3), LABEL_UNCLASSIFIABLE),
-    (features(retx16=RETX_NONE), LABEL_UNCLASSIFIABLE),
+    (features(second_drop_repair=RETX_NONE), LABEL_UNCLASSIFIABLE),
 ]
 
 
@@ -388,10 +456,10 @@ def test_reordering_outranks_every_label(default_runs, variant):
     st.builds(
         FeatureVector,
         rtt_est=st.integers(min_value=1, max_value=10**7),
-        retx13=st.sampled_from([RETX_NONE, RETX_FAST, RETX_TIMEOUT]),
-        retx16=st.sampled_from([RETX_NONE, RETX_FAST, RETX_TIMEOUT]),
-        unnecessary_retx17=st.booleans(),
-        extra_retx_between_13_and_16=st.booleans(),
+        first_drop_repair=st.sampled_from([RETX_NONE, RETX_FAST, RETX_TIMEOUT]),
+        second_drop_repair=st.sampled_from([RETX_NONE, RETX_FAST, RETX_TIMEOUT]),
+        follower_repeated_after_ack=st.booleans(),
+        extra_repair_between_drops=st.booleans(),
         retransmission_count=st.integers(min_value=0, max_value=50),
     )
 )
@@ -418,10 +486,10 @@ def test_feature_vectors_match_frozen_table(default_runs):
     for variant, run in default_runs.items():
         feats, _ = extract_features(run.trace, run.scenario.probe_script)
         got = (
-            feats.retx13,
-            feats.retx16,
-            feats.unnecessary_retx17,
-            feats.extra_retx_between_13_and_16,
+            feats.first_drop_repair,
+            feats.second_drop_repair,
+            feats.follower_repeated_after_ack,
+            feats.extra_repair_between_drops,
             feats.retransmission_count,
         )
         assert got == expected[variant], variant.value
@@ -506,9 +574,12 @@ def test_timer_repeat_before_any_loss_is_a_spurious_timeout():
     report = classify_trace(closed(trace), SCRIPT)
     assert (report.label, report.error) == (None, ERROR_SPURIOUS_TIMEOUT)
     assert report.evidence == [(7, "retransmission of packet 3 before any scripted loss")]
-    # With no scripted drop, any repeat on an intact path is one.
+    # With no scripted drop the table has nothing to judge: the script is
+    # refused before the repeat is looked at.
     no_drop = ProbeScript(drop_packets=frozenset())
-    assert classify_trace(closed(trace), no_drop).error == ERROR_SPURIOUS_TIMEOUT
+    assert classify_trace(closed(trace), no_drop) == ClassificationReport(
+        None, ERROR_NOT_TWO_DROPS, FeatureVector(), []
+    )
 
 
 @pytest.mark.parametrize(
@@ -534,7 +605,7 @@ def test_repeat_of_a_dropped_first_packet_within_a_round_trip_is_a_spurious_time
             (5, "retransmission of packet 1 within one round trip of the first data")
         ]
     else:
-        assert report.features.retx13 == "fast"
+        assert report.features.first_drop_repair == "fast"
     assert report == reference_report(closed(trace), script)
 
 
@@ -603,7 +674,7 @@ def test_report_dict_has_exactly_one_outcome_key(default_runs):
 def test_report_dict_serializes_evidence_as_pairs(default_runs):
     run = default_runs[Variant.NEWRENO]
     payload = classify_trace(run.trace, run.scenario.probe_script).to_dict()
-    assert payload["features"]["retx13"] == "fast"
+    assert payload["features"]["first_drop_repair"] == "fast"
     for item in payload["evidence"]:
         assert isinstance(item, list) and len(item) == 2
         assert isinstance(item[0], int) and isinstance(item[1], str)
@@ -658,21 +729,22 @@ def reference_break(trace):
 
 
 def reference_report(trace, script) -> ClassificationReport | None:
-    """The classifier's report built from the reference scans; None without
-    an rtt or on a broken path, a SpuriousTimeout row on a repeat below the
-    first drop."""
+    """The classifier's report built from the reference scans: a NotTwoDrops
+    row for a script of other than two drops, then None without an rtt or
+    on a broken path, a SpuriousTimeout row on a repeat below the first
+    drop."""
+    if len(script.drop_packets) != 2:
+        return ClassificationReport(None, ERROR_NOT_TWO_DROPS, FeatureVector(), [])
     rtt = estimate_rtt(trace)
     if rtt is None or reference_break(trace) is not None:
         return None
-    drops = sorted(script.drop_packets)
-    first_drop = drops[0] if drops else None
-    last_drop = drops[-1] if drops else None
-    follower = last_drop + 1 if last_drop is not None else None
+    first_drop, last_drop = min(script.drop_packets), max(script.drop_packets)
+    follower = last_drop + 1
     retxs = reference_retransmissions(trace, rtt, mss=script.mss)
     for r in retxs:
-        # The prober refused nothing below its first drop (nothing at all
-        # with no drop): a repeat there is a timer that fired before any loss.
-        if first_drop is None or r.index < first_drop:
+        # The prober refused nothing below its first drop: a repeat there
+        # is a timer that fired before any loss.
+        if r.index < first_drop:
             note = f"retransmission of packet {r.index} before any scripted loss"
             return ClassificationReport(
                 None, ERROR_SPURIOUS_TIMEOUT, FeatureVector(), [(r.event_index, note)]
@@ -694,29 +766,28 @@ def reference_report(trace, script) -> ClassificationReport | None:
         return next((r for r in retxs if r.index == index), None)
 
     feats = FeatureVector(rtt_est=rtt, retransmission_count=len(retxs))
-    r13 = first_retx(first_drop) if first_drop is not None else None
-    r16 = first_retx(last_drop) if last_drop is not None else None
+    r13 = first_retx(first_drop)
+    r16 = first_retx(last_drop)
     if r13 is not None:
-        feats.retx13 = r13.kind
+        feats.first_drop_repair = r13.kind
         if r16 is not None:
-            feats.retx16 = r16.kind
-            feats.extra_retx_between_13_and_16 = any(
+            feats.second_drop_repair = r16.kind
+            feats.extra_repair_between_drops = any(
                 r.index not in (first_drop, last_drop)
                 and r13.event_index < r.event_index < r16.event_index
                 for r in retxs
             )
-    if follower is not None:
-        follower_end = follower * script.mss
-        for r in retxs:
-            if r.index == follower and any(
-                ev.dir == "tx" and ev.kind == "ack" and ev.ack >= follower_end
-                for ev in trace[: r.event_index]
-            ):
-                feats.unnecessary_retx17 = True
-                evidence.append(
-                    (r.event_index, f"packet {follower} arrived again after being ack-covered")
-                )
-                break
+    follower_end = follower * script.mss
+    for r in retxs:
+        if r.index == follower and any(
+            ev.dir == "tx" and ev.kind == "ack" and ev.ack >= follower_end
+            for ev in trace[: r.event_index]
+        ):
+            feats.follower_repeated_after_ack = True
+            evidence.append(
+                (r.event_index, f"packet {follower} arrived again after being ack-covered")
+            )
+            break
     return ClassificationReport(classify(feats), None, feats, evidence)
 
 
@@ -850,6 +921,10 @@ def tx_ack(t_ms, ack) -> TraceEvent:
 @example(HANDSHAKE + [rx(200, 0, 2), rx(300, 200, 4), rx(400, 100, 3)], SCRIPT)
 def test_coverage_index_matches_quadratic_reference(trace, script):
     expected = reference_report(trace, script)
+    if expected is not None and expected.error == ERROR_NOT_TWO_DROPS:
+        # The script is refused before the trace is read, broken or not.
+        assert classify_trace(closed(trace), script) == expected
+        return
     if expected is None:
         # No handshake or a broken path: an error row, naming the break.
         report = classify_trace(closed(trace), script)

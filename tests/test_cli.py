@@ -138,7 +138,7 @@ def test_classify_prints_label_report(newreno_trace, capsys):
     report = json.loads(stdout)
     assert report["label"] == "NewReno"
     assert "error" not in report
-    assert report["features"]["retx13"] == "fast"
+    assert report["features"]["first_drop_repair"] == "fast"
     assert report["features"]["retransmission_count"] == 2
     assert report["evidence"]
 
@@ -276,6 +276,16 @@ def test_classify_drops_past_the_default_ack_limit(tmp_path, capsys):
     assert json.loads(stdout)["label"] == "Reno"
 
 
+def test_classify_without_drops_is_not_two_drops_row(tmp_path, capsys):
+    # sim runs any drop set; classify judges only a script of two drops.
+    path = tmp_path / "nodrop.jsonl"
+    assert run_cli(capsys, "sim", "--variant", "reno", "--drop", "none", "--out", str(path))[0] == 0
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), "--drop", "none")
+    assert code == 3
+    report = json.loads(stdout)
+    assert (report["error"], report["evidence"]) == ("NotTwoDrops", [])
+
+
 def test_classify_respaced_copy_gives_the_same_report(newreno_trace, tmp_path, capsys):
     # A copy with a space after every key is not canonical, so it takes the
     # line reader; the report must not change.
@@ -345,7 +355,7 @@ def test_matrix_default_is_identity(capsys):
 
 
 def test_matrix_mismatch_exits_one(capsys):
-    # Without scripted drops nothing is repaired, so no run gets a label.
+    # Without scripted drops there are no repairs to judge: no run gets a label.
     code, stdout, _ = run_cli(capsys, "matrix", "--drop", "none")
     assert code == 1
     assert "identity=no" in stdout
@@ -411,6 +421,16 @@ def test_matrix_timer_repeat_of_a_dropped_first_packet_is_other(capsys):
         "--page-bytes", "2500",
     )
     assert_every_run_is_other(code, stdout)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--drop", "13"), ("--drop", "5,9,13", "--ack-limit", "25")], ids=["one", "three"]
+)
+def test_matrix_counts_other_drop_counts_as_other(capsys, flags):
+    # The decision table reads how two refused packets were repaired. One
+    # drop once read RenoPlus as Tahoe, and a third drop's repair passed
+    # for RenoPlus's extra one: no run may be labelled.
+    assert_every_run_is_other(*run_cli(capsys, "matrix", *flags)[:2])
 
 
 # -- plot ------------------------------------------------------------------------

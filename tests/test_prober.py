@@ -319,14 +319,16 @@ def test_outcome_stalled_sender():
 
 
 def test_outcome_completed():
-    arrivals = [synack()] + [
-        data_segment(i, ip_id=i + 1) for i in range(1, 26)
-    ]
-    session = replay(ProbeScript(drop_packets=frozenset()), arrivals)
+    # Packets 1-25 arrive, then the repairs of the refused 13 and 16 take
+    # the cumulative ACK to 25: the prober closes, and the trace of its
+    # two one-round repairs gets a label.
+    arrivals = [synack()] + [data_segment(i, ip_id=i + 1) for i in range(1, 26)]
+    arrivals += [data_segment(13, ip_id=27), data_segment(16, ip_id=28)]
+    session = replay(ProbeScript(), arrivals)
+    assert session.phase == "closed"
     assert session.trace[-1].kind == "rst"
     report = classify_trace(session.trace, session.script)
-    assert report.error is None
-    assert report.label == "Unclassifiable"  # a closed run, but nothing was dropped
+    assert (report.label, report.error) == ("NewReno", None)
 
 
 def test_outcome_overflow():
