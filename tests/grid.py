@@ -22,14 +22,16 @@ long its round trip.
 
 ``summarize`` folds the runs, in order, into one SHA-256 over their trace
 texts (each what ``conftest.trace_text``, that is ``write_trace``, makes
-of it) and, per part and variant, the count of each label and error row.
-``tests/test_grid.py`` pins both. Run as a script, this prints them:
+of it), one over their reports (each ``json.dumps`` of its ``to_dict()``)
+and, per part and variant, the count of each label and error row.
+``tests/test_grid.py`` pins all three. Run as a script, this prints them:
 
     PYTHONPATH=src python3 tests/grid.py
 """
 
 import hashlib
 import io
+import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -128,16 +130,18 @@ def run_grid() -> Iterator[GridRun]:
 @dataclass(frozen=True)
 class GridSummary:
     digest: str  # SHA-256 over every run's trace text, in run order
+    report_digest: str  # SHA-256 over every run's report JSON, in run order
     outcomes: dict  # part -> variant value -> outcome -> count
     runs: int
 
 
 def summarize(runs: Iterable[GridRun]) -> GridSummary:
-    digest, outcomes, count = hashlib.sha256(), {}, 0
+    digest, report_digest, outcomes, count = hashlib.sha256(), hashlib.sha256(), {}, 0
     for run in runs:
         sink = io.StringIO()
         write_trace(run.trace, sink)
         digest.update(sink.getvalue().encode())
+        report_digest.update(json.dumps(run.report.to_dict()).encode())
         by_variant = outcomes.setdefault(run.part, {})
         by_variant.setdefault(run.scenario.variant.value, Counter())[run.outcome] += 1
         count += 1
@@ -145,13 +149,14 @@ def summarize(runs: Iterable[GridRun]) -> GridSummary:
         part: {variant: dict(sorted(counts.items())) for variant, counts in by_variant.items()}
         for part, by_variant in outcomes.items()
     }
-    return GridSummary(digest.hexdigest(), plain, count)
+    return GridSummary(digest.hexdigest(), report_digest.hexdigest(), plain, count)
 
 
 if __name__ == "__main__":
     summary = summarize(run_grid())
     print(summary.runs, "runs")
     print(summary.digest)
+    print(summary.report_digest)
     for part, by_variant in summary.outcomes.items():
         for variant, counts in by_variant.items():
             print(part, variant, counts)

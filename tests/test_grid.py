@@ -1,9 +1,11 @@
-"""The grid fence: 4,750 runs pinned by one digest and their label counts.
+"""The grid fence: 4,750 runs pinned by two digests and their label counts.
 
 The goldens cover 30 scenarios at cwnd 2. The grid (see ``grid.py``)
 reaches RTTs to 799 ms, cwnd 1-4 and a server MSS below the script's,
 where a sender without Karn's rule or without its RTT estimator writes
-other traces. A refactor must leave both pins unchanged; a change meant
+other traces. The report digest covers every feature value, evidence
+index and note, which the label counts do not. A refactor must leave
+every pin unchanged; a change meant
 to alter traces re-pins them and says why. The 2,090 long-RTT runs sit
 outside the digest: each must close and get a ``SpuriousTimeout`` row.
 """
@@ -15,6 +17,7 @@ from ccprobe import TerminationReason, classify_trace, run_to_completion, sim_in
 from grid import LONG_RTT_GRID, MAIN_GRID, MSS_GRID, WIDE_RTT_GRID, run_grid, summarize
 
 GRID_DIGEST = "1c3558963ed8bd5422d7fbf417c7ccd47bd51f66db0e3af210ddb3efbbe084e6"
+REPORT_DIGEST = "5855d240926633d42393334434de6df445e96453b14e0ab24e8fe5e6dca1b1d8"
 
 # Per part and variant, the runs that got each label or error row. Every
 # wrong label in the main part is a trace that Reno and NewReno both write
@@ -52,6 +55,10 @@ def test_grid_shape():
 def test_grid_trace_digest(grid_summary):
     assert grid_summary.runs == 4750
     assert grid_summary.digest == GRID_DIGEST
+
+
+def test_grid_report_digest(grid_summary):
+    assert grid_summary.report_digest == REPORT_DIGEST
 
 
 def test_grid_outcome_counts(grid_summary):
