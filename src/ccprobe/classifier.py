@@ -27,9 +27,11 @@ more after it, and only a timer, its RTO at least 1 s, comes sooner.
 On a clean path an arrival overlaps earlier ones, all of lower ip_id,
 exactly when it starts below ``high``: that is a retransmission. It is
 ``timeout`` when the silence since the previous data arrival exceeds 1.5
-estimated round trips (``TIMEOUT_RTTS``), ``fast`` otherwise: a fast
-repair follows within one round trip, the timer's first repair of a hole
-after 1.84 or more.
+round trips (``TIMEOUT_RTTS``), ``fast`` otherwise: a fast repair follows
+within one round trip, the timer's first repair of a hole after 1.84 or
+more. The same scan reads that round trip off the prober's handshake: its
+first SYN to the first SYN+ACK listed after it, before any data, at a
+later ``t_us``. Without that pair a trace gets an ``Incomplete`` row.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -105,24 +107,18 @@ class RetxEvent:
     event_index: int  # position in the trace
 
 
-def estimate_rtt(trace: list[TraceEvent]) -> int | None:
-    """Round trip from SYN -> SYN+ACK, or None without a handshake."""
-    for syn in trace:
-        if syn.dir == "tx" and syn.kind == "syn":
-            for ev in trace:
-                if ev.dir == "rx" and ev.kind == "synack" and ev.t_us >= syn.t_us:
-                    return ev.t_us - syn.t_us
-            return None
-    return None
-
-
 def _coverage_pass(
-    trace: list[TraceEvent], rtt_est: int, mss: int
-) -> tuple[list[RetxEvent], tuple | None]:
-    """One scan of the server's arrivals: the retransmissions before the
-    first path break, and that break as (error, trace index, note) or None."""
+    trace: list[TraceEvent], mss: int
+) -> tuple[int | None, list[RetxEvent], tuple | None]:
+    """One scan of the server's arrivals: the handshake's round trip, the retransmissions
+    before the first path break, and that break as (error, trace index, note)."""
+    for syn_at, syn in enumerate(trace):
+        if syn.dir == "tx" and syn.kind == "syn":
+            break
+    else:
+        syn_at = len(trace)  # no SYN: no SYN+ACK is listed after it
+    rtt, limit = None, 0  # without a handshake no repair's kind is kept
     retxs = []
-    limit = TIMEOUT_RTTS * rtt_est
     high = 0  # the bytes seen so far are [0, high)
     next_ip_id = -1  # no data is due before the SYN+ACK
     last_data_t = None
@@ -132,6 +128,10 @@ def _coverage_pass(
         if ev.kind != "data":
             if ev.kind == "synack":
                 next_ip_id = ev.ip_id + 1
+                opening = rtt is None and last_data_t is None  # no round trip, no data yet
+                if opening and syn_at < position and ev.t_us > syn.t_us:
+                    rtt = ev.t_us - syn.t_us
+                    limit = TIMEOUT_RTTS * rtt
             continue
         start, ip_id = ev.seq, ev.ip_id
         if ip_id != next_ip_id or start > high:
@@ -142,26 +142,27 @@ def _coverage_pass(
             )
             error = ERROR_REORDERING if reordered else ERROR_UNEXPECTED_LOSS
             note = f"path break: ip_id {ip_id} at byte {start}, due ip_id {next_ip_id} at byte <= {high}"
-            return retxs, (error, position, note)
+            return rtt, retxs, (error, position, note)
         next_ip_id += 1
         if start < high:
-            gap = ev.t_us - last_data_t if last_data_t is not None else 0
-            kind = RETX_TIMEOUT if gap > limit else RETX_FAST
+            kind = RETX_TIMEOUT if ev.t_us - last_data_t > limit else RETX_FAST
             retxs.append(RetxEvent(start // mss + 1, ev.t_us, kind, position))
         end = start + ev.len
         if end > high:
             high = end
         last_data_t = ev.t_us
-    return retxs, None
+    return rtt, retxs, None
 
 
-def detect_retransmissions(trace: list[TraceEvent], rtt_est: int, *, mss: int) -> list[RetxEvent]:
-    return _coverage_pass(trace, rtt_est, mss)[0]
+def detect_retransmissions(trace: list[TraceEvent], *, mss: int) -> list[RetxEvent]:
+    """The trace's retransmissions, judged by its own round trip; none without a handshake."""
+    rtt, retxs, _ = _coverage_pass(trace, mss)
+    return retxs if rtt is not None else []
 
 
 def detect_reordering(trace: list[TraceEvent]) -> int | None:
     """Trace index of the first path break, if the path reordered there."""
-    broken = _coverage_pass(trace, 0, 1)[1]
+    broken = _coverage_pass(trace, 1)[2]
     return broken[1] if broken is not None and broken[0] == ERROR_REORDERING else None
 
 
@@ -189,11 +190,9 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
         raise _Unjudgeable(ERROR_NOT_TWO_DROPS, [])
     first, second = sorted(script.drop_packets)
     follower = second + 1
-    rtt = estimate_rtt(trace)
+    rtt, retxs, broken = _coverage_pass(trace, script.mss)
     if rtt is None:
         raise _Unjudgeable(ERROR_INCOMPLETE, [])
-
-    retxs, broken = _coverage_pass(trace, rtt, script.mss)
     if broken is not None:
         error, position, note = broken
         raise _Unjudgeable(error, [(position, note)])
@@ -254,10 +253,10 @@ def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> Classificati
     a trace of EVENT_CAP events or more is a TraceOverflow error row, one
     in which the prober never sent ``rst`` or ``fin`` an Incomplete one,
     and a script of other than two drops a NotTwoDrops one. Then a trace
-    that lacks the handshake is Incomplete, a path break is a Reordering
-    or UnexpectedLoss row naming it, and a retransmission of a packet
-    below the first drop, or of packet 1 within one round trip of the
-    first data, is a SpuriousTimeout row naming it.
+    without the handshake's round trip is Incomplete, a path break is a
+    Reordering or UnexpectedLoss row naming it, and a retransmission of a
+    packet below the first drop, or of packet 1 within one round trip of
+    the first data, is a SpuriousTimeout row naming it.
     """
     if len(trace) >= EVENT_CAP:
         return _error_row(ERROR_TRACE_OVERFLOW, [])

@@ -33,7 +33,6 @@ from ccprobe.classifier import (
     RETX_FAST,
     RETX_TIMEOUT,
     detect_retransmissions,
-    estimate_rtt,
     extract_features,
 )
 from ccprobe.cli import main as cli_main
@@ -57,7 +56,7 @@ def label_of(run) -> str:
 
 
 def retx_list(trace):
-    return detect_retransmissions(trace, estimate_rtt(trace), mss=MSS)
+    return detect_retransmissions(trace, mss=MSS)
 
 
 def arrivals_of(trace, index):

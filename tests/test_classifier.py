@@ -37,6 +37,8 @@ from ccprobe import (
     classifier,
     classify_trace,
     netsim,
+    run_to_completion,
+    sim_init,
     traceio,
     wire,
 )
@@ -58,7 +60,6 @@ from ccprobe.classifier import (
     classify,
     detect_reordering,
     detect_retransmissions,
-    estimate_rtt,
     extract_features,
 )
 from ccprobe.netsim import EVENT_CAP
@@ -66,7 +67,8 @@ from ccprobe.prober import ProbeSession
 from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 
-from conftest import delivered_union, run_scenario, tx_acks
+from conftest import delivered_union, run_scenario, trace_text, tx_acks
+from grid import MAIN_GRID
 
 MS = 1000
 SCRIPT = ProbeScript()
@@ -100,11 +102,12 @@ def label_of(run) -> str:
 
 def test_rtt_from_handshake(default_runs):
     for run in default_runs.values():
-        assert estimate_rtt(run.trace) == 100 * MS
+        assert classify_trace(run.trace, SCRIPT).features.rtt_est == 100 * MS
 
 
 def test_rtt_none_without_any_exchange():
-    assert estimate_rtt([]) is None
+    assert classifier._coverage_pass([], 100) == (None, [], None)
+    assert detect_retransmissions([], mss=100) == []
 
 
 def test_closed_trace_without_handshake_is_incomplete(default_runs):
@@ -116,8 +119,29 @@ def test_closed_trace_without_handshake_is_incomplete(default_runs):
         if ev.kind not in ("syn", "synack")
     ]
     assert trace[-1].kind == "rst"
-    assert estimate_rtt(trace) is None
+    assert detect_retransmissions(trace, mss=100) == []  # no round trip to judge them by
     assert classify_trace(trace, SCRIPT).error == ERROR_INCOMPLETE
+
+
+def synack_at_syn_time(trace, *, before) -> list[TraceEvent]:
+    """The trace with its SYN+ACK moved to the SYN's ``t_us``, listed just
+    after the SYN or just before it."""
+    syn, synack = trace[:2]
+    assert (syn.kind, synack.kind) == ("syn", "synack")
+    moved = dataclasses.replace(synack, t_us=syn.t_us)
+    return ([moved, syn] if before else [syn, moved]) + trace[2:]
+
+
+@pytest.mark.parametrize("before", [False, True], ids=["listed-after", "listed-before"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_synack_not_later_than_its_syn_is_incomplete(default_runs, variant, before):
+    # A readable trace whose SYN+ACK is not later than the SYN, or comes
+    # before it, has no round trip: an error row, never a label judged
+    # against a zero round trip.
+    moved = synack_at_syn_time(default_runs[variant].trace, before=before)
+    trace = traceio.read_trace(trace_text(moved))
+    report = classify_trace(trace, SCRIPT)
+    assert (report.label, report.error, report.evidence) == (None, ERROR_INCOMPLETE, [])
 
 
 # -- retransmission detection --------------------------------------------------
@@ -138,13 +162,13 @@ EXPECTED_RETX = {
 @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
 def test_detected_retransmissions_match_timeline(default_runs, variant):
     trace = default_runs[variant].trace
-    retxs = detect_retransmissions(trace, estimate_rtt(trace), mss=100)
+    retxs = detect_retransmissions(trace, mss=100)
     assert [(r.index, r.kind, r.t_us // MS) for r in retxs] == EXPECTED_RETX[variant]
 
 
 def test_retransmission_points_back_into_trace(default_runs):
     trace = default_runs[Variant.NEWRENO].trace
-    retx = detect_retransmissions(trace, 100 * MS, mss=100)[0]
+    retx = detect_retransmissions(trace, mss=100)[0]
     ev = trace[retx.event_index]
     assert (ev.dir, ev.kind, ev.seq) == ("rx", "data", 1200)
 
@@ -152,22 +176,17 @@ def test_retransmission_points_back_into_trace(default_runs):
 @pytest.mark.parametrize("rtt_us", [2, 100 * MS, 798 * MS])
 def test_timeout_threshold_is_one_and_a_half_round_trips(rtt_us):
     # A repair after exactly 1.5 round trips of silence is still fast; one
-    # microsecond more and it is the timer's.
+    # microsecond more and it is the timer's. The handshake carries the
+    # round trip.
     limit = rtt_us * 3 // 2
+    handshake = [HANDSHAKE[0], dataclasses.replace(HANDSHAKE[1], t_us=rtt_us)]
     for gap, kind in ((limit, RETX_FAST), (limit + 1, RETX_TIMEOUT)):
-        trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3)]
-        trace.append(TraceEvent(300 * MS + gap, "rx", "data", 0, 100, 0, 4))
-        assert [r.kind for r in detect_retransmissions(trace, rtt_us, mss=100)] == [kind]
-
-
-# RTT 1-799 ms in 7 ms steps, two pages, initial cwnd 1-4, every variant.
-GROUND_TRUTH_GRID = [
-    (variant, rtt_ms, page_bytes, ack_limit, cwnd)
-    for variant in Variant
-    for rtt_ms in range(1, 800, 7)
-    for page_bytes, ack_limit in ((3000, 25), (5000, 40))
-    for cwnd in range(1, 5)
-]
+        trace = handshake + [
+            TraceEvent(rtt_us + 1, "rx", "data", 0, 100, 0, 2),
+            TraceEvent(rtt_us + 2, "rx", "data", 100, 100, 0, 3),
+            TraceEvent(rtt_us + 2 + gap, "rx", "data", 0, 100, 0, 4),
+        ]
+        assert [r.kind for r in detect_retransmissions(trace, mss=100)] == [kind]
 
 
 def test_first_repairs_are_timeout_exactly_when_the_timer_sent_them(monkeypatch):
@@ -183,23 +202,16 @@ def test_first_repairs_are_timeout_exactly_when_the_timer_sent_them(monkeypatch)
         return out
 
     monkeypatch.setattr(Sender, "on_rto", recording_on_rto)
-    assert len(GROUND_TRUTH_GRID) == 4600
     misread = []
-    for variant, rtt_ms, page_bytes, ack_limit, cwnd in GROUND_TRUTH_GRID:
+    for scenario in MAIN_GRID:
         timer_ip_ids.clear()
-        run = run_scenario(
-            variant,
-            rtt_ms=rtt_ms,
-            page_bytes=page_bytes,
-            sender_config=SenderConfig(initial_cwnd=cwnd),
-            probe_script=ProbeScript(ack_limit_packet=ack_limit),
-        )
-        retxs = detect_retransmissions(run.trace, estimate_rtt(run.trace), mss=100)
+        trace, _ = run_to_completion(sim_init(scenario))
+        retxs = detect_retransmissions(trace, mss=100)
         for hole in sorted(SCRIPT.drop_packets):
             first = next(r for r in retxs if r.index == hole)
-            by_timer = run.trace[first.event_index].ip_id in timer_ip_ids
+            by_timer = trace[first.event_index].ip_id in timer_ip_ids
             if (first.kind == RETX_TIMEOUT) != by_timer:
-                misread.append((variant.value, rtt_ms, page_bytes, cwnd, hole))
+                misread.append((scenario, hole))
     assert misread == []
 
 
@@ -221,7 +233,7 @@ def test_retransmission_is_not_reordering():
     # A re-sent copy carries the next ip_id and starts below the bytes seen.
     trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3), rx(400, 0, 4)]
     assert detect_reordering(trace) is None
-    assert [r.index for r in detect_retransmissions(trace, 100 * MS, mss=100)] == [1]
+    assert [r.index for r in detect_retransmissions(trace, mss=100)] == [1]
     # One that skips an ip_id is a loss on the path, not a reordering.
     trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3), rx(400, 0, 5)]
     assert detect_reordering(trace) is None
@@ -258,7 +270,7 @@ def test_retransmissions_before_the_break_are_kept():
     # The scan stops at the byte gap: the repair before it is reported, the
     # one after it is not.
     trace = HANDSHAKE + [rx(200, 0, 2), rx(300, 0, 3), rx(400, 200, 4), rx(500, 0, 5)]
-    assert [r.event_index for r in detect_retransmissions(trace, 100 * MS, mss=100)] == [3]
+    assert [r.event_index for r in detect_retransmissions(trace, mss=100)] == [3]
 
 
 def test_lost_segment_arrives_as_unexpected_loss():
@@ -697,6 +709,21 @@ def overlap(a: TraceEvent, b: TraceEvent) -> bool:
     return a.seq < b.seq + b.len and b.seq < a.seq + a.len
 
 
+def reference_rtt(trace):
+    """The round trip from the first SYN the prober sent to the first
+    SYN+ACK listed after it and before any data, with a later ``t_us``;
+    None without that pair."""
+    syns = [position for position, ev in enumerate(trace) if ev.dir == "tx" and ev.kind == "syn"]
+    if not syns:
+        return None
+    data = [position for position, ev in enumerate(trace) if ev.dir == "rx" and ev.kind == "data"]
+    syn = trace[syns[0]]
+    for ev in trace[syns[0] + 1:min(data + [len(trace)])]:
+        if ev.dir == "rx" and ev.kind == "synack" and ev.t_us > syn.t_us:
+            return ev.t_us - syn.t_us
+    return None
+
+
 def reference_retransmissions(trace, rtt_est, *, mss):
     out, seen, last_data_t = [], [], None
     for position, ev in enumerate(trace):
@@ -735,7 +762,7 @@ def reference_report(trace, script) -> ClassificationReport | None:
     drop."""
     if len(script.drop_packets) != 2:
         return ClassificationReport(None, ERROR_NOT_TWO_DROPS, FeatureVector(), [])
-    rtt = estimate_rtt(trace)
+    rtt = reference_rtt(trace)
     if rtt is None or reference_break(trace) is not None:
         return None
     first_drop, last_drop = min(script.drop_packets), max(script.drop_packets)
@@ -795,9 +822,9 @@ def test_touching_arrivals_do_not_overlap():
     # [0, 100) then [100, 200): no shared byte, so no repair; one byte lower
     # they overlap, and one byte higher they leave a gap on the path.
     touching = HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3)]
-    assert detect_retransmissions(touching, 100 * MS, mss=100) == []
+    assert detect_retransmissions(touching, mss=100) == []
     overlapping = HANDSHAKE + [rx(200, 0, 2), rx(300, 99, 3)]
-    assert [r.event_index for r in detect_retransmissions(overlapping, 100 * MS, mss=100)] == [3]
+    assert [r.event_index for r in detect_retransmissions(overlapping, mss=100)] == [3]
     apart = HANDSHAKE + [rx(200, 0, 2), rx(300, 101, 3)]
     report = classify_trace(closed(apart), SCRIPT)
     assert (report.error, report.evidence[0][0]) == (ERROR_UNEXPECTED_LOSS, 3)
@@ -829,17 +856,27 @@ _acks = st.tuples(
 )
 
 
+# Openings with no round trip: the SYN+ACK at the SYN's t_us, listed
+# after it or before it.
+MALFORMED = {
+    "synack-at-syn": synack_at_syn_time(HANDSHAKE, before=False),
+    "synack-first": synack_at_syn_time(HANDSHAKE, before=True),
+}
+
+
 @st.composite
 def probe_traces(draw) -> list[TraceEvent]:
     trace = []
     t = 0
-    opening = draw(st.sampled_from(["handshake", "handshake", "handshake", "request", "none"]))
+    opening = draw(st.sampled_from(["handshake"] * 3 + ["request", "none", *MALFORMED]))
     if opening == "handshake":
         t = draw(st.integers(min_value=1, max_value=300)) * MS
         trace += [
             TraceEvent(t_us=0, dir="tx", kind="syn", seq=0, len=0, ack=0, ip_id=1),
             TraceEvent(t_us=t, dir="rx", kind="synack", seq=0, len=0, ack=1, ip_id=1),
         ]
+    elif opening in MALFORMED:
+        trace += MALFORMED[opening]
     elif opening == "request":
         trace.append(TraceEvent(t_us=0, dir="tx", kind="data", seq=0, len=50, ack=0, ip_id=1))
     # An intact trace: each data arrival carries the next ip_id and starts
@@ -919,6 +956,9 @@ def tx_ack(t_ms, ack) -> TraceEvent:
 @example(HANDSHAKE + [rx(200, 0, 2), rx(300, 100, 3)], SCRIPT)
 @example(HANDSHAKE + [rx(200, 0, 2), rx(300, 99, 3)], SCRIPT)
 @example(HANDSHAKE + [rx(200, 0, 2), rx(300, 200, 4), rx(400, 100, 3)], SCRIPT)
+# A SYN+ACK at the SYN's t_us, listed after it or before it: no round trip.
+@example(MALFORMED["synack-at-syn"] + [rx(200, 0, 2), rx(300, 100, 3), rx(400, 0, 4)], SCRIPT)
+@example(MALFORMED["synack-first"] + [rx(200, 0, 2), rx(300, 100, 3), rx(400, 0, 4)], SCRIPT)
 def test_coverage_index_matches_quadratic_reference(trace, script):
     expected = reference_report(trace, script)
     if expected is not None and expected.error == ERROR_NOT_TWO_DROPS:
@@ -929,15 +969,14 @@ def test_coverage_index_matches_quadratic_reference(trace, script):
         # No handshake or a broken path: an error row, naming the break.
         report = classify_trace(closed(trace), script)
         assert report.label is None
-        if estimate_rtt(trace) is None:
+        if reference_rtt(trace) is None:
             assert report.error == ERROR_INCOMPLETE
         else:
             assert report.error in (ERROR_REORDERING, ERROR_UNEXPECTED_LOSS)
             assert [index for index, _ in report.evidence] == [reference_break(trace)]
         return
-    rtt = expected.features.rtt_est
-    assert detect_retransmissions(trace, rtt, mss=script.mss) == reference_retransmissions(
-        trace, rtt, mss=script.mss
+    assert detect_retransmissions(trace, mss=script.mss) == reference_retransmissions(
+        trace, reference_rtt(trace), mss=script.mss
     )
     assert detect_reordering(trace) is None
     if expected.error is not None:
