@@ -2,7 +2,9 @@
 
 Everything here works from the prober's observed trace alone (plus the
 probe script that produced it); no sender or session state is consulted,
-and only the trace of a finished probe gets a label. Like TBIT's, the
+and only the trace of a finished probe has features or gets a label:
+``extract_features`` runs every check, in the order its docstring gives,
+and ``classify_trace`` reports the first that fails. Like TBIT's, the
 ordered decision table is built for exactly two refused packets, so a
 script of any other number of drops gets a ``NotTwoDrops`` error row.
 One walk over the retransmissions reads the features: each drop's first
@@ -185,7 +187,26 @@ def classify(features: FeatureVector) -> str:
 
 
 def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[FeatureVector, list]:
-    """Build the feature vector plus the trace-index evidence behind it."""
+    """Build the feature vector plus the trace-index evidence behind it.
+
+    Only a finished probe of a two-drop script has features; any other
+    trace raises ``_Unjudgeable`` with its error row's error and evidence.
+    In this order: a trace of EVENT_CAP events or more is TraceOverflow,
+    one in which the prober never sent ``rst`` or ``fin`` Incomplete, and
+    a script of other than two drops NotTwoDrops. Then a trace without the
+    handshake's round trip is Incomplete, a path break is a Reordering or
+    UnexpectedLoss row naming it, and a retransmission of a packet below
+    the first drop, or of packet 1 within one round trip of the first
+    data, is a SpuriousTimeout row naming it.
+    """
+    if len(trace) >= EVENT_CAP:
+        raise _Unjudgeable(ERROR_TRACE_OVERFLOW, [])
+    # The prober's close sits within a few hundred events of the end.
+    for ev in reversed(trace):
+        if ev.dir == "tx" and ev.kind in ("rst", "fin"):
+            break
+    else:
+        raise _Unjudgeable(ERROR_INCOMPLETE, [])
     if len(script.drop_packets) != 2:
         raise _Unjudgeable(ERROR_NOT_TWO_DROPS, [])
     first, second = sorted(script.drop_packets)
@@ -242,32 +263,11 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
     return features, evidence
 
 
-def _error_row(error: str, evidence: list) -> ClassificationReport:
-    return ClassificationReport(None, error, FeatureVector(), evidence)
-
-
 def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> ClassificationReport:
-    """Full pipeline from observed trace to report.
-
-    Only a finished probe of a two-drop script gets a label. In this order:
-    a trace of EVENT_CAP events or more is a TraceOverflow error row, one
-    in which the prober never sent ``rst`` or ``fin`` an Incomplete one,
-    and a script of other than two drops a NotTwoDrops one. Then a trace
-    without the handshake's round trip is Incomplete, a path break is a
-    Reordering or UnexpectedLoss row naming it, and a retransmission of a
-    packet below the first drop, or of packet 1 within one round trip of
-    the first data, is a SpuriousTimeout row naming it.
-    """
-    if len(trace) >= EVENT_CAP:
-        return _error_row(ERROR_TRACE_OVERFLOW, [])
-    # The prober's close sits within a few hundred events of the end.
-    for ev in reversed(trace):
-        if ev.dir == "tx" and ev.kind in ("rst", "fin"):
-            break
-    else:
-        return _error_row(ERROR_INCOMPLETE, [])
+    """Full pipeline from observed trace to report: the table's label for
+    ``extract_features``' features, or the error row it raised."""
     try:
         features, evidence = extract_features(trace, script)
     except _Unjudgeable as exc:
-        return _error_row(*exc.args)
+        return ClassificationReport(None, exc.args[0], FeatureVector(), exc.args[1])
     return ClassificationReport(classify(features), None, features, evidence)

@@ -72,7 +72,7 @@ class Scenario:
     def __post_init__(self):
         if self.rtt_ms <= 0:
             raise ConfigurationError("rtt must be positive")
-        if self.page_bytes < (self.probe_script.ack_limit_packet + 1) * self.probe_script.mss:
+        if self.page_bytes < self.probe_script.ack_limit_packet * self.probe_script.mss:
             raise ConfigurationError(
                 "page too small: the probe script could never be satisfied"
             )
@@ -114,7 +114,7 @@ def run_to_completion(world: SimWorld):
 
     A prober batch that fills the trace to EVENT_CAP events ends the run,
     and the session's trace is cut to that many. The cap outranks the
-    close, as in ``classify_trace``.
+    close, as in ``classifier.extract_features``.
     """
     queue, server, prober = world._queue, world.server, world.prober
     to_prober, to_server, trace = prober.handle_segment, server.handle_segment, prober.trace

@@ -411,10 +411,10 @@ def test_other_drop_counts_are_never_labelled(script, variant, rtt_ms, cwnd):
 )
 def test_label_does_not_depend_on_the_ack_limit(variant, rtt_ms, cwnd):
     # Refusing 13 and 16, the probe reads its label off the repairs; how
-    # far it then acks the page, from 17 to the page's last packet but
-    # one, must not change what the trace is judged to be.
+    # far it then acks the page, from 17 to the page's last packet, must
+    # not change what the trace is judged to be.
     outcomes = set()
-    for ack_limit in range(17, Scenario.page_bytes // SCRIPT.mss):
+    for ack_limit in range(17, Scenario.page_bytes // SCRIPT.mss + 1):
         run = run_scenario(
             variant,
             rtt_ms=rtt_ms,
@@ -654,6 +654,24 @@ def test_trace_rule_agrees_with_session_state(variant, overrides):
     assert (report.error == ERROR_TRACE_OVERFLOW) == overflowed
     if not overflowed:
         assert (report.error == ERROR_INCOMPLETE) == (run.world.prober.phase != "closed")
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("unfinished", ["no-close", "overflow"])
+def test_features_need_a_finished_probe(default_runs, variant, unfinished):
+    # The features behind a label come only from a finished probe: the
+    # default trace without its closing rst, and a run that filled the
+    # event cap, raise in extract_features the row classify_trace reports.
+    if unfinished == "no-close":
+        trace = [ev for ev in default_runs[variant].trace if ev.kind != "rst"]
+        script, error = SCRIPT, ERROR_INCOMPLETE
+    else:
+        run = run_scenario(variant, **OVERFLOWING)
+        trace, script, error = run.trace, run.scenario.probe_script, ERROR_TRACE_OVERFLOW
+    with pytest.raises(classifier._Unjudgeable) as raised:
+        extract_features(trace, script)
+    assert raised.value.args == (error, [])
+    assert classify_trace(trace, script) == ClassificationReport(None, error, FeatureVector(), [])
 
 
 # -- timing invariance ---------------------------------------------------------
@@ -982,7 +1000,7 @@ def test_coverage_index_matches_quadratic_reference(trace, script):
     if expected.error is not None:
         assert classify_trace(closed(trace), script) == expected
         return
-    assert extract_features(trace, script) == (expected.features, expected.evidence)
+    assert extract_features(closed(trace), script) == (expected.features, expected.evidence)
 
 
 def test_features_come_from_one_coverage_pass(default_runs, monkeypatch):

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ccprobe
-from ccprobe import ProbeScript, Scenario
+from ccprobe import InternalError, ProbeScript, Scenario, cli
 from ccprobe.cli import VARIANTS, _build_scenario, _parse_drops, build_parser, main
 from ccprobe.traceio import PLOT_HEADER
 
@@ -265,6 +265,21 @@ def test_classify_rejects_invalid_script(newreno_trace, capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["sim", "classify", "matrix"])
+def test_bad_drop_list_is_a_usage_error(newreno_trace, tmp_path, capsys, command):
+    # A drop list that is not comma-separated packet numbers is refused
+    # before anything runs or is written.
+    out = tmp_path / "out.jsonl"
+    required = {
+        "sim": ("--variant", "newreno", "--out", str(out)),
+        "classify": ("--in", str(newreno_trace)),
+        "matrix": (),
+    }[command]
+    code, stdout, err = run_cli(capsys, command, *required, "--drop", "13,x")
+    assert (code, stdout, err) == (2, "", "error: bad drop list: '13,x'\n")
+    assert not out.exists()
+
+
 def test_classify_drops_past_the_default_ack_limit(tmp_path, capsys):
     # classify reads only the script's MSS and drops: a trace whose drops
     # lie past the default ack limit of 25 needs no ack limit to be read.
@@ -480,14 +495,14 @@ FLAG_VALUES = {
     ("sim", "--page-bytes"): ("5000",),
     ("sim", "--mss"): ("50",),
     ("sim", "--drop"): ("5,9",),
-    ("sim", "--ack-limit"): ("30",),
+    ("sim", "--ack-limit"): ("31",),
     ("classify", "--mss"): ("50",),
     ("classify", "--drop"): ("5,9",),
     ("matrix", "--rtt-ms"): ("1500",),
-    ("matrix", "--page-bytes"): ("2500",),
+    ("matrix", "--page-bytes"): ("2400",),
     ("matrix", "--mss"): ("1000",),
     ("matrix", "--drop"): ("none",),
-    ("matrix", "--ack-limit"): ("30",),
+    ("matrix", "--ack-limit"): ("31",),
     ("matrix", "--rtt-sweep"): (),
 }
 
@@ -516,6 +531,19 @@ def test_every_optional_flag_changes_what_its_command_shows(
         return code, re.sub(r"elapsed=\S+", "elapsed=", stdout), written
 
     assert shown(flag, *FLAG_VALUES[command, flag]) != shown()
+
+
+# -- internal errors -------------------------------------------------------------
+
+
+def test_internal_error_exits_2_naming_it(capsys, monkeypatch):
+    # A broken invariant inside a run is a message and exit 2, not a traceback.
+    def broken(world):
+        raise InternalError("event before the clock")
+
+    monkeypatch.setattr(cli, "run_to_completion", broken)
+    code, stdout, err = run_cli(capsys, "matrix")
+    assert (code, stdout, err) == (2, "", "internal error: event before the clock\n")
 
 
 # -- closed stdout ---------------------------------------------------------------

@@ -54,6 +54,19 @@ def test_page_too_small_for_script():
         sim_init(Scenario(variant=Variant.NEWRENO, page_bytes=1000))
 
 
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_page_of_exactly_the_ack_limit_closes_with_its_label(variant):
+    # The prober closes once its cumulative ACK reaches ack_limit * mss, so
+    # a page of exactly that many bytes lets it finish; a byte less cannot.
+    script = ProbeScript()
+    page = script.ack_limit_packet * script.mss
+    run = run_scenario(variant, page_bytes=page)
+    assert run.reason is TerminationReason.PROBER_CLOSED
+    assert classify_trace(run.trace, script).label == variant.value
+    with pytest.raises(ConfigurationError, match="^page too small"):
+        Scenario(variant=variant, page_bytes=page - 1)
+
+
 def test_rtt_must_be_positive():
     with pytest.raises(ConfigurationError):
         sim_init(Scenario(variant=Variant.NEWRENO, rtt_ms=0))
@@ -250,6 +263,15 @@ def test_clock_monotonic_across_trace(default_runs):
     for run in default_runs.values():
         times = [ev.t_us for ev in run.trace]
         assert times == sorted(times)
+
+
+def test_event_before_the_clock_is_an_internal_error():
+    # The loop never runs the clock back: a queued entry due before the
+    # world's clock means the queue broke its order.
+    world = sim_init(Scenario(variant=Variant.NEWRENO))
+    world.clock = world._queue[0][0] + 1
+    with pytest.raises(InternalError, match="^event before the clock$"):
+        run_to_completion(world)
 
 
 def test_deterministic_bit_identical_traces():
