@@ -8,8 +8,8 @@ and ``classify_trace`` reports the first that fails. Like TBIT's, the
 ordered decision table is built for exactly two refused packets, so a
 script of any other number of drops gets a ``NotTwoDrops`` error row.
 One walk over the retransmissions reads the features: each drop's first
-repair, another packet's repair between those two, and the repeats of
-the follower, the packet after the second drop, once an ACK covered it.
+repair, another packet's repair between those two, and a repeat of the
+follower, the packet after the second drop, past the scan's covering ACK.
 
 As TBIT does, a trace is judged only if its path was clean. The server
 numbers its segments from one per-connection ip_id counter, starting at
@@ -36,6 +36,7 @@ first SYN to the first SYN+ACK listed after it, before any data, at a
 later ``t_us``. Without that pair a trace gets an ``Incomplete`` row.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 from .netsim import EVENT_CAP
@@ -110,10 +111,10 @@ class RetxEvent:
 
 
 def _coverage_pass(
-    trace: list[TraceEvent], mss: int
-) -> tuple[int | None, list[RetxEvent], tuple | None]:
-    """One scan of the server's arrivals: the handshake's round trip, the retransmissions
-    before the first path break, and that break as (error, trace index, note)."""
+    trace: list[TraceEvent], mss: int, cover: float
+) -> tuple[int | None, list[RetxEvent], tuple | None, int | None]:
+    """One scan of the trace: the handshake's round trip, the retransmissions before the first path
+    break, that break as (error, trace index, note), and the prober's first ACK of >= ``cover``."""
     for syn_at, syn in enumerate(trace):
         if syn.dir == "tx" and syn.kind == "syn":
             break
@@ -123,9 +124,11 @@ def _coverage_pass(
     retxs = []
     high = 0  # the bytes seen so far are [0, high)
     next_ip_id = -1  # no data is due before the SYN+ACK
-    last_data_t = None
+    last_data_t = covered = None
     for position, ev in enumerate(trace):
         if ev.dir != "rx":
+            if covered is None and ev.ack >= cover and ev.kind == "ack":
+                covered = position
             continue
         if ev.kind != "data":
             if ev.kind == "synack":
@@ -144,7 +147,7 @@ def _coverage_pass(
             )
             error = ERROR_REORDERING if reordered else ERROR_UNEXPECTED_LOSS
             note = f"path break: ip_id {ip_id} at byte {start}, due ip_id {next_ip_id} at byte <= {high}"
-            return rtt, retxs, (error, position, note)
+            return rtt, retxs, (error, position, note), covered
         next_ip_id += 1
         if start < high:
             kind = RETX_TIMEOUT if ev.t_us - last_data_t > limit else RETX_FAST
@@ -153,18 +156,18 @@ def _coverage_pass(
         if end > high:
             high = end
         last_data_t = ev.t_us
-    return rtt, retxs, None
+    return rtt, retxs, None, covered
 
 
 def detect_retransmissions(trace: list[TraceEvent], *, mss: int) -> list[RetxEvent]:
     """The trace's retransmissions, judged by its own round trip; none without a handshake."""
-    rtt, retxs, _ = _coverage_pass(trace, mss)
+    rtt, retxs, _, _ = _coverage_pass(trace, mss, math.inf)
     return retxs if rtt is not None else []
 
 
 def detect_reordering(trace: list[TraceEvent]) -> int | None:
     """Trace index of the first path break, if the path reordered there."""
-    broken = _coverage_pass(trace, 1)[2]
+    broken = _coverage_pass(trace, 1, math.inf)[2]
     return broken[1] if broken is not None and broken[0] == ERROR_REORDERING else None
 
 
@@ -211,7 +214,7 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
         raise _Unjudgeable(ERROR_NOT_TWO_DROPS, [])
     first, second = sorted(script.drop_packets)
     follower = second + 1
-    rtt, retxs, broken = _coverage_pass(trace, script.mss)
+    rtt, retxs, broken, covered = _coverage_pass(trace, script.mss, follower * script.mss)
     if rtt is None:
         raise _Unjudgeable(ERROR_INCOMPLETE, [])
     if broken is not None:
@@ -219,10 +222,11 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
         raise _Unjudgeable(error, [(position, note)])
     # One walk over the retransmissions, in trace order: a timer's early
     # repeat, each drop's first repair, another packet's repair between
-    # those two, and the follower's repeats.
-    evidence, repeats = [], []
+    # those two, and the follower's first repeat after an ACK covered it.
+    evidence = []
     repaired = {}  # drop -> the kind of its first repair
     between = False
+    needless = None  # the follower's first repeat after its covering ACK
     for r in retxs:
         if r.index < first:  # the prober refused nothing below its first drop
             note = f"retransmission of packet {r.index} before any scripted loss"
@@ -236,8 +240,8 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
                 repaired.setdefault(r.index, r.kind)
             elif first in repaired and second not in repaired:
                 between = True
-            if r.index == follower:
-                repeats.append(r)
+            if r.index == follower and needless is None and covered is not None and covered < r.event_index:
+                needless = r.event_index
             continue
         raise _Unjudgeable(ERROR_SPURIOUS_TIMEOUT, [(r.event_index, note)])
     features = FeatureVector(rtt_est=rtt, retransmission_count=len(retxs))
@@ -246,20 +250,9 @@ def extract_features(trace: list[TraceEvent], script: ProbeScript) -> tuple[Feat
         if second in repaired:  # read only once the first drop was repaired
             features.second_drop_repair = repaired[second]
             features.extra_repair_between_drops = between
-    if repeats:
-        # A repeat after the first ACK that covers the follower was
-        # unnecessary; only an ACK before the last repeat can precede one.
-        follower_end = follower * script.mss
-        for acked_at, ev in enumerate(trace[:repeats[-1].event_index]):
-            if ev.dir == "tx" and ev.kind == "ack" and ev.ack >= follower_end:
-                for r in repeats:
-                    if acked_at < r.event_index:
-                        break
-                features.follower_repeated_after_ack = True
-                evidence.append(
-                    (r.event_index, f"packet {follower} arrived again after being ack-covered")
-                )
-                break
+    if needless is not None:
+        features.follower_repeated_after_ack = True
+        evidence.append((needless, f"packet {follower} arrived again after being ack-covered"))
     return features, evidence
 
 

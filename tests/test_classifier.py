@@ -21,6 +21,7 @@ extra-repair flag take precedence.
 
 import dataclasses
 import inspect
+import math
 from collections import Counter
 from itertools import permutations
 
@@ -106,7 +107,7 @@ def test_rtt_from_handshake(default_runs):
 
 
 def test_rtt_none_without_any_exchange():
-    assert classifier._coverage_pass([], 100) == (None, [], None)
+    assert classifier._coverage_pass([], 100, math.inf) == (None, [], None, None)
     assert detect_retransmissions([], mss=100) == []
 
 
@@ -281,6 +282,19 @@ def test_lost_segment_arrives_as_unexpected_loss():
     (at, note), = report.evidence
     assert run.trace[at].ip_id == 11
     assert "due ip_id 10" in note
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_duplicated_arrival_is_a_reordering_naming_the_copy(default_runs, variant):
+    # The default run with one data arrival delivered twice, once for each
+    # arrival: the copy repeats an ip_id below the one due, a backward step.
+    trace = default_runs[variant].trace
+    arrivals = [at for at, ev in enumerate(trace) if ev.dir == "rx" and ev.kind == "data"]
+    assert len(arrivals) >= 30
+    for at in arrivals:
+        report = classify_trace(trace[:at + 1] + trace[at:], SCRIPT)
+        assert (report.label, report.error) == (None, ERROR_REORDERING), at
+        assert [index for index, _ in report.evidence] == [at + 1]
 
 
 # One run per variant, rtt {10, 100, 200} ms and initial cwnd {1, 2, 4}, and

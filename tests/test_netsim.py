@@ -5,6 +5,7 @@ byte spans) were derived by hand from the variant rules and the fixed
 rtt/2 link before implementation, then frozen here.
 """
 
+import math
 from collections import Counter
 
 import pytest
@@ -247,6 +248,43 @@ def test_handshake_and_first_round_timing(default_runs):
     first_data = rx_data(trace)[0]
     assert first_data.t_us == 200 * MS
     assert (first_data.seq, first_data.len) == (0, 100)
+
+
+# Pages and the scripts that fit them: the default, a long page, and pages
+# of 4, 4.5 and 12.34 segments, the first two shorter than the largest window.
+FIRST_FLIGHT_PAGES = [
+    (3000, ProbeScript()),
+    (50_000, ProbeScript()),
+    (400, ProbeScript(drop_packets=frozenset({1, 2}), ack_limit_packet=4)),
+    (450, ProbeScript(drop_packets=frozenset({2}), ack_limit_packet=3)),
+    (1234, ProbeScript(drop_packets=frozenset({3, 8}), ack_limit_packet=9)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(list(Variant)),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=1, max_value=10),
+    st.sampled_from(FIRST_FLIGHT_PAGES),
+)
+@example(Variant.TAHOE, 1000, 10, FIRST_FLIGHT_PAGES[2])
+@example(Variant.RENO, 1, 10, FIRST_FLIGHT_PAGES[3])
+def test_first_flight_is_the_initial_window(variant, rtt_ms, cwnd, page):
+    # TBIT's first test reads the initial window off the trace: the data
+    # arrivals at the first one's t_us. A page shorter than the window caps
+    # the count at its segments.
+    page_bytes, script = page
+    run = run_scenario(
+        variant,
+        rtt_ms=rtt_ms,
+        page_bytes=page_bytes,
+        sender_config=SenderConfig(initial_cwnd=cwnd),
+        probe_script=script,
+    )
+    data = rx_data(run.trace)
+    flight = sum(ev.t_us == data[0].t_us for ev in data)
+    assert flight == min(cwnd, math.ceil(page_bytes / script.mss))
 
 
 def test_link_latency_is_exactly_half_rtt():
