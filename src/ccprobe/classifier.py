@@ -1,8 +1,9 @@
 """Trace classifier: name the congestion-control variant behind a trace.
 
 Everything here works from the prober's observed trace alone (plus the
-probe script that produced it); no sender or session state is consulted,
-and only the trace of a finished probe has features or gets a label:
+probe script that produced it, which ``read_script`` reads off the
+trace); no sender or session state is consulted, and only the trace of a
+finished probe has features or gets a label:
 ``extract_features`` runs every check, in the order its docstring gives,
 and ``classify_trace`` reports the first that fails. Like TBIT's, the
 ordered decision table is built for exactly two refused packets, so a
@@ -264,3 +265,21 @@ def classify_trace(trace: list[TraceEvent], script: ProbeScript) -> Classificati
     except _Unjudgeable as exc:
         return ClassificationReport(None, exc.args[0], FeatureVector(), exc.args[1])
     return ClassificationReport(classify(features), None, features, evidence)
+
+
+def read_script(trace: list[TraceEvent]) -> ProbeScript:
+    """The script the prober's records state. The MSS is the first data arrival's length,
+    and a drop is a data arrival before the close that ends above the last ACK sent and
+    has no ``tx`` record next: the prober answers every other such arrival at once. A
+    drop is numbered by its last byte, and the ack limit is the least the drops allow."""
+    mss, acked, drops = None, 0, set()
+    for next_at, ev in enumerate(trace, start=1):
+        if ev.dir == "tx":
+            if ev.kind in ("rst", "fin"):
+                break
+            acked = ev.ack
+        elif ev.kind == "data":
+            mss, end = mss or ev.len, ev.seq + ev.len
+            if end > acked and (next_at == len(trace) or trace[next_at].dir != "tx"):
+                drops.add((end - 1) // mss + 1)
+    return ProbeScript(mss or ProbeScript.mss, frozenset(drops), max(drops, default=0) + 1)

@@ -15,10 +15,10 @@ reports death by SIGPIPE). ``main`` is the one entry point: the
 classify and matrix judge a run only by its trace, through
 ``classify_trace``: a capped or unclosed run, or a script of other than
 two drops, gets an error row, which classify exits 3 on and matrix
-counts as "other"; sim runs any drop set. The classifier reads only the
-script's MSS and drops, so classify takes just ``--mss`` and ``--drop``
-and closes its script at the least ack limit the drops allow. matrix runs at ``--rtt-ms`` or, with ``--rtt-sweep``, at each
-sweep RTT, never both.
+counts as "other"; sim runs any drop set. The script's flags belong to
+sim and matrix: classify takes only ``--in``, reads the script off the
+trace with ``classifier.read_script`` and prints it ahead of the report.
+matrix runs at ``--rtt-ms`` or, with ``--rtt-sweep``, at each sweep RTT, never both.
 """
 
 import argparse
@@ -29,7 +29,7 @@ import sys
 import time
 from collections import Counter
 
-from .classifier import classify_trace
+from .classifier import classify_trace, read_script
 from .errors import CcprobeError, ConfigurationError, TraceParseError
 from .netsim import Scenario, TerminationReason, run_to_completion, sim_init
 from .prober import ProbeScript
@@ -59,12 +59,6 @@ def _build_scenario(args, variant: Variant, rtt_ms: int) -> Scenario:
     )
 
 
-def _add_script_flags(parser):
-    parser.add_argument("--mss", type=int, default=ProbeScript.mss)
-    drops = ",".join(map(str, sorted(ProbeScript.drop_packets)))
-    parser.add_argument("--drop", default=drops, help="comma list of packet numbers, or 'none'")
-
-
 def _add_scenario_flags(parser, rtt_flags):
     # --rtt-ms stores a fresh one-item list where --rtt-sweep stores its
     # tuple: never the default object, so a group of the two refuses it.
@@ -72,7 +66,9 @@ def _add_scenario_flags(parser, rtt_flags):
         "--rtt-ms", dest="rtts", nargs=1, type=int, default=(Scenario.rtt_ms,), metavar="RTT_MS"
     )
     parser.add_argument("--page-bytes", type=int, default=Scenario.page_bytes)
-    _add_script_flags(parser)
+    parser.add_argument("--mss", type=int, default=ProbeScript.mss)
+    drops = ",".join(map(str, sorted(ProbeScript.drop_packets)))
+    parser.add_argument("--drop", default=drops, help="comma list of packet numbers, or 'none'")
     parser.add_argument("--ack-limit", type=int, default=ProbeScript.ack_limit_packet)
 
 
@@ -91,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a recorded trace")
     p_cls.add_argument("--in", dest="input", required=True, help="trace path")
-    _add_script_flags(p_cls)
     p_cls.set_defaults(handler=cmd_classify)
 
     p_mat = sub.add_parser("matrix", help="run all variants, print confusion matrix")
@@ -134,9 +129,10 @@ def cmd_sim(args) -> int:
 
 def cmd_classify(args) -> int:
     trace = _read_trace_file(args.input)
-    drops = _parse_drops(args.drop)
-    report = classify_trace(trace, ProbeScript(args.mss, drops, max(drops, default=0) + 1))
-    print(json.dumps(report.to_dict(), indent=2))
+    script = read_script(trace)
+    report = classify_trace(trace, script)
+    shown = {"mss": script.mss, "drops": sorted(script.drop_packets)}
+    print(json.dumps({"script": shown, **report.to_dict()}, indent=2))
     return 0 if report.error is None else 3
 
 

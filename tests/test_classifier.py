@@ -26,7 +26,7 @@ from collections import Counter
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccprobe import (
@@ -62,6 +62,7 @@ from ccprobe.classifier import (
     detect_reordering,
     detect_retransmissions,
     extract_features,
+    read_script,
 )
 from ccprobe.netsim import EVENT_CAP
 from ccprobe.prober import ProbeSession
@@ -69,7 +70,7 @@ from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 
 from conftest import delivered_union, run_scenario, trace_text, tx_acks
-from grid import MAIN_GRID
+from grid import MAIN_GRID, MSS_GRID
 
 MS = 1000
 SCRIPT = ProbeScript()
@@ -376,6 +377,59 @@ def test_another_scripts_drops_never_give_a_variant_label():
         (LABEL_UNCLASSIFIABLE, None): 120,
         (None, ERROR_SPURIOUS_TIMEOUT): 120,
     }
+
+
+# -- the script read off the trace ---------------------------------------------
+# The prober answers every arrival that ends above its last ACK at once, save
+# the ones it refuses, so its own records state the script it ran.
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(Variant)),
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=10, max_value=1000),
+    st.frozensets(st.integers(min_value=1, max_value=30), max_size=4),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=20),
+)
+def test_read_script_is_the_scenarios(variant, rtt_ms, cwnd, mss, drops, past_drops, past_limit):
+    script = ProbeScript(mss, drops, max(drops, default=0) + past_drops)
+    run = run_scenario(
+        variant,
+        rtt_ms=rtt_ms,
+        page_bytes=(script.ack_limit_packet + past_limit) * mss,
+        sender_config=SenderConfig(initial_cwnd=cwnd),
+        probe_script=script,
+    )
+    assume(run.reason is TerminationReason.PROBER_CLOSED)
+    read = read_script(run.trace)
+    assert (read.mss, read.drop_packets) == (mss, drops)
+    assert classify_trace(run.trace, read) == classify_trace(run.trace, script)
+
+
+def test_read_script_labels_every_server_mss_below_the_scripts():
+    # The server's segments are the numbering the trace shows: read in it,
+    # each run gets its own variant's label.
+    for scenario in MSS_GRID:
+        trace, _ = run_to_completion(sim_init(scenario))
+        read = read_script(trace)
+        assert read.mss == min(scenario.sender_config.mss, scenario.probe_script.mss)
+        assert classify_trace(trace, read).label == scenario.variant.value, scenario
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_read_script_of_a_prober_that_skips_answers_is_not_two_drops(default_runs, variant):
+    # A prober that answers only every other arrival leaves a trace whose
+    # silences read as many drops: an error row, never a label.
+    trace = default_runs[variant].trace
+    acks = [at for at, ev in enumerate(trace) if ev.dir == "tx" and ev.kind == "ack"]
+    thinned = [ev for at, ev in enumerate(trace) if at not in acks[1::2]]
+    read = read_script(thinned)
+    assert 14 <= len(read.drop_packets) <= 16
+    report = classify_trace(thinned, read)
+    assert (report.label, report.error) == (None, ERROR_NOT_TWO_DROPS)
 
 
 # -- scripts of other than two drops -------------------------------------------

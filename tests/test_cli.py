@@ -20,8 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ccprobe
-from ccprobe import InternalError, ProbeScript, Scenario, cli
-from ccprobe.cli import VARIANTS, _build_scenario, _parse_drops, build_parser, main
+from ccprobe import InternalError, Scenario, cli
+from ccprobe.cli import VARIANTS, _build_scenario, build_parser, main
 from ccprobe.traceio import PLOT_HEADER
 
 
@@ -108,8 +108,6 @@ def test_flag_defaults_are_the_library_defaults(spelling):
     for argv in (["sim", "--variant", spelling, "--out", "x.jsonl"], ["matrix"]):
         args = build_parser().parse_args(argv)
         assert _build_scenario(args, variant, *args.rtts) == Scenario(variant=variant)
-    args = build_parser().parse_args(["classify", "--in", "x.jsonl"])
-    assert (args.mss, _parse_drops(args.drop)) == (ProbeScript.mss, ProbeScript.drop_packets)
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -222,71 +220,68 @@ def test_classify_out_of_order_trace_names_its_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "variant, sim_flags, script_flags",
+    "variant, sim_flags",
     [
         # At 1,500 ms the 1 s timer fires before the first ACK returns, and
         # the trace repeats packets the prober never refused.
-        ("newreno", ("--rtt-ms", "1500"), ()),
+        ("newreno", ("--rtt-ms", "1500")),
         # At 1,001 ms the timer re-sends packet 1, the first drop, before
         # any duplicate ACK could reach the server.
-        (
-            "tahoe",
-            ("--rtt-ms", "1001", "--drop", "1,4", "--ack-limit", "10", "--page-bytes", "2500"),
-            ("--drop", "1,4"),
-        ),
+        ("tahoe", ("--rtt-ms", "1001", "--drop", "1,4", "--ack-limit", "10", "--page-bytes", "2500")),
     ],
     ids=["rtt-1500", "drop-1"],
 )
 def test_classify_round_trip_above_the_initial_rto_is_spurious_timeout(
-    tmp_path, capsys, variant, sim_flags, script_flags
+    tmp_path, capsys, variant, sim_flags
 ):
     path = tmp_path / "slow.jsonl"
     code, stdout, _ = run_cli(capsys, "sim", "--variant", variant, *sim_flags, "--out", str(path))
     assert (code, stdout) == (0, "ProberClosed\n")
-    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), *script_flags)
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
     assert code == 3
     assert json.loads(stdout)["error"] == "SpuriousTimeout"
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (("--mss", "0"), "script mss must be positive"),
-        (("--drop", "0,16"), "drop packet numbers are 1-based"),
-    ],
-    ids=["mss-0", "drop-0"],
-)
-def test_classify_rejects_invalid_script(newreno_trace, capsys, flags, message):
-    # sim and matrix reject these scripts too; classify must not crash on
-    # them or label a trace with a script no probe could have run.
-    code, stdout, err = run_cli(capsys, "classify", "--in", str(newreno_trace), *flags)
-    assert code == 2
-    assert stdout == ""
-    assert err == f"error: {message}\n"
+def test_classify_takes_no_script_flags(newreno_trace, capsys):
+    # classify reads the script off the trace: a restated one is a usage
+    # error, refused before anything is classified.
+    for flags in (("--mss", "50"), ("--drop", "5,9")):
+        code, stdout, _ = run_cli(capsys, "classify", "--in", str(newreno_trace), *flags)
+        assert (code, stdout) == (2, "")
 
 
-@pytest.mark.parametrize("command", ["sim", "classify", "matrix"])
-def test_bad_drop_list_is_a_usage_error(newreno_trace, tmp_path, capsys, command):
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_classify_reads_the_script_the_trace_was_made_with(tmp_path, capsys, variant):
+    # The script's numbering behind every evidence note is printed first.
+    path = tmp_path / "drop59.jsonl"
+    flags = ("--drop", "5,9", "--ack-limit", "15")
+    assert run_cli(capsys, "sim", "--variant", variant, *flags, "--out", str(path))[0] == 0
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
+    assert code == 0
+    report = json.loads(stdout)
+    assert list(report)[:2] == ["script", "label"]
+    assert report["script"] == {"mss": 100, "drops": [5, 9]}
+    assert report["label"] == VARIANTS[variant].value
+
+
+@pytest.mark.parametrize("command", ["sim", "matrix"])
+def test_bad_drop_list_is_a_usage_error(tmp_path, capsys, command):
     # A drop list that is not comma-separated packet numbers is refused
     # before anything runs or is written.
     out = tmp_path / "out.jsonl"
-    required = {
-        "sim": ("--variant", "newreno", "--out", str(out)),
-        "classify": ("--in", str(newreno_trace)),
-        "matrix": (),
-    }[command]
+    required = {"sim": ("--variant", "newreno", "--out", str(out)), "matrix": ()}[command]
     code, stdout, err = run_cli(capsys, command, *required, "--drop", "13,x")
     assert (code, stdout, err) == (2, "", "error: bad drop list: '13,x'\n")
     assert not out.exists()
 
 
 def test_classify_drops_past_the_default_ack_limit(tmp_path, capsys):
-    # classify reads only the script's MSS and drops: a trace whose drops
-    # lie past the default ack limit of 25 needs no ack limit to be read.
+    # classify reads the drops off the trace and no ack limit: drops past
+    # the default ack limit of 25 are read and judged as any others.
     path = tmp_path / "late.jsonl"
     flags = ("--drop", "30,33", "--ack-limit", "40", "--page-bytes", "5000")
     assert run_cli(capsys, "sim", "--variant", "reno", *flags, "--out", str(path))[0] == 0
-    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), "--drop", "30,33")
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
     assert code == 0
     assert json.loads(stdout)["label"] == "Reno"
 
@@ -295,7 +290,7 @@ def test_classify_without_drops_is_not_two_drops_row(tmp_path, capsys):
     # sim runs any drop set; classify judges only a script of two drops.
     path = tmp_path / "nodrop.jsonl"
     assert run_cli(capsys, "sim", "--variant", "reno", "--drop", "none", "--out", str(path))[0] == 0
-    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path), "--drop", "none")
+    code, stdout, _ = run_cli(capsys, "classify", "--in", str(path))
     assert code == 3
     report = json.loads(stdout)
     assert (report["error"], report["evidence"]) == ("NotTwoDrops", [])
@@ -496,8 +491,6 @@ FLAG_VALUES = {
     ("sim", "--mss"): ("50",),
     ("sim", "--drop"): ("5,9",),
     ("sim", "--ack-limit"): ("31",),
-    ("classify", "--mss"): ("50",),
-    ("classify", "--drop"): ("5,9",),
     ("matrix", "--rtt-ms"): ("1500",),
     ("matrix", "--page-bytes"): ("2400",),
     ("matrix", "--mss"): ("1000",),
@@ -512,17 +505,11 @@ def test_flag_values_name_every_optional_flag():
 
 
 @pytest.mark.parametrize("command, flag", optional_flags())
-def test_every_optional_flag_changes_what_its_command_shows(
-    newreno_trace, tmp_path, capsys, command, flag
-):
+def test_every_optional_flag_changes_what_its_command_shows(tmp_path, capsys, command, flag):
     # A flag that a command defines but never reads leaves its exit code,
     # its stdout and the file it writes all as they are at the defaults.
     out = tmp_path / "out"
-    required = {
-        "sim": ("--variant", "newreno", "--out", str(out)),
-        "classify": ("--in", str(newreno_trace)),
-        "matrix": (),
-    }[command]
+    required = {"sim": ("--variant", "newreno", "--out", str(out)), "matrix": ()}[command]
 
     def shown(*flags):
         code, stdout, _ = run_cli(capsys, command, *required, *flags)
