@@ -9,8 +9,8 @@ Events must be sorted by t_us: a ``TraceParseError`` names the first line
 that is not, as it names a line that does not parse. The writer emits one
 canonical form (that key order, no spaces); the reader accepts any JSON
 object with those keys. A text made only of canonical lines is read in
-one regex scan, its integers converted a column at a time; any other text
-is read line by line through json, with the same events and the same
+one regex scan and one comprehension from its rows to events; any other
+text is read line by line through json, with the same events and the same
 errors. This module parses and formats text only: the writers write to an
 open text file, and opening files is the caller's work.
 
@@ -33,13 +33,16 @@ KINDS = frozenset({"syn", "synack", "data", "ack", "rst", "fin"})
 _FIELDS = ("t_us", "dir", "kind", "seq", "len", "ack", "ip_id")
 _INT_FIELDS = ("t_us", "seq", "len", "ack", "ip_id")
 
-# The exact line write_trace emits, newline included: ASCII digits without
-# leading zeros, no spaces, the keys in _FIELDS order. No match holds a line
-# break but its last "\n", and each starts at a line start, so a text is all
-# canonical lines exactly when it has as many matches as "\n"s.
+# The exact line write_trace emits for a valid event, newline included: ASCII
+# digits without leading zeros, no spaces, the keys in _FIELDS order, and
+# the len rule as lookaheads on the kind (data has len >= 1, any other 0).
+# No match holds a line break but its last "\n", and each starts at a line
+# start, so a text is all canonical lines exactly when it has as many
+# matches as "\n"s.
 _NAT = "(0|[1-9][0-9]*)"
 _CANONICAL_LINES = re.compile(
-    f'^{{"t_us":{_NAT},"dir":"(tx|rx)","kind":"(syn|synack|data|ack|rst|fin)",'
+    f'^{{"t_us":{_NAT},"dir":"(tx|rx)","kind":"(data(?=","seq":[0-9]+,"len":[1-9])'
+    f'|(?:syn|synack|ack|rst|fin)(?=","seq":[0-9]+,"len":0,))",'
     f'"seq":{_NAT},"len":{_NAT},"ack":{_NAT},"ip_id":{_NAT}}}\n',
     re.MULTILINE,
 )
@@ -100,24 +103,6 @@ def _parse_line(line_no: int, line: str) -> TraceEvent:
     return TraceEvent(**raw)
 
 
-def _read_canonical(text: str) -> list[TraceEvent] | None:
-    """The events of a text of valid canonical lines, or None for any other text."""
-    body = text if text.endswith("\n") else text + "\n"
-    if not _CANONICAL_LINES.match(body):
-        return None  # not canonical from its first line: no whole-text scan
-    rows = _CANONICAL_LINES.findall(body)
-    if len(rows) != body.count("\n"):
-        return None
-    t_us, dirs, kinds, seqs, lens, acks, ip_ids = zip(*rows)
-    if list(map("data".__eq__, kinds)) != list(map("0".__ne__, lens)):
-        return None  # a data/len mismatch: the line reader names the line
-    try:
-        return list(map(TraceEvent, map(int, t_us), dirs, kinds, map(int, seqs),
-                        map(int, lens), map(int, acks), map(int, ip_ids)))
-    except ValueError:
-        return None  # an integer past the digit limit: the line reader names the line
-
-
 def _read_lines(text: str) -> list[TraceEvent]:
     events, lines = [], text.split("\n")
     if not lines[-1]:
@@ -134,8 +119,15 @@ def _read_lines(text: str) -> list[TraceEvent]:
 
 def read_trace(text: str) -> list[TraceEvent]:
     """Parse a trace from its JSONL text."""
-    events = _read_canonical(text)
-    if events is None:
+    body = text if text.endswith("\n") else text + "\n"
+    # A text not canonical from its first line is never scanned whole.
+    rows = _CANONICAL_LINES.findall(body) if _CANONICAL_LINES.match(body) else []
+    try:
+        if len(rows) != body.count("\n"):
+            raise ValueError  # not all canonical lines
+        events = [TraceEvent(int(t), d, k, int(s), int(n), int(a), int(i))
+                  for t, d, k, s, n, a, i in rows]
+    except ValueError:  # or an integer past the digit limit: the line reader names the line
         events = _read_lines(text)
     # Every line parsed before any order check: parse errors outrank order errors.
     for line_no, prev, cur in zip(count(2), events, events[1:]):

@@ -396,6 +396,25 @@ def test_canonical_text_is_read_without_the_line_reader(default_runs, monkeypatc
         assert read_trace(trace_text(run.trace)) == run.trace
 
 
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("length", [0, 100])
+def test_canonical_path_kind_by_kind(kind, length, monkeypatch):
+    # Every kind, valid or not, in an otherwise canonical three-line text.
+    text = "\n".join([SYN_LINE, bad_line(kind=kind, len=length), SYN_LINE]) + "\n"
+    valid = (kind == "data") == (length > 0)
+    if valid:
+        def refuse(text):
+            raise AssertionError("canonical text went to the line reader")
+
+        monkeypatch.setattr(traceio, "_read_lines", refuse)
+    outcome = read_outcome(read_trace, text)
+    assert outcome == read_outcome(reference_read_trace, text)
+    if valid:
+        assert len(outcome) == 3
+    else:
+        assert outcome[0] is TraceParseError and outcome[2] == 2
+
+
 @pytest.mark.parametrize(
     "first_line",
     [SYN_LINE.replace('":', '": '), "", "not json", SYN_LINE.replace('"ip_id":1', '"ip_id":01')],
@@ -419,6 +438,20 @@ def test_noncanonical_first_line_skips_the_whole_text_scan(default_runs, monkeyp
     # A canonical text still takes the one scan.
     assert read_trace(trace_text(default_runs[Variant.NEWRENO].trace))
     assert len(scans) == 1
+    # A data line with len 0 is not canonical: one scan, then the line reader names it.
+    line_reads = []
+    read_lines = traceio._read_lines
+
+    def spy_read_lines(text):
+        line_reads.append(text)
+        return read_lines(text)
+
+    monkeypatch.setattr(traceio, "_read_lines", spy_read_lines)
+    scans.clear()
+    text = "\n".join([SYN_LINE, SYN_LINE, bad_line(kind="data")]) + "\n"
+    with pytest.raises(TraceParseError, match=r"^line 3: data events need len > 0$"):
+        read_trace(text)
+    assert scans == [text] and line_reads == [text]
 
 
 def test_bool_field_is_written_so_both_readers_reject_it():
