@@ -70,6 +70,9 @@ class Scenario:
     ambient_drops: frozenset = frozenset()  # server ip_ids lost in the link
 
     def __post_init__(self):
+        for name in ("rtt_ms", "page_bytes"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigurationError(f"{name} must be an integer")
         if self.rtt_ms <= 0:
             raise ConfigurationError("rtt must be positive")
         if self.page_bytes < self.probe_script.ack_limit_packet * self.probe_script.mss:

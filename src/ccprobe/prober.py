@@ -35,6 +35,7 @@ from .errors import ConfigurationError
 from .traceio import TraceEvent
 
 REQUEST_BYTES = 100  # the opaque request; any nonempty payload fetches the page
+_allocate = object.__new__  # looked up once, not per record built by slot stores
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,8 @@ class ProbeScript:
     ack_limit_packet: int = 25
 
     def __post_init__(self):
+        if type(self.mss) is not int:
+            raise ConfigurationError("script mss must be an integer")
         if self.mss <= 0:
             raise ConfigurationError("script mss must be positive")
         if any(index < 1 for index in self.drop_packets):
@@ -117,7 +120,11 @@ class ProbeSession:
                     rcv_nxt = self._reassemble(previous, start, end)
                 # A new cumulative ACK, or a duplicate.
                 ip_id += 1
-                ack = TraceEvent(now, "tx", "ack", snd_off, 0, rcv_nxt, ip_id)
+                # Slot stores in this frame skip type.__call__ and the __init__ frame.
+                ack = _allocate(TraceEvent)
+                ack.t_us, ack.dir, ack.kind = now, "tx", "ack"
+                ack.seq, ack.len, ack.ack = snd_off, 0, rcv_nxt
+                ack.ip_id = ip_id
                 record(ack)
                 out.append(ack)
                 if rcv_nxt == previous:

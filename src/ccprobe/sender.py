@@ -75,6 +75,7 @@ RTO_INITIAL_US = 1_000_000
 RTO_MIN_US = 1_000_000
 RTO_MAX_US = 64_000_000
 _STALE_ACK = (TraceEvent(0, "tx", "ack", 0, 0, -1, 0),)  # below any snd_una
+_allocate = object.__new__  # looked up once, not per record built by slot stores
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,9 @@ class SenderConfig:
     initial_cwnd: int = 2  # segments
 
     def __post_init__(self):
+        for name in ("mss", "initial_cwnd"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigurationError(f"{name} must be an integer")
         if self.mss <= 0:
             raise ConfigurationError("mss must be positive")
         if self.initial_cwnd < 1:
@@ -250,12 +254,18 @@ class Sender:
                 if end > max_sent:
                     max_sent = end
                 # The range as rx data records of one mss and a rest.
-                while seq + mss < end:
+                while seq < end:
+                    cut = seq + mss
+                    if cut > end:
+                        cut = end
                     ip_id += 1
-                    out.append(TraceEvent(t_us, "rx", "data", seq, mss, rcv_nxt, ip_id))
-                    seq += mss
-                ip_id += 1
-                out.append(TraceEvent(t_us, "rx", "data", seq, end - seq, rcv_nxt, ip_id))
+                    # Slot stores in this frame skip type.__call__ and the __init__ frame.
+                    rec = _allocate(TraceEvent)
+                    rec.t_us, rec.dir, rec.kind = t_us, "rx", "data"
+                    rec.seq, rec.len, rec.ack = seq, cut - seq, rcv_nxt
+                    rec.ip_id = ip_id
+                    out.append(rec)
+                    seq = cut
         self.snd_una, self.snd_nxt, self.cwnd, self.ssthresh = snd_una, snd_nxt, cwnd, ssthresh
         self.dupacks, self.in_fast_recovery, self.recover = dupacks, in_recovery, recover
         self.rto_deadline, self.rcv_nxt, self.app_limit = rto_deadline, rcv_nxt, app_limit

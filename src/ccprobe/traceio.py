@@ -17,6 +17,10 @@ open text file, and opening files is the caller's work.
 A ``TraceEvent`` is a slotted dataclass: cheap to build, compared by
 value, not hashable, and read-only by convention. It is also the segment
 on the simulated link (see ``wire``), so it checks nothing when built.
+The server's data segments and the prober's ACKs of data, nearly every
+record of a run, are built by ``object.__new__`` and seven slot stores,
+which skip ``type.__call__`` and the ``__init__`` frame; every other
+build, this module's too, calls the class.
 """
 
 import json

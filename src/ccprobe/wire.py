@@ -6,7 +6,8 @@ the prober its ``tx`` records with their send time, and the prober's
 trace holds those same objects. Its ``seq`` is a byte offset from the
 start of its direction's payload stream; the handshake takes no sequence
 space. ``Segment`` names the record type for the benchmark's tracer,
-which counts record builds through it.
+which counts the builds that call the class through it: the server's data
+segments and the prober's ACKs of data are built without that call.
 """
 
 from .traceio import TraceEvent

@@ -73,6 +73,26 @@ def test_rtt_must_be_positive():
         sim_init(Scenario(variant=Variant.NEWRENO, rtt_ms=0))
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: Scenario(variant=Variant.RENO, rtt_ms=100.0), "rtt_ms"),
+        (lambda: Scenario(variant=Variant.RENO, rtt_ms=0.5), "rtt_ms"),
+        (lambda: Scenario(variant=Variant.RENO, page_bytes=2550.0), "page_bytes"),
+        (lambda: SenderConfig(mss=100.0), "mss"),
+        (lambda: ProbeScript(mss=100.0), "script mss"),
+        (lambda: SenderConfig(initial_cwnd=2.0), "initial_cwnd"),
+    ],
+    ids=["rtt-100.0", "rtt-0.5", "page-2550.0", "sender-mss-100.0", "script-mss-100.0",
+         "initial-cwnd-2.0"],
+)
+def test_non_integer_values_are_refused_when_built(build, field):
+    # A float time or length would reach the trace, whose reader takes
+    # integers only, or fail mid-run as a bare TypeError.
+    with pytest.raises(ConfigurationError, match=f"^{field} must be an integer$"):
+        build()
+
+
 def test_no_positive_rtt_is_too_long_to_run():
     # Nothing ties the round trip to a deadline: a 10-minute RTT validates,
     # and each variant's run closes with the row of any RTT above the 1 s RTO.

@@ -1,6 +1,8 @@
 """The package's public surface: its names, a run's end reasons and a
-scenario's fields, its error types and its one command-line entry point."""
+scenario's fields, its error types, its one command-line entry point and
+its imports of itself, which are all relative."""
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -71,3 +73,19 @@ def test_module_run_exits_with_main():
     )
     assert proc.returncode == 0
     assert b"identity=yes" in proc.stdout
+
+
+def test_the_package_imports_itself_only_relatively():
+    # So one process can load two source trees under two package names,
+    # as an in-process A/B of two commits does.
+    absolute = []
+    for path in sorted(Path(ccprobe.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            absolute += [(path.name, n) for n in names if n.partition(".")[0] == "ccprobe"]
+    assert absolute == []

@@ -1,12 +1,17 @@
 """Record contract of ``TraceEvent``, the one record on the link and in the trace.
 
-It is a slotted dataclass built positionally on the hot paths, so its
-field order is part of the contract. It compares by value, never equals a
-plain tuple, and supports ``dataclasses.replace``. ``wire.Segment`` is a
-second name for it: the benchmark's tracer counts record builds by
-patching ``Segment.__dict__["__init__"]``, which a ``NamedTuple`` would not
-have. A record checks nothing when built; what the server puts on the link
-is checked here as a property of whole runs instead.
+It is a slotted dataclass, built positionally everywhere but the two hot
+paths, so its field order is part of the contract. Those two, the
+server's data segments and the prober's ACKs of data, build a bare
+``object.__new__(TraceEvent)`` and store its seven slots in their own
+frame, skipping ``type.__call__`` and the ``__init__`` frame; a slot they
+miss is caught here, on every record of whole runs. It compares by value,
+never equals a plain tuple, and supports ``dataclasses.replace``.
+``wire.Segment`` is a second name for it: the benchmark's tracer counts
+record builds by patching ``Segment.__dict__["__init__"]``, which a
+``NamedTuple`` would not have, and which the two hot paths do not call. A
+record checks nothing when built; what the server puts on the link is
+checked here as a property of whole runs instead.
 """
 
 import dataclasses
@@ -81,9 +86,14 @@ def test_server_emits_data_and_synack_stamped_on_arrival(variant, rtt_ms, cwnd, 
             return out
 
         setattr(world.server, name, logged)
-    run_to_completion(world)
+    trace, _ = run_to_completion(world)
     negotiated = min(server_mss, script.mss)
     records = [(now, record) for now, out in sent for record in out]
+    # Every record built, the prober's and the server's, is a whole
+    # TraceEvent: astuple raises on a slot the hot paths never stored.
+    for event in trace + [record for _, record in records]:
+        assert type(event) is TraceEvent
+        assert event == TraceEvent(*dataclasses.astuple(event))
     assert [record.kind for _, record in records[:1]] == ["synack"]
     for now, record in records:
         assert record.t_us == now + world.one_way_us
