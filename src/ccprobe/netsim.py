@@ -22,9 +22,8 @@ delivery order is exactly that of one entry per segment.
 ``run_to_completion`` takes every arrival and timer fire, and it alone
 ends a run: at the prober's close, at quiescence or at the event cap.
 The cap bounds every run: each prober batch records at least one event,
-and each timer fire either sends a segment, which the prober records
-unless the finite ambient-drop set swallows it, or finds nothing to send
-and leaves the timer disarmed.
+and each timer fire either sends a segment, which the prober records, or
+finds nothing to send and leaves the timer disarmed.
 
 Each endpoint's ``handle_segment`` is its one arrival path, a loop over
 the batch that tests the common arrival first; after the handshake the
@@ -32,9 +31,6 @@ server's hands each batch whole to its ``on_ack``. The server alone holds
 a timer, the retransmission timer: only the page arms it, and a close
 disarms it, so the loop reads the server's ``rto_deadline`` and nothing
 else, and a fire goes to its ``on_timer``.
-
-An optional ambient-drop list (server ip_ids swallowed by the link)
-exists for robustness testing only; the default link never loses data.
 """
 
 import enum
@@ -67,7 +63,6 @@ class Scenario:
     page_bytes: int = 3000
     sender_config: SenderConfig = field(default_factory=SenderConfig)
     probe_script: ProbeScript = field(default_factory=ProbeScript)
-    ambient_drops: frozenset = frozenset()  # server ip_ids lost in the link
 
     def __post_init__(self):
         for name in ("rtt_ms", "page_bytes"):
@@ -122,7 +117,6 @@ def run_to_completion(world: SimWorld):
     queue, server, prober = world._queue, world.server, world.prober
     to_prober, to_server, trace = prober.handle_segment, server.handle_segment, prober.trace
     one_way = world.one_way_us
-    drops = world.scenario.ambient_drops
     while True:
         # The next event: the queue head, or the server's timer if earlier.
         timer = server.rto_deadline
@@ -149,8 +143,6 @@ def run_to_completion(world: SimWorld):
         else:
             out = server.on_timer(when) if segments is None else to_server(segments, when)
             dest = PROBER
-            if drops:
-                out = [s for s in out if s.ip_id not in drops]
         if out:
             queue.append((when + one_way, dest, out))
     return list(trace), reason

@@ -34,9 +34,28 @@ class Run:
     reason: TerminationReason
 
 
-def run_scenario(variant: Variant, **overrides) -> Run:
+def lose(world, ip_ids) -> None:
+    """Lose on the path the server segments with these ip_ids: the built
+    world's server drops them from what its entry points return, so the
+    run loop never queues them. Wraps the instance, never the class."""
+    server = world.server
+    for name in ("handle_segment", "on_timer"):
+        setattr(server, name, _dropping(getattr(server, name), ip_ids))
+
+
+def _dropping(send, ip_ids):
+    def sent(*args):
+        return [seg for seg in send(*args) if seg.ip_id not in ip_ids]
+
+    return sent
+
+
+def run_scenario(variant: Variant, lost=frozenset(), **overrides) -> Run:
+    """Build and run one scenario, losing the server segments ``lost`` names."""
     scenario = Scenario(variant=variant, **overrides)
     world = sim_init(scenario)
+    if lost:
+        lose(world, lost)
     trace, reason = run_to_completion(world)
     return Run(scenario=scenario, world=world, trace=trace, reason=reason)
 

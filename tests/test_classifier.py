@@ -277,7 +277,7 @@ def test_retransmissions_before_the_break_are_kept():
 
 def test_lost_segment_arrives_as_unexpected_loss():
     # The default NewReno run with its 10th server segment lost on the path.
-    run = run_scenario(Variant.NEWRENO, ambient_drops=frozenset({10}))
+    run = run_scenario(Variant.NEWRENO, lost={10})
     report = classify_trace(run.trace, run.scenario.probe_script)
     assert report.error == ERROR_UNEXPECTED_LOSS
     (at, note), = report.evidence
@@ -314,7 +314,7 @@ def test_single_path_loss_grid_gives_no_wrong_label():
         overrides = dict(rtt_ms=rtt_ms, sender_config=SenderConfig(initial_cwnd=cwnd))
         last = max(ev.ip_id for ev in run_scenario(variant, **overrides).trace if ev.dir == "rx")
         for ip_id in range(2, last + 1):
-            run = run_scenario(variant, ambient_drops=frozenset({ip_id}), **overrides)
+            run = run_scenario(variant, lost={ip_id}, **overrides)
             report = classify_trace(run.trace, run.scenario.probe_script)
             runs += 1
             if report.error is not None:
@@ -340,7 +340,7 @@ def test_path_loss_gives_the_clean_label_or_an_error_row(variant, rtt_ms, cwnd, 
     drops = data.draw(
         st.frozensets(st.integers(min_value=2, max_value=last), min_size=1, max_size=2)
     )
-    run = run_scenario(variant, ambient_drops=drops, **overrides)
+    run = run_scenario(variant, lost=drops, **overrides)
     report = classify_trace(run.trace, run.scenario.probe_script)
     if report.error is None:
         assert report.label == classify_trace(clean.trace, clean.scenario.probe_script).label
@@ -710,7 +710,7 @@ OVERFLOWING = dict(
     ]
     + [
         pytest.param(Variant.NEWRENO, OVERFLOWING, id="overflow"),
-        pytest.param(Variant.NEWRENO, {"ambient_drops": frozenset({1})}, id="no-handshake"),
+        pytest.param(Variant.NEWRENO, {"lost": {1}}, id="no-handshake"),
     ],
 )
 def test_trace_rule_agrees_with_session_state(variant, overrides):

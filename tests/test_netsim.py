@@ -30,7 +30,7 @@ from ccprobe.prober import ProbeSession
 from ccprobe.sender import Sender
 from ccprobe.traceio import TraceEvent
 
-from conftest import acks, delivered_union, outcome, run_scenario, rx_data, trace_text
+from conftest import acks, delivered_union, lose, outcome, run_scenario, rx_data, trace_text
 from test_golden import LONG_PAGE
 from test_prober import any_kind
 
@@ -361,23 +361,19 @@ def test_timer_driven_runs_end_much_later(default_runs):
 
 
 def test_quiescent_when_handshake_never_completes():
-    # Swallowing the SYN+ACK (server ip_id 1) leaves both sides idle with
-    # no timer armed: the world drains to quiescence, not a close.
-    scenario = Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1}))
-    world = sim_init(scenario)
-    trace, reason = run_to_completion(world)
-    assert reason is TerminationReason.QUIESCENT
-    assert world.prober.phase == "syn_sent"
-    assert [ev.kind for ev in trace] == ["syn"]
+    # Losing the SYN+ACK (server ip_id 1) leaves both sides idle with no
+    # timer armed: the world drains to quiescence, not a close.
+    run = run_scenario(Variant.NEWRENO, lost={1})
+    assert run.reason is TerminationReason.QUIESCENT
+    assert run.world.prober.phase == "syn_sent"
+    assert [ev.kind for ev in run.trace] == ["syn"]
 
 
-def test_ambient_data_drop_is_repaired_and_run_completes():
-    scenario = Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({5}))
-    world = sim_init(scenario)
-    trace, reason = run_to_completion(world)
-    assert reason is TerminationReason.PROBER_CLOSED
-    emitted_high = world.server._max_sent
-    assert delivered_union(trace) == [(0, emitted_high)]
+def test_lost_data_segment_is_repaired_and_run_completes():
+    run = run_scenario(Variant.NEWRENO, lost={5})
+    assert run.reason is TerminationReason.PROBER_CLOSED
+    emitted_high = run.world.server._max_sent
+    assert delivered_union(run.trace) == [(0, emitted_high)]
 
 
 # -- probe outcome, as classify_trace reads it off the trace -------------------
@@ -394,11 +390,9 @@ def test_simulated_probe_completes():
 
 
 def test_quiescent_handshake_outcome_is_timeout():
-    scenario = Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1}))
-    world = sim_init(scenario)
-    trace, _ = run_to_completion(world)
-    assert world.prober.phase == "syn_sent"
-    assert classify_trace(trace, scenario.probe_script).error == "Incomplete"
+    run = run_scenario(Variant.NEWRENO, lost={1})
+    assert run.world.prober.phase == "syn_sent"
+    assert classify_trace(run.trace, run.scenario.probe_script).error == "Incomplete"
 
 
 # -- a capped run stops at the cap --------------------------------------------
@@ -502,8 +496,6 @@ def _dispatch_each(world, segments, now, origin):
     dest = PROBER if origin == SERVER else SERVER
     when = now + world.one_way_us
     for seg in segments:
-        if origin == SERVER and seg.ip_id in world.scenario.ambient_drops:
-            continue
         world._queue.append((when, dest, seg))
 
 
@@ -551,7 +543,6 @@ def loop_scenarios(draw) -> Scenario:
         page_bytes=ack_limit * 100 + extra_bytes,
         sender_config=SenderConfig(initial_cwnd=draw(st.integers(min_value=1, max_value=4))),
         probe_script=ProbeScript(mss=100, drop_packets=drops, ack_limit_packet=ack_limit),
-        ambient_drops=draw(st.frozensets(st.integers(min_value=1, max_value=60), max_size=3)),
     )
 
 
@@ -567,17 +558,19 @@ def long_page(variant, packets, ack_limit, **overrides) -> Scenario:
 
 
 @settings(max_examples=200, deadline=None)
-@given(loop_scenarios())
-@example(Scenario(variant=Variant.NEWRENO, ambient_drops=frozenset({1})))  # the SYN+ACK
-@example(Scenario(variant=Variant.RENO, ambient_drops=frozenset({5, 20})))
-@example(Scenario(variant=Variant.NO_FAST_RETRANSMIT, rtt_ms=60_000))  # timer before any ACK
-@example(long_page(Variant.NEWRENO, 300, 250))
-@example(long_page(Variant.RENO, 500, 450))
-@example(long_page(Variant.TAHOE, 500, 450, ambient_drops=frozenset({40, 41, 300})))
-def test_batched_loop_matches_per_segment_loop(scenario):
-    batched = sim_init(scenario)
+@given(loop_scenarios(), st.frozensets(st.integers(min_value=1, max_value=60), max_size=3))
+@example(Scenario(variant=Variant.NEWRENO), frozenset({1}))  # the SYN+ACK
+@example(Scenario(variant=Variant.RENO), frozenset({5, 20}))
+@example(Scenario(variant=Variant.NO_FAST_RETRANSMIT, rtt_ms=60_000), frozenset())  # timer before any ACK
+@example(long_page(Variant.NEWRENO, 300, 250), frozenset())
+@example(long_page(Variant.RENO, 500, 450), frozenset())
+@example(long_page(Variant.TAHOE, 500, 450), frozenset({40, 41, 300}))
+def test_batched_loop_matches_per_segment_loop(scenario, lost):
+    # Each loop runs its own world with the server segments ``lost`` names lost.
+    batched, oracle = sim_init(scenario), sim_init(scenario)
+    lose(batched, lost)
+    lose(oracle, lost)
     trace, reason = run_to_completion(batched)
-    oracle = sim_init(scenario)
     expected_trace, expected_reason = run_per_segment(oracle)
     assert len(expected_trace) < EVENT_CAP
     assert (trace, reason, batched.clock) == (expected_trace, expected_reason, oracle.clock)

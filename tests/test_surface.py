@@ -40,7 +40,7 @@ def test_a_run_has_three_end_reasons_and_no_deadline():
 
 def test_a_scenario_has_no_deadline_field():
     assert [field.name for field in dataclasses.fields(ccprobe.Scenario)] == [
-        "variant", "rtt_ms", "page_bytes", "sender_config", "probe_script", "ambient_drops",
+        "variant", "rtt_ms", "page_bytes", "sender_config", "probe_script",
     ]
 
 
