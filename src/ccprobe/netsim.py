@@ -3,11 +3,13 @@
 Two endpoints, the server (one ``sender.Sender``: handshake, page and
 variant) and the probe session, exchange segments over a symmetric,
 lossless, infinitely fast link: every segment arrives exactly rtt/2 after
-it was sent, in FIFO order. Time is a virtual integer-microsecond clock
-advanced only by the event queue, so a given scenario always produces a
-bit-identical trace. A segment is the ``TraceEvent`` the prober logs (see
-``wire``); it carries no MSS option, so ``SimWorld`` builds the server
-with its MSS capped at the probe script's.
+it was sent, in FIFO order. The tests lose a segment at its endpoint's
+output instead, through ``conftest.lose``. Time is a virtual
+integer-microsecond clock advanced only by the event queue, so a given
+scenario always produces a bit-identical trace. A segment is the
+``TraceEvent`` the prober logs (see ``wire``); it carries no MSS option,
+so ``SimWorld`` builds the server with its MSS capped at the probe
+script's.
 
 The queue holds one ``(when, dest, segments)`` entry per delivered batch
 that drew any answer. An endpoint takes an entry whole, in one
@@ -65,6 +67,11 @@ class Scenario:
     probe_script: ProbeScript = field(default_factory=ProbeScript)
 
     def __post_init__(self):
+        for name, kind in (
+            ("variant", Variant), ("sender_config", SenderConfig), ("probe_script", ProbeScript)
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigurationError(f"{name} must be a {kind.__name__}")
         for name in ("rtt_ms", "page_bytes"):
             if type(getattr(self, name)) is not int:
                 raise ConfigurationError(f"{name} must be an integer")

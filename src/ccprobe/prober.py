@@ -50,6 +50,10 @@ class ProbeScript:
             raise ConfigurationError("script mss must be an integer")
         if self.mss <= 0:
             raise ConfigurationError("script mss must be positive")
+        if any(type(index) is not int for index in self.drop_packets):
+            raise ConfigurationError("drop_packets must be integers")
+        if type(self.ack_limit_packet) is not int:
+            raise ConfigurationError("ack_limit_packet must be an integer")
         if any(index < 1 for index in self.drop_packets):
             raise ConfigurationError("drop packet numbers are 1-based")
         if self.drop_packets and self.ack_limit_packet <= max(self.drop_packets):

@@ -34,13 +34,16 @@ class Run:
     reason: TerminationReason
 
 
-def lose(world, ip_ids) -> None:
-    """Lose on the path the server segments with these ip_ids: the built
-    world's server drops them from what its entry points return, so the
-    run loop never queues them. Wraps the instance, never the class."""
-    server = world.server
+def lose(world, ip_ids, sender="server") -> None:
+    """Lose on the path the segments with these ip_ids that the built
+    world's ``sender``, "server" or "prober", sends: its entry points drop
+    them from what they return, so the run loop never queues them. Wraps
+    the instance, never the class. The prober's SYN, sent as the world is
+    built, is out of reach."""
+    endpoint = getattr(world, sender)
     for name in ("handle_segment", "on_timer"):
-        setattr(server, name, _dropping(getattr(server, name), ip_ids))
+        if hasattr(endpoint, name):  # the prober holds no timer
+            setattr(endpoint, name, _dropping(getattr(endpoint, name), ip_ids))
 
 
 def _dropping(send, ip_ids):
@@ -50,12 +53,13 @@ def _dropping(send, ip_ids):
     return sent
 
 
-def run_scenario(variant: Variant, lost=frozenset(), **overrides) -> Run:
-    """Build and run one scenario, losing the server segments ``lost`` names."""
+def run_scenario(variant: Variant, lost=frozenset(), lost_by="server", **overrides) -> Run:
+    """Build and run one scenario, losing the segments ``lost`` names that
+    ``lost_by`` sends."""
     scenario = Scenario(variant=variant, **overrides)
     world = sim_init(scenario)
     if lost:
-        lose(world, lost)
+        lose(world, lost, lost_by)
     trace, reason = run_to_completion(world)
     return Run(scenario=scenario, world=world, trace=trace, reason=reason)
 

@@ -326,6 +326,35 @@ def test_single_path_loss_grid_gives_no_wrong_label():
     assert errors == {ERROR_UNEXPECTED_LOSS}
 
 
+def test_one_lost_prober_segment_never_gives_another_label():
+    # Each variant's default run with one prober segment lost on the path,
+    # from the handshake's ACK (ip_id 2) to the closing RST. A run that is
+    # not labelled its own variant stalls: the lost handshake ACK or request
+    # leaves both sides idle, and until the cap the server's timer re-sends
+    # to a closed prober after a lost RST, and to one silent on copies below
+    # rcv_nxt after Tahoe's and NoFastRetransmit's lost ACK at ip_id 28.
+    # ROADMAP item 18's answers to both will shrink the stalled set.
+    labelled, stalled = 0, {}
+    for variant in Variant:
+        last = max(ev.ip_id for ev in run_scenario(variant).trace if ev.dir == "tx")
+        for ip_id in range(2, last + 1):
+            run = run_scenario(variant, lost={ip_id}, lost_by="prober")
+            report = classify_trace(run.trace, run.scenario.probe_script)
+            if report.error is None:
+                assert report.label == variant.value, ip_id
+                labelled += 1
+            else:
+                stalled[variant.value, ip_id] = (report.error, run.reason)
+    idle = (ERROR_INCOMPLETE, TerminationReason.QUIESCENT)
+    capped = (ERROR_TRACE_OVERFLOW, TerminationReason.TRACE_OVERFLOW)
+    assert labelled == 138
+    assert stalled == {
+        **{(variant.value, ip_id): idle for variant in Variant for ip_id in (2, 3)},
+        ("Tahoe", 28): capped, ("Tahoe", 30): capped, ("NoFastRetransmit", 28): capped,
+        ("NoFastRetransmit", 30): capped, ("RenoPlus", 30): capped,
+    }
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(list(Variant)),

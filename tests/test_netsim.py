@@ -74,22 +74,40 @@ def test_rtt_must_be_positive():
 
 
 @pytest.mark.parametrize(
-    "build, field",
+    "build, message",
     [
-        (lambda: Scenario(variant=Variant.RENO, rtt_ms=100.0), "rtt_ms"),
-        (lambda: Scenario(variant=Variant.RENO, rtt_ms=0.5), "rtt_ms"),
-        (lambda: Scenario(variant=Variant.RENO, page_bytes=2550.0), "page_bytes"),
-        (lambda: SenderConfig(mss=100.0), "mss"),
-        (lambda: ProbeScript(mss=100.0), "script mss"),
-        (lambda: SenderConfig(initial_cwnd=2.0), "initial_cwnd"),
+        (lambda: Scenario(variant=Variant.RENO, rtt_ms=100.0), "rtt_ms must be an integer"),
+        (lambda: Scenario(variant=Variant.RENO, rtt_ms=0.5), "rtt_ms must be an integer"),
+        (lambda: Scenario(variant=Variant.RENO, page_bytes=2550.0), "page_bytes must be an integer"),
+        (lambda: SenderConfig(mss=100.0), "mss must be an integer"),
+        (lambda: ProbeScript(mss=100.0), "script mss must be an integer"),
+        (lambda: SenderConfig(initial_cwnd=2.0), "initial_cwnd must be an integer"),
+        (lambda: Scenario(variant="Tahoe"), "variant must be a Variant"),
+        (lambda: Scenario(variant=None), "variant must be a Variant"),
+        (lambda: Scenario(variant=3), "variant must be a Variant"),
+        (lambda: Scenario(Variant.RENO, sender_config=None), "sender_config must be a SenderConfig"),
+        (lambda: Scenario(Variant.RENO, probe_script=None), "probe_script must be a ProbeScript"),
+        (lambda: ProbeScript(drop_packets=frozenset({True, 16})), "drop_packets must be integers"),
+        (lambda: ProbeScript(drop_packets=frozenset({13.5, 16})), "drop_packets must be integers"),
+        (lambda: ProbeScript(drop_packets=frozenset({"13", "16"})), "drop_packets must be integers"),
+        (lambda: ProbeScript(ack_limit_packet="25"), "ack_limit_packet must be an integer"),
+        (lambda: ProbeScript(ack_limit_packet=25.5), "ack_limit_packet must be an integer"),
+        (
+            lambda: ProbeScript(drop_packets=frozenset(), ack_limit_packet=True),
+            "ack_limit_packet must be an integer",
+        ),
     ],
     ids=["rtt-100.0", "rtt-0.5", "page-2550.0", "sender-mss-100.0", "script-mss-100.0",
-         "initial-cwnd-2.0"],
+         "initial-cwnd-2.0", "variant-str", "variant-none", "variant-int", "sender-config-none",
+         "probe-script-none", "drop-true", "drop-13.5", "drop-str", "ack-limit-str",
+         "ack-limit-25.5", "ack-limit-true"],
 )
-def test_non_integer_values_are_refused_when_built(build, field):
+def test_non_integer_values_are_refused_when_built(build, message):
     # A float time or length would reach the trace, whose reader takes
-    # integers only, or fail mid-run as a bare TypeError.
-    with pytest.raises(ConfigurationError, match=f"^{field} must be an integer$"):
+    # integers only, or fail mid-run as a bare TypeError. A value of the
+    # wrong type would run another variant's loss response or refuse the
+    # wrong packet: True is packet 1, and 13.5 matches no packet number.
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
         build()
 
 
