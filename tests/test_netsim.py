@@ -513,8 +513,7 @@ def test_handshake_past_the_cap_sends_nothing(monkeypatch):
 def _dispatch_each(world, segments, now, origin):
     dest = PROBER if origin == SERVER else SERVER
     when = now + world.one_way_us
-    for seg in segments:
-        world._queue.append((when, dest, seg))
+    world._queue.extend((when, dest, seg) for seg in segments)
 
 
 def run_per_segment(world):
