@@ -34,16 +34,16 @@ class Run:
     reason: TerminationReason
 
 
-def lose(world, ip_ids, sender="server") -> None:
+def lose(world, ip_ids, endpoint="server") -> None:
     """Lose on the path the segments with these ip_ids that the built
-    world's ``sender``, "server" or "prober", sends: its entry points drop
+    world's ``endpoint``, "server" or "prober", sends: its entry points drop
     them from what they return, so the run loop never queues them. Wraps
     the instance, never the class. The prober's SYN, sent as the world is
     built, is out of reach."""
-    endpoint = getattr(world, sender)
+    sender = getattr(world, endpoint)
     for name in ("handle_segment", "on_timer"):
-        if hasattr(endpoint, name):  # the prober holds no timer
-            setattr(endpoint, name, _dropping(getattr(endpoint, name), ip_ids))
+        if hasattr(sender, name):  # the prober holds no timer
+            setattr(sender, name, _dropping(getattr(sender, name), ip_ids))
 
 
 def _dropping(send, ip_ids):
